@@ -5,13 +5,15 @@ Every subcommand prints one canonical JSON report.  Exit 0 means the
 checked property holds (or the requested object was produced), exit 1
 means it fails and the report carries the certificate, exit 2 means the
 invocation or its inputs were unusable, including search bounds running
-out.  RAMSEY_BA_WORKERS overrides --workers; results are byte-identical
-for any worker count.
+out, or that the run crashed (an "internal-error" report).
+RAMSEY_BA_WORKERS overrides --workers; results are byte-identical for any
+worker count.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 from .chains import chains_extending
@@ -250,6 +252,10 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 2, format_io(
             {"error": {"type": type(bad).__name__, "detail": str(bad)}}
         )
+    except Exception as crash:
+        traceback.print_exc()
+        detail = f"{type(crash).__name__}: {crash}"
+        return 2, format_io({"error": {"type": "internal-error", "detail": detail}})
     return code, format_io(report)
 
 

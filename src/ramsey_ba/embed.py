@@ -10,9 +10,12 @@ the union of its blocks.  Conditions:
 * ordered (optional): block maxima strictly increase with i, which is
   equivalent to the induced map preserving the natural orders on both sides.
 
-Since atoms are stored level-sorted, the level condition pins each block's
-level to its largest atom, and ordered embeddings are rigid: distinct ones
-have distinct images, so ordered embeddings are in bijection with copies.
+Since atoms are stored level-sorted, a block's level is its largest atom's.
+An ordered embedding is block maxima m_0 < ... < m_{k-1} = n-1, big atom m_i
+at small atom i's level, plus any block i with m_i > b for each other big
+atom b.  Ordered embeddings are rigid, so they are in bijection with copies.
+Sorting a plain embedding's blocks by their maxima leaves a unique ordered
+one and a level-preserving relabelling of the small atoms: a proper order.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .errors import (
     NotAnEmbedding,
     SizeMismatch,
 )
+from .order import enumerate_proper_orders
 
 Mode = Literal["plain", "ordered"]
 
@@ -67,11 +71,12 @@ class Embedding:
         )
 
 
-def _block_maxima_increasing(block_of: tuple[int, ...], k: int) -> bool:
+def _block_maxima(block_of: tuple[int, ...], k: int) -> list[int]:
+    """The largest big atom of each block, -1 where a block is empty."""
     maxima = [-1] * k
     for b, i in enumerate(block_of):
         maxima[i] = b
-    return all(maxima[i] < maxima[i + 1] for i in range(k - 1))
+    return maxima
 
 
 def validate_embedding(e: Embedding) -> None:
@@ -85,21 +90,41 @@ def validate_embedding(e: Embedding) -> None:
         raise NotAnEmbedding(
             f"block map has {len(e.block_of)} entries for {big.n_atoms} atoms"
         )
-    if any(not 0 <= i < small.n_atoms for i in e.block_of):
+    if min(e.block_of) < 0 or max(e.block_of) >= small.n_atoms:
         raise NotAnEmbedding("block map names a nonexistent small atom")
-    maxima: list[Level | None] = [None] * small.n_atoms
-    for b, i in enumerate(e.block_of):
-        if maxima[i] is None or level_key(big.levels[b]) > level_key(maxima[i]):
-            maxima[i] = big.levels[b]
+    maxima = _block_maxima(e.block_of, small.n_atoms)
     for i, m in enumerate(maxima):
-        if m is None:
+        if m < 0:
             raise NotAnEmbedding(f"block {i} is empty")
-        if m != small.levels[i]:
+        # atoms are level-sorted, so a block's level is its largest atom's
+        if big.levels[m] != small.levels[i]:
             raise NotAnEmbedding(
-                f"block {i} has maximal level {m!r}, atom needs {small.levels[i]!r}"
+                f"block {i} has maximal level {big.levels[m]!r},"
+                f" atom needs {small.levels[i]!r}"
             )
-    if e.ordered and not _block_maxima_increasing(e.block_of, small.n_atoms):
+    # nonempty blocks have distinct maxima, so sorted means increasing
+    if e.ordered and maxima != sorted(maxima):
         raise NotAnEmbedding("block maxima not increasing for an ordered embedding")
+
+
+def _ordered_block_maps(
+    small: LabeledAlgebra, big: LabeledAlgebra
+) -> Iterator[tuple[int, ...]]:
+    """Ordered block maps: m_{k-1} = n-1, and each level run of the other
+    small atoms takes an increasing choice of the big atoms at its level."""
+    k, n = small.n_atoms, big.n_atoms
+    if small.levels[-1] != big.levels[-1]:
+        return
+    runs = []
+    for level, run in itertools.groupby(small.levels[:-1]):
+        at_level = [b for b in range(n - 1) if big.levels[b] == level]
+        runs.append(itertools.combinations(at_level, len(list(run))))
+    for parts in itertools.product(*runs):
+        maxima = (*itertools.chain.from_iterable(parts), n - 1)
+        choices: list = []
+        for i, (low, m) in enumerate(zip((-1, *maxima), maxima)):
+            choices += [range(i, k)] * (m - low - 1) + [(i,)]
+        yield from itertools.product(*choices)
 
 
 def enumerate_embeddings(
@@ -107,8 +132,7 @@ def enumerate_embeddings(
 ) -> list[Embedding]:
     """All embeddings of small into big, lexicographic in block_of.
 
-    Plain mode enforces partition and level conditions; ordered mode adds the
-    increasing-block-maxima condition.
+    Plain mode relabels each ordered map by every proper order of small.
     """
     if small.chain_length != big.chain_length:
         raise ChainMismatch(
@@ -116,46 +140,15 @@ def enumerate_embeddings(
         )
     if mode not in ("plain", "ordered"):
         raise ValueError(f"unknown mode {mode!r}")
-    k, n = small.n_atoms, big.n_atoms
-    if k > n:
-        return []
-    small_keys = [level_key(l) for l in small.levels]
-    big_keys = [level_key(l) for l in big.levels]
-    found: list[Embedding] = []
-    block_of = [0] * n
-
-    # Counting down, hit[i] set once block i holds an atom at exactly its
-    # level; empty[i] while block i has no atoms at all.
-    hit = [False] * k
-    empty = [True] * k
-
-    def place(b: int) -> Iterator[None]:
-        if b == n:
-            if all(hit):
-                yield None
-            return
-        # prune: the remaining b .. n-1 atoms must fill every still-empty block
-        if sum(empty) > n - b:
-            return
-        for i in range(k):
-            key = big_keys[b]
-            if key > small_keys[i]:
-                continue
-            block_of[b] = i
-            was_hit, was_empty = hit[i], empty[i]
-            hit[i] = hit[i] or key == small_keys[i]
-            empty[i] = False
-            yield from place(b + 1)
-            hit[i], empty[i] = was_hit, was_empty
-
-    for _ in place(0):
-        candidate = tuple(block_of)
-        if mode == "ordered" and not _block_maxima_increasing(candidate, k):
-            continue
-        found.append(
-            Embedding(small=small, big=big, block_of=candidate, ordered=mode == "ordered")
-        )
-    return found
+    maps = list(_ordered_block_maps(small, big))
+    if mode == "plain" and maps:
+        relabels = list(enumerate_proper_orders(small))
+        maps = [tuple(map(s.__getitem__, bo)) for bo in maps for s in relabels]
+    ordered = mode == "ordered"
+    return [
+        Embedding(small=small, big=big, block_of=bo, ordered=ordered)
+        for bo in sorted(maps)
+    ]
 
 
 def identity_embedding(algebra: LabeledAlgebra) -> Embedding:
@@ -172,11 +165,12 @@ def compose(outer: Embedding, inner: Embedding) -> Embedding:
     if inner.big != outer.small:
         raise MixedAlgebras("embeddings do not compose: middle algebras differ")
     block_of = tuple(inner.block_of[i] for i in outer.block_of)
+    maxima = _block_maxima(block_of, inner.small.n_atoms)
     return Embedding(
         small=inner.small,
         big=outer.big,
         block_of=block_of,
-        ordered=_block_maxima_increasing(block_of, inner.small.n_atoms),
+        ordered=maxima == sorted(maxima),
     )
 
 

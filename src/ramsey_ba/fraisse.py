@@ -248,17 +248,13 @@ def _ap_shard(
     a = make_algebra(a_levels, chain_length)
     instances = 0
     violations: list[dict] = []
-    hosts = [
-        algebra
-        for algebra in enumerate_algebras(max_atoms, chain_length, kind)
-        if algebra.n_atoms >= a.n_atoms
+    copies = [
+        (host, enumerate_embeddings(a, host, mode="ordered"))
+        for host in enumerate_algebras(max_atoms, chain_length, kind)
+        if host.n_atoms >= a.n_atoms
     ]
-    for b in hosts:
-        fs = enumerate_embeddings(a, b, mode="ordered")
-        if not fs:
-            continue
-        for c in hosts:
-            gs = enumerate_embeddings(a, c, mode="ordered")
+    for b, fs in copies:
+        for c, gs in copies:
             for f in fs:
                 for g in gs:
                     instances += 1

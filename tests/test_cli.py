@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from ramsey_ba.cli import main
+from ramsey_ba import cli
+from ramsey_ba.cli import RunConfig, main, run
 from ramsey_ba.parallel import WORKERS_ENV
 from ramsey_ba.ramsey import _arrows
 
@@ -154,6 +155,31 @@ def test_parse_error_exit_code(capsys, tmp_path, algebras):
     missing = str(tmp_path / "absent.json")
     code, report = run_cli(capsys, ["validate", "--kind", "bj", "--algebra", missing])
     assert code == 2 and report["error"]["type"] == "ParseError"
+
+
+def test_missing_input_is_internal_error_not_a_crash():
+    code, text = run(RunConfig(subcommand="validate"))
+    assert code == 2
+    assert json.loads(text) == {
+        "error": {"type": "internal-error", "detail": "KeyError: 'algebra'"}
+    }
+
+
+def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):
+    def overflow(config):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "arrow", overflow)
+    code, report = run_cli(
+        capsys,
+        ["arrow", "--c", algebras["mid"], "--b", algebras["small"],
+         "--a", algebras["small"], "-k", "40"],
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "internal-error",
+        "detail": "RecursionError: maximum recursion depth exceeded",
+    }
 
 
 def test_output_file_instead_of_stdout(capsys, tmp_path, algebras):

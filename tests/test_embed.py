@@ -20,6 +20,7 @@ from ramsey_ba import (
     canonical_order,
     class_membership,
     compose,
+    count_proper_orders,
     elements,
     enumerate_algebras,
     enumerate_embeddings,
@@ -59,8 +60,8 @@ def test_three_embeddings_example():
 
 
 def test_embeddings_match_brute_force():
-    for t in (0, 1, 2):
-        algebras = list(enumerate_algebras(4, t))
+    for t, max_atoms in ((0, 5), (1, 5), (2, 4)):
+        algebras = list(enumerate_algebras(max_atoms, t))
         for small, big in product(algebras, repeat=2):
             for mode in ("plain", "ordered"):
                 got = [e.block_of for e in enumerate_embeddings(small, big, mode)]
@@ -71,14 +72,30 @@ def test_embeddings_match_brute_force():
 
 
 def test_embedding_counts_pure_case():
-    for n in range(1, 7):
+    for n in range(1, 10):
         big = make_algebra([OUT] * n, 0)
         for k in range(1, n + 1):
             small = make_algebra([OUT] * k, 0)
-            plain = len(list(enumerate_embeddings(small, big, "plain")))
-            ordered = len(list(enumerate_embeddings(small, big, "ordered")))
-            assert plain == factorial(k) * stirling2(n, k)
+            ordered = len(enumerate_embeddings(small, big, "ordered"))
             assert ordered == stirling2(n, k)
+            # k! S(n, k) plain maps: past these sizes the list takes seconds
+            if n <= 6 or k <= 4:
+                plain = len(enumerate_embeddings(small, big, "plain"))
+                assert plain == factorial(k) * stirling2(n, k)
+
+
+def test_plain_is_ordered_times_proper_orders():
+    for t in (0, 1, 2):
+        algebras = list(enumerate_algebras(7, t))
+        for small, big in product(algebras, repeat=2):
+            ordered = enumerate_embeddings(small, big, "ordered")
+            plain = enumerate_embeddings(small, big, "plain")
+            assert len(plain) == len(ordered) * count_proper_orders(small)
+            for found in (ordered, plain):
+                maps = [e.block_of for e in found]
+                assert all(x < y for x, y in zip(maps, maps[1:]))
+                for e in found:
+                    validate_embedding(e)
 
 
 def test_chain_mismatch_rejected():
