@@ -1,11 +1,11 @@
 """Maximal subset chains versus atom orders, at finite scale.
 
-Points are the atoms; every maximal chain of subsets from the empty set to
-the full set adds one point per step, so chains correspond to the n!
-addition sequences.  Reading a chain off in reverse addition order gives an
-atom order, and a chain passes through every upper set (the atoms with
-level strictly above some ideal position) exactly when that order is
-proper.
+Points are the atoms.  A maximal chain of subsets from the empty set to the
+full set adds one point per step, so it is stored as its addition sequence,
+a permutation of the points; member i is the set of the first i additions.
+The reversed sequence is an atom order (phi), and a chain passes through
+every upper set (the atoms with level strictly above some ideal position)
+exactly when that order is proper.
 """
 from __future__ import annotations
 
@@ -15,24 +15,25 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .core import LabeledAlgebra, level_key, signature_json
-from .errors import SizeMismatch
-from .order import AtomOrder, enumerate_proper_orders, is_proper
+from .errors import BoundExceeded, SizeMismatch
+from .order import AtomOrder, enumerate_proper_orders
+
+MAX_CHAIN_POINTS = 9  # chains_extending walks at most 9! = 362,880 chains
 
 
 @dataclass(frozen=True)
 class MaximalChain:
-    """Strictly increasing subset chain from empty to full, one point a step."""
+    """Maximal subset chain as its addition sequence; its sets are the prefixes."""
 
-    sets: tuple[frozenset[int], ...]
+    additions: tuple[int, ...]
 
     @property
     def n_points(self) -> int:
-        return len(self.sets) - 1
+        return len(self.additions)
 
-    def addition_sequence(self) -> tuple[int, ...]:
-        return tuple(
-            next(iter(self.sets[i + 1] - self.sets[i])) for i in range(self.n_points)
-        )
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(self.additions[:i]) for i in range(self.n_points + 1))
 
 
 def make_chain(sets: Iterable[Iterable[int]]) -> MaximalChain:
@@ -42,25 +43,18 @@ def make_chain(sets: Iterable[Iterable[int]]) -> MaximalChain:
     n = len(members) - 1
     if members[-1] != frozenset(range(n)):
         raise ValueError("chain must end at the full point set")
-    for i in range(n):
-        step = members[i + 1] - members[i]
-        if len(step) != 1 or not members[i] <= members[i + 1]:
-            raise ValueError("each chain step must add exactly one point")
-    return MaximalChain(sets=members)
-
-
-def _chain_from_additions(additions: Sequence[int]) -> MaximalChain:
-    sets = [frozenset()]
-    for p in additions:
-        sets.append(sets[-1] | {p})
-    return MaximalChain(sets=tuple(sets))
+    # n steps of one new point each reach n points only if no step drops one.
+    steps = [after - before for before, after in zip(members, members[1:])]
+    if any(len(step) != 1 for step in steps):
+        raise ValueError("each chain step must add exactly one point")
+    return MaximalChain(tuple(p for step in steps for p in step))
 
 
 def enumerate_maximal_chains(n: int) -> list[MaximalChain]:
     """All n! chains, lexicographic in addition sequence."""
     if n < 1:
         raise ValueError("at least one point is required")
-    return [_chain_from_additions(seq) for seq in permutations(range(n))]
+    return list(map(MaximalChain, permutations(range(n))))
 
 
 def phi(chain: MaximalChain, algebra: LabeledAlgebra) -> AtomOrder:
@@ -73,7 +67,7 @@ def phi(chain: MaximalChain, algebra: LabeledAlgebra) -> AtomOrder:
         raise SizeMismatch(
             f"chain over {chain.n_points} points against {algebra.n_atoms} atoms"
         )
-    return tuple(reversed(chain.addition_sequence()))
+    return chain.additions[::-1]
 
 
 def phi_inverse(ord: Sequence[int]) -> MaximalChain:
@@ -81,7 +75,7 @@ def phi_inverse(ord: Sequence[int]) -> MaximalChain:
     ord = tuple(ord)
     if sorted(ord) != list(range(len(ord))):
         raise ValueError(f"not a permutation of the point set: {ord}")
-    return _chain_from_additions(tuple(reversed(ord)))
+    return MaximalChain(ord[::-1])
 
 
 def atoms_above(algebra: LabeledAlgebra, j: int) -> frozenset[int]:
@@ -103,18 +97,21 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
 
     The report checks both directions: chains through the family map under
     phi exactly onto the proper orders, and every chain missing a family
-    member maps to an improper order.
+    member maps to an improper order.  A chain contains a set of size k iff
+    its first k additions are that set.  Refuses above MAX_CHAIN_POINTS atoms.
     """
-    family = filter_family(algebra)
+    if algebra.n_atoms > MAX_CHAIN_POINTS:
+        raise BoundExceeded(f"chains need at most {MAX_CHAIN_POINTS} atoms, not {algebra.n_atoms}")
+    family = [(len(e), e) for e in filter_family(algebra)]
+    proper = set(enumerate_proper_orders(algebra))
     extending: list[MaximalChain] = []
     outside_all_improper = True
-    for chain in enumerate_maximal_chains(algebra.n_atoms):
-        if all(e in chain.sets for e in family):
-            extending.append(chain)
-        elif is_proper(algebra, phi(chain, algebra)):
+    for seq in permutations(range(algebra.n_atoms)):
+        if all(frozenset(seq[:k]) == e for k, e in family):
+            extending.append(MaximalChain(seq))
+        elif seq[::-1] in proper:
             outside_all_improper = False
     mapped = [phi(chain, algebra) for chain in extending]
-    proper = set(enumerate_proper_orders(algebra))
     report = {
         "signature": signature_json(algebra),
         "chain_length": algebra.chain_length,

@@ -56,7 +56,7 @@ class AmalgamationFailed(WorkbenchError):
 
 
 class BoundExceeded(WorkbenchError):
-    """A search ran out of its atom budget before finding a witness."""
+    """A request exceeds a work budget: witness atoms, chain points."""
 
 
 class VerificationFailed(WorkbenchError):

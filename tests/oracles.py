@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from ramsey_ba.core import LabeledAlgebra, level_key
+from ramsey_ba.core import LabeledAlgebra, level_key, signature_json
 
 
 def stirling2(n: int, k: int) -> int:
@@ -58,6 +58,55 @@ def brute_proper_orders(algebra: LabeledAlgebra) -> list[tuple[int, ...]]:
         for p in permutations(algebra.atoms)
         if all(keys[p[i]] <= keys[p[i + 1]] for i in range(len(p) - 1))
     ]
+
+
+def brute_chains_extending(
+    algebra: LabeledAlgebra,
+) -> tuple[list[tuple[frozenset[int], ...]], dict]:
+    """Extending chains as member tuples and the correspondence report.
+
+    Chains are the frozenset prefixes of every permutation; a chain's order
+    is its additions reversed, proper iff level keys are nondecreasing.
+    """
+    n = algebra.n_atoms
+    keys = [level_key(lv) for lv in algebra.levels]
+    uppers = [
+        frozenset(a for a in range(n) if keys[a] > (0, j))
+        for j in range(algebra.chain_length)
+    ]
+    proper = set(brute_proper_orders(algebra))
+    extending, mapped = [], []
+    total = 0
+    outside_all_improper = True
+    for seq in permutations(range(n)):
+        total += 1
+        sets = tuple(frozenset(seq[:i]) for i in range(n + 1))
+        order = tuple(next(iter(sets[i] - sets[i - 1])) for i in range(n, 0, -1))
+        is_proper = all(keys[order[i]] <= keys[order[i + 1]] for i in range(n - 1))
+        if all(upper in sets for upper in uppers):
+            extending.append(sets)
+            mapped.append(order)
+        elif is_proper:
+            outside_all_improper = False
+    report = {
+        "signature": signature_json(algebra),
+        "chain_length": algebra.chain_length,
+        "n_atoms": n,
+        "total_chains": total,
+        "extending_chains": len(extending),
+        "proper_orders": len(proper),
+        "extending_map_to_proper": all(o in proper for o in mapped),
+        "map_is_injective": len(set(mapped)) == len(mapped),
+        "map_is_onto": set(mapped) >= proper,
+        "non_extending_map_to_improper": outside_all_improper,
+    }
+    report["matched"] = (
+        report["extending_map_to_proper"]
+        and report["map_is_injective"]
+        and report["map_is_onto"]
+        and outside_all_improper
+    )
+    return extending, report
 
 
 def closure_blocks(algebra: LabeledAlgebra, gens) -> list[frozenset[int]]:

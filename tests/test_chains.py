@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from ramsey_ba import (
+    BoundExceeded,
     ClassKind,
     OUT,
     SizeMismatch,
@@ -21,6 +22,9 @@ from ramsey_ba import (
     phi,
     phi_inverse,
 )
+from ramsey_ba import chains
+
+from .oracles import brute_chains_extending
 
 
 def test_phi_example():
@@ -143,3 +147,27 @@ def test_extending_chains_map_onto_proper_orders():
         assert sorted(phi(chain, a) for chain in extending) == sorted(
             enumerate_proper_orders(a)
         )
+
+
+def test_chains_extending_matches_brute_force():
+    for t, max_atoms in ((0, 6), (1, 6), (2, 6), (3, 4)):
+        for a in enumerate_algebras(max_atoms, t):
+            extending, report = chains_extending(a)
+            brute_sets, brute_report = brute_chains_extending(a)
+            assert [chain.sets for chain in extending] == brute_sets, report
+            assert report == brute_report
+
+
+def test_chain_stores_its_additions():
+    chain = make_chain([set(), {2}, {0, 2}, {0, 1, 2}])
+    assert chain.additions == (2, 0, 1)
+    assert chain == phi_inverse((1, 0, 2))
+    assert [c.additions for c in enumerate_maximal_chains(2)] == [(0, 1), (1, 0)]
+
+
+def test_chains_extending_point_budget(monkeypatch):
+    monkeypatch.setattr(chains, "MAX_CHAIN_POINTS", 3)
+    _, report = chains_extending(make_algebra([0, 0, OUT], 1))
+    assert report["matched"]
+    with pytest.raises(BoundExceeded):
+        chains_extending(make_algebra([0, 0, 0, OUT], 1))

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from ramsey_ba import cli
+from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, main, run
 from ramsey_ba.parallel import WORKERS_ENV
 from ramsey_ba.ramsey import _arrows
@@ -136,6 +138,16 @@ def test_chains_correspondence(capsys, algebras):
     assert report["correspondence"]["extending_chains"] == 2
     assert report["extending"] == [[[], [2], [0, 2], [0, 1, 2]],
                                    [[], [2], [1, 2], [0, 1, 2]]]
+
+
+def test_chains_refuses_past_point_budget(capsys, tmp_path):
+    levels = [0] * MAX_CHAIN_POINTS + ["out"]
+    big = write(tmp_path, "big.json", {"chain_length": 1, "levels": levels})
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["chains", "--algebra", big])
+    assert time.perf_counter() - start < 1  # refused before any chain is walked
+    assert code == 2
+    assert report["error"]["type"] == "bound-exceeded"
 
 
 def test_forgetful_sweep(capsys):
