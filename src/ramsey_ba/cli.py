@@ -67,16 +67,29 @@ class RunConfig:
             raise ValueError("k must be at least 1")
 
 
+def _input(config: RunConfig, role: str):
+    if role not in config.inputs:
+        raise ParseError(f"missing input {role!r}")
+    return load_json_file(config.inputs[role])
+
+
 def _load_algebra(config: RunConfig, role: str):
-    return parse_algebra(load_json_file(config.inputs[role]), field=role)
+    return parse_algebra(_input(config, role), field=role)
+
+
+def _kind(config: RunConfig) -> ClassKind:
+    if config.kind is None:
+        raise ParseError("missing input 'kind'")
+    return config.kind
 
 
 def _run_validate(config: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(config, "algebra")
-    member = class_membership(algebra, config.kind)
+    kind = _kind(config)
+    member = class_membership(algebra, kind)
     report = {
         "subcommand": "validate",
-        "kind": config.kind.value,
+        "kind": kind.value,
         "algebra": algebra_to_json(algebra),
         "member": member,
     }
@@ -117,18 +130,17 @@ def _run_arrow(config: RunConfig) -> tuple[int, dict]:
 def _run_witness(config: RunConfig) -> tuple[int, dict]:
     a = _load_algebra(config, "a")
     b = _load_algebra(config, "b")
+    kind = _kind(config)
     report = {
         "subcommand": "witness",
-        "kind": config.kind.value,
+        "kind": kind.value,
         "a": algebra_to_json(a),
         "b": algebra_to_json(b),
         "k": config.k,
         "max_atoms": config.max_atoms,
     }
     try:
-        witness, certificate = construct_witness(
-            config.kind, a, b, config.k, config.max_atoms
-        )
+        witness, certificate = construct_witness(kind, a, b, config.k, config.max_atoms)
     except VerificationFailed as finding:
         report["constructed"] = None
         report["finding"] = {
@@ -143,7 +155,7 @@ def _run_witness(config: RunConfig) -> tuple[int, dict]:
         "certificate": certificate_to_json(certificate),
     }
     if config.minimal:
-        found = min_witness(config.kind, a, b, config.k, config.max_atoms)
+        found = min_witness(kind, a, b, config.k, config.max_atoms)
         report["minimal"] = (
             None
             if found is None
@@ -156,11 +168,12 @@ def _run_amalgamate(config: RunConfig) -> tuple[int, dict]:
     a = _load_algebra(config, "a")
     b = _load_algebra(config, "b")
     c = _load_algebra(config, "c")
-    f = parse_embedding(load_json_file(config.inputs["f"]), a, b, field="f")
-    g = parse_embedding(load_json_file(config.inputs["g"]), a, c, field="g")
+    f = parse_embedding(_input(config, "f"), a, b, field="f")
+    g = parse_embedding(_input(config, "g"), a, c, field="g")
+    kind = _kind(config)
     report = {
         "subcommand": "amalgamate",
-        "kind": config.kind.value,
+        "kind": kind.value,
         "a": algebra_to_json(a),
         "b": algebra_to_json(b),
         "c": algebra_to_json(c),
@@ -168,7 +181,7 @@ def _run_amalgamate(config: RunConfig) -> tuple[int, dict]:
         "g": embedding_to_json(g),
     }
     try:
-        result = amalgamate(config.kind, a, b, c, f, g)
+        result = amalgamate(kind, a, b, c, f, g)
     except AmalgamationFailed as failure:
         report["result"] = None
         report["failure"] = str(failure)
@@ -183,22 +196,23 @@ def _run_amalgamate(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_fraisse(config: RunConfig) -> tuple[int, dict]:
+    kind = _kind(config)
     workers = resolve_workers(config.workers)
     report = {
         "subcommand": "fraisse",
-        "kind": config.kind.value,
+        "kind": kind.value,
         "suite": config.suite,
         "max_atoms": config.max_atoms,
         "chain_length": config.chain_length,
     }
     violations = 0
     if config.suite in ("hp", "both"):
-        hp = check_hp(config.kind, config.max_atoms, config.chain_length, workers)
+        hp = check_hp(kind, config.max_atoms, config.chain_length, workers)
         report["hp"] = hp
         violations += len(hp["violations"])
     if config.suite in ("ap", "both"):
         ap = check_ap(
-            config.kind,
+            kind,
             config.max_atoms,
             config.chain_length,
             max_a_atoms=config.max_a_atoms,

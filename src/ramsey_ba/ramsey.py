@@ -6,10 +6,18 @@ direct scan re-validates, a held relation means the backtracking search
 exhausted every coloring.  The search works on the hypergraph whose
 vertices are the ordered copies of A in C and whose edges collect the
 copies lying inside each ordered copy of B; a bad coloring is one leaving
-every edge non-monochromatic.  Vertices are numbered in enumeration order,
-the first vertex is pinned to color 0, branching is first-fail (most
-forbidden colors, lowest index breaking ties), so certificates are
-deterministic.
+every edge non-monochromatic.  An edge is read off block_of tuples: the
+composite of a B-copy and an A-copy of B is index arithmetic, looked up
+among the A-copies by block map, with no Embedding built.  Vertices are
+numbered in enumeration order, the first vertex is pinned to color 0, and
+branching is DSATUR first-fail (most forbidden colors, lowest index breaking
+ties, colors in increasing order), so certificates and node counts are
+deterministic.  The depth-first search keeps an explicit stack of frames
+and undoes a color from its trail, so depth is not bounded by Python's
+recursion limit.  Uncolored vertices sit in one bitmask per saturation
+level, so choosing the next vertex takes the lowest bit of the highest
+non-empty level; each edge tracks its unassigned count and id-sum, so its
+last unassigned vertex is read off directly.
 
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, solve the level-free problem by brute-force ascent, solve
@@ -40,6 +48,9 @@ from .errors import (
     NotInClass,
     VerificationFailed,
 )
+
+# Arrow certificates kept per process; a failing one holds every A-copy.
+ARROWS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -86,81 +97,115 @@ def _search_bad_coloring(
 
     color = [-1] * n_vertices
     forbid = [0] * n_vertices
-    # per edge: count of assigned vertices while still single-colored
-    e_count = [0] * len(edges)
+    saturation = [0] * n_vertices  # forbidden color count
+    # uncolored vertices per saturation, as bitmasks; level k means a dead end
+    buckets = [0] * (k + 1)
+    buckets[0] = (1 << n_vertices) - 1
+    # per edge while its assigned vertices share one color: that color, the
+    # count of unassigned vertices and their id-sum, which names the last one
+    e_size = [len(edge) for edge in edges]
+    e_free = list(e_size)
+    e_sum = [sum(edge) for edge in edges]
     e_color = [-1] * len(edges)
     e_open = [True] * len(edges)
-    full = (1 << k) - 1
+    # undo trails: edges a vertex was counted on, edges it closed, vertices
+    # it forbade its color to; a frame holds its vertex, next color, color
+    # limit and the three trail lengths from before its vertex was colored
+    counted: list[int] = []
+    closed: list[int] = []
+    forbidden: list[int] = []
     nodes = 0
 
-    def assign(v: int, col: int, trail: list) -> bool:
+    def select() -> int:
+        """Most forbidden colors, lowest index; taken out of its bucket."""
+        for level in range(k - 1, -1, -1):
+            bucket = buckets[level]
+            if bucket:
+                low = bucket & -bucket
+                buckets[level] = bucket ^ low
+                return low.bit_length() - 1
+        return -1
+
+    v = select()
+    if v < 0:
+        return color, nodes
+    stack = [[v, 0, 1, 0, 0, 0]]  # color names are symmetric; pin the first vertex
+    while stack:
+        frame = stack[-1]
+        v, col, limit, c_mark, x_mark, f_mark = frame
+        if color[v] >= 0:
+            for ei in counted[c_mark:]:
+                e_free[ei] += 1
+                e_sum[ei] += v
+            del counted[c_mark:]
+            for ei in closed[x_mark:]:
+                e_open[ei] = True
+            del closed[x_mark:]
+            bit = 1 << color[v]
+            for u in forbidden[f_mark:]:
+                forbid[u] ^= bit
+                level = saturation[u]
+                saturation[u] = level - 1
+                buckets[level] ^= 1 << u
+                buckets[level - 1] |= 1 << u
+            del forbidden[f_mark:]
+            color[v] = -1
+        while col < limit and forbid[v] >> col & 1:
+            col += 1
+        if col == limit:
+            stack.pop()
+            buckets[saturation[v]] |= 1 << v
+            continue
+        frame[1] = col + 1
+        nodes += 1
         color[v] = col
-        trail.append((0, v, -1))
+        bit = 1 << col
         for ei in touching[v]:
             if not e_open[ei]:
                 continue
-            if e_count[ei] == 0 or e_color[ei] == col:
-                trail.append((1, ei, e_color[ei]))
-                e_color[ei] = col
-                e_count[ei] += 1
-                size = len(edges[ei])
-                if e_count[ei] == size:
-                    return False
-                if e_count[ei] == size - 1:
-                    u = next(x for x in edges[ei] if color[x] < 0)
-                    bit = 1 << col
-                    if not forbid[u] & bit:
-                        forbid[u] |= bit
-                        trail.append((2, u, bit))
-                        if forbid[u] == full:
-                            return False
-            else:
+            if e_color[ei] != col and e_free[ei] != e_size[ei]:
                 e_open[ei] = False
-                trail.append((3, ei, -1))
-        return True
-
-    def undo(trail: list) -> None:
-        for kind, idx, payload in reversed(trail):
-            if kind == 0:
-                color[idx] = -1
-            elif kind == 1:
-                e_color[idx] = payload
-                e_count[idx] -= 1
-            elif kind == 2:
-                forbid[idx] &= ~payload
-            else:
-                e_open[idx] = True
-
-    def select() -> int:
-        best, best_forbidden = -1, -1
-        for v in range(n_vertices):
-            if color[v] < 0:
-                count = bin(forbid[v]).count("1")
-                if count > best_forbidden:
-                    best, best_forbidden = v, count
-        return best
-
-    def dfs() -> bool:
-        nonlocal nodes
-        v = select()
-        if v < 0:
-            return True
-        first_decision = nodes == 0
-        for col in range(k):
-            if forbid[v] & (1 << col):
+                closed.append(ei)
                 continue
-            nodes += 1
-            trail: list = []
-            if assign(v, col, trail) and dfs():
-                return True
-            undo(trail)
-            if first_decision:
-                break  # color names are symmetric; pin the first vertex
-        return False
-
-    if dfs():
-        return list(color), nodes
+            e_color[ei] = col
+            e_free[ei] -= 1
+            e_sum[ei] -= v
+            counted.append(ei)
+            if e_free[ei] == 0:
+                break  # monochromatic
+            if e_free[ei] == 1:
+                u = e_sum[ei]
+                if not forbid[u] & bit:
+                    forbid[u] |= bit
+                    level = saturation[u]
+                    saturation[u] = level + 1
+                    buckets[level] ^= 1 << u
+                    buckets[level + 1] |= 1 << u
+                    forbidden.append(u)
+                    if level + 1 == k:
+                        break  # u has no color left
+        else:
+            u = select()
+            if u < 0:
+                return color, nodes
+            stack.append([u, 0, k, len(counted), len(closed), len(forbidden)])
     return None, nodes
+
+
+def _copy_edges(
+    copies_a: list[Embedding], copies_b: list[Embedding], inner: list[Embedding]
+) -> list[tuple[int, ...]]:
+    """Per B-copy, the sorted indices of the A-copies inside it.
+
+    The composite of outer and h maps C-atom x to h.block_of[outer.block_of[x]],
+    so each edge is read off block_of tuples with no Embedding built.
+    """
+    index = {e.block_of: i for i, e in enumerate(copies_a)}
+    maps = [h.block_of for h in inner]
+    return [
+        tuple(sorted(index[tuple(map(h.__getitem__, outer.block_of))] for h in maps))
+        for outer in copies_b
+    ]
 
 
 def recheck_bad_coloring(
@@ -181,7 +226,7 @@ def recheck_bad_coloring(
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARROWS_CACHE_SIZE)
 def _arrows(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int
 ) -> ArrowCertificate:
@@ -198,10 +243,7 @@ def _arrows(
         return ArrowCertificate(
             "holds", None, SearchStats(0, len(copies_a), len(copies_b))
         )
-    index = {e: i for i, e in enumerate(copies_a)}
-    edges = [
-        tuple(sorted(index[compose(outer, h)] for h in inner)) for outer in copies_b
-    ]
+    edges = _copy_edges(copies_a, copies_b, inner)
     assignment, nodes = _search_bad_coloring(len(copies_a), edges, k)
     stats = SearchStats(nodes, len(copies_a), len(copies_b))
     if assignment is None:

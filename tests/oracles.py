@@ -148,3 +148,95 @@ def brute_arrows(
         if all(len({coloring[v] for v in e}) >= 2 for e in edges):
             return False
     return True
+
+
+def reference_search_bad_coloring(
+    n_vertices: int, edges: list[tuple[int, ...]], k: int
+) -> tuple[list[int] | None, int]:
+    """The recursive first-fail search the iterative one replaced, verbatim.
+
+    First bad coloring in branch order, or None after exhausting all.
+    """
+    edges = sorted(set(edges))
+    touching: list[list[int]] = [[] for _ in range(n_vertices)]
+    for ei, edge in enumerate(edges):
+        for v in edge:
+            touching[v].append(ei)
+
+    color = [-1] * n_vertices
+    forbid = [0] * n_vertices
+    # per edge: count of assigned vertices while still single-colored
+    e_count = [0] * len(edges)
+    e_color = [-1] * len(edges)
+    e_open = [True] * len(edges)
+    full = (1 << k) - 1
+    nodes = 0
+
+    def assign(v: int, col: int, trail: list) -> bool:
+        color[v] = col
+        trail.append((0, v, -1))
+        for ei in touching[v]:
+            if not e_open[ei]:
+                continue
+            if e_count[ei] == 0 or e_color[ei] == col:
+                trail.append((1, ei, e_color[ei]))
+                e_color[ei] = col
+                e_count[ei] += 1
+                size = len(edges[ei])
+                if e_count[ei] == size:
+                    return False
+                if e_count[ei] == size - 1:
+                    u = next(x for x in edges[ei] if color[x] < 0)
+                    bit = 1 << col
+                    if not forbid[u] & bit:
+                        forbid[u] |= bit
+                        trail.append((2, u, bit))
+                        if forbid[u] == full:
+                            return False
+            else:
+                e_open[ei] = False
+                trail.append((3, ei, -1))
+        return True
+
+    def undo(trail: list) -> None:
+        for kind, idx, payload in reversed(trail):
+            if kind == 0:
+                color[idx] = -1
+            elif kind == 1:
+                e_color[idx] = payload
+                e_count[idx] -= 1
+            elif kind == 2:
+                forbid[idx] &= ~payload
+            else:
+                e_open[idx] = True
+
+    def select() -> int:
+        best, best_forbidden = -1, -1
+        for v in range(n_vertices):
+            if color[v] < 0:
+                count = bin(forbid[v]).count("1")
+                if count > best_forbidden:
+                    best, best_forbidden = v, count
+        return best
+
+    def dfs() -> bool:
+        nonlocal nodes
+        v = select()
+        if v < 0:
+            return True
+        first_decision = nodes == 0
+        for col in range(k):
+            if forbid[v] & (1 << col):
+                continue
+            nodes += 1
+            trail: list = []
+            if assign(v, col, trail) and dfs():
+                return True
+            undo(trail)
+            if first_decision:
+                break  # color names are symmetric; pin the first vertex
+        return False
+
+    if dfs():
+        return list(color), nodes
+    return None, nodes

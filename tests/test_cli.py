@@ -6,11 +6,12 @@ import time
 
 import pytest
 
-from ramsey_ba import cli
+from ramsey_ba import ClassKind, arrows, cli, recheck_bad_coloring
 from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, main, run
 from ramsey_ba.parallel import WORKERS_ENV
 from ramsey_ba.ramsey import _arrows
+from ramsey_ba.serialize import certificate_to_json, parse_algebra
 
 
 def write(tmp_path, name, payload) -> str:
@@ -169,12 +170,41 @@ def test_parse_error_exit_code(capsys, tmp_path, algebras):
     assert code == 2 and report["error"]["type"] == "ParseError"
 
 
-def test_missing_input_is_internal_error_not_a_crash():
-    code, text = run(RunConfig(subcommand="validate"))
-    assert code == 2
-    assert json.loads(text) == {
-        "error": {"type": "internal-error", "detail": "KeyError: 'algebra'"}
-    }
+def test_missing_input_is_parse_error(tmp_path, algebras):
+    def error(config):
+        code, text = run(config)
+        assert code == 2
+        return json.loads(text)["error"]
+
+    missing_algebra = {"type": "ParseError", "detail": "missing input 'algebra'"}
+    missing_kind = {"type": "ParseError", "detail": "missing input 'kind'"}
+    assert error(RunConfig(subcommand="validate")) == missing_algebra
+    assert error(RunConfig(subcommand="chains")) == missing_algebra
+    one = {"algebra": algebras["small"]}
+    assert error(RunConfig(subcommand="validate", inputs=one)) == missing_kind
+    pair = {"a": algebras["small"], "b": algebras["mid"]}
+    assert error(RunConfig(subcommand="witness", inputs=pair)) == missing_kind
+    assert error(RunConfig(subcommand="fraisse")) == missing_kind
+    f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})
+    roles = {"a": algebras["one_out"], "b": algebras["small"],
+             "c": algebras["pure2"], "f": f}
+    bj = RunConfig(subcommand="amalgamate", kind=ClassKind.BJ, inputs=roles)
+    assert error(bj) == {"type": "ParseError", "detail": "missing input 'g'"}
+    roles["g"] = f
+    assert error(RunConfig(subcommand="amalgamate", inputs=roles)) == missing_kind
+
+
+def test_deep_arrow_search_exits_1_with_its_certificate(tmp_path):
+    levels = {"c": [0] * 10 + ["out"], "b": [0, 0, "out"], "a": [0, "out"]}
+    payloads = {role: {"chain_length": 1, "levels": lv} for role, lv in levels.items()}
+    inputs = {role: write(tmp_path, f"{role}.json", p) for role, p in payloads.items()}
+    code, text = run(RunConfig(subcommand="arrow", inputs=inputs, k=40))
+    assert code == 1
+    c, b, a = (parse_algebra(payloads[role]) for role in "cba")
+    certificate = arrows(c, b, a, 40)
+    assert certificate.stats.a_copies == 1023
+    assert recheck_bad_coloring(c, b, a, 40, certificate.bad_coloring)
+    assert json.loads(text)["certificate"] == certificate_to_json(certificate)
 
 
 def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):

@@ -26,8 +26,14 @@ from ramsey_ba import (
     signature_json,
     star,
 )
-from ramsey_ba.ramsey import _arrows
-from .oracles import brute_arrows
+from ramsey_ba.embed import compose
+from ramsey_ba.ramsey import (
+    ARROWS_CACHE_SIZE,
+    _arrows,
+    _copy_edges,
+    _search_bad_coloring,
+)
+from .oracles import brute_arrows, reference_search_bad_coloring
 
 
 def test_single_copy_always_holds():
@@ -96,6 +102,55 @@ def test_arrows_matches_brute_force():
                 )
                 if cert.verdict == "fails" and not cert.vacuous:
                     assert recheck_bad_coloring(c, b, a, k, cert.bad_coloring)
+
+
+def test_search_matches_reference_search():
+    # every (C, B, A) with C <= 6 atoms, B <= 4 atoms, t <= 2, A in B in C
+    instances = 0
+    for t in (0, 1, 2):
+        algebras = list(enumerate_algebras(6, t))
+        for c, b in product(algebras, algebras):
+            copies_b = enumerate_embeddings(b, c, "ordered") if b.n_atoms <= 4 else []
+            if not copies_b:
+                continue
+            for a in algebras:
+                inner = enumerate_embeddings(a, b, "ordered")
+                if not inner:
+                    continue
+                copies_a = enumerate_embeddings(a, c, "ordered")
+                index = {e: i for i, e in enumerate(copies_a)}
+                edges = _copy_edges(copies_a, copies_b, inner)
+                assert edges == [
+                    tuple(sorted(index[compose(outer, h)] for h in inner))
+                    for outer in copies_b
+                ]
+                for k in (2, 3, 4):
+                    instances += 1
+                    assert _search_bad_coloring(
+                        len(copies_a), edges, k
+                    ) == reference_search_bad_coloring(len(copies_a), edges, k), (
+                        signature_json(c),
+                        signature_json(b),
+                        signature_json(a),
+                        k,
+                    )
+    assert instances == 5904
+
+
+def test_deep_search_has_no_recursion_limit():
+    # 1,023 A-copies colored one per stack frame: deeper than the recursion limit
+    c = make_algebra([0] * 10 + [OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    a = make_algebra([0, OUT], 1)
+    cert = arrows(c, b, a, 40)
+    assert cert.verdict == "fails" and not cert.vacuous
+    assert cert.stats.a_copies == 1023
+    assert recheck_bad_coloring(c, b, a, 40, cert.bad_coloring)
+
+
+def test_arrows_cache_is_bounded():
+    maxsize = _arrows.cache_info().maxsize
+    assert maxsize is not None and maxsize == ARROWS_CACHE_SIZE
 
 
 def test_color_monotone():
