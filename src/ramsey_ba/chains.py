@@ -16,9 +16,10 @@ from typing import Iterable, Sequence
 
 from .core import LabeledAlgebra, level_key, signature_json
 from .errors import BoundExceeded, SizeMismatch
-from .order import AtomOrder, enumerate_proper_orders
+from .order import AtomOrder, count_proper_orders, enumerate_proper_orders
 
 MAX_CHAIN_POINTS = 9  # chains_extending walks at most 9! = 362,880 chains
+MAX_CHAIN_OUTPUT = 40_320  # and lists at most 8! extending chains
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,14 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     The report checks both directions: chains through the family map under
     phi exactly onto the proper orders, and every chain missing a family
     member maps to an improper order.  A chain contains a set of size k iff
-    its first k additions are that set.  Refuses above MAX_CHAIN_POINTS atoms.
+    its first k additions are that set.  Refuses above MAX_CHAIN_POINTS atoms,
+    and above MAX_CHAIN_OUTPUT extending chains, one per proper order.
     """
     if algebra.n_atoms > MAX_CHAIN_POINTS:
         raise BoundExceeded(f"chains need at most {MAX_CHAIN_POINTS} atoms, not {algebra.n_atoms}")
+    listed = count_proper_orders(algebra)
+    if listed > MAX_CHAIN_OUTPUT:
+        raise BoundExceeded(f"chains list at most {MAX_CHAIN_OUTPUT} extending chains, not {listed}")
     family = [(len(e), e) for e in filter_family(algebra)]
     proper = set(enumerate_proper_orders(algebra))
     extending: list[MaximalChain] = []

@@ -56,7 +56,7 @@ class AmalgamationFailed(WorkbenchError):
 
 
 class BoundExceeded(WorkbenchError):
-    """A request exceeds a work budget: witness atoms, chain points."""
+    """A request exceeds a work budget: witness atoms, chain points or output."""
 
 
 class VerificationFailed(WorkbenchError):

@@ -2,22 +2,27 @@
 
 Given ordered embeddings f of A into B and g of A into C, an amalgam is
 built on the disjoint union of the atom sets of B and C with the block
-maxima of f and g identified pairwise.  A linear order of the merged atoms
-is grown left to right by interleaving the two canonical atom sequences,
-keeping levels nondecreasing (a merged atom is placed when it heads both
-sequences); the first completion in branch order, B head tried before C
-head, is used.  Absorption then makes the square commute: a loose atom of
-one side joins the block of the nearest image atom of the other side at or
-above it that maps into the same A-block.  The identified block maximum of
-its own A-block is always such an atom, so absorption never fails, and it
-keeps levels and block maxima intact, so r and s are ordered embeddings
-with r after f equal to s after g.  Postconditions are re-checked rather
-than trusted.
+maxima of f and g identified pairwise.  Its atom order is one linear merge
+of the two canonical atom sequences: B's head is placed when it is loose or
+is the merged atom that also heads C, and its level is at most the level of
+C's head (or C is used up); otherwise C's head is placed when it is loose.
+Both sequences are level-sorted and carry the merged atoms in block order,
+so a partial order can be completed exactly when its last level is at most
+both heads' levels.  The rule keeps that invariant and tries B before C, so
+it yields the first completion of the walk that branches on B's head first.
+Absorption then makes the square commute: a loose atom of one side joins
+the block of the nearest image atom of the other side above it that maps
+into the same A-block.  One right-to-left pass finds these, keeping per
+side the nearest image atom of each A-block seen so far.  The identified
+block maximum of its own A-block is always such an atom, so absorption
+never fails, and it keeps levels and block maxima intact, so r and s are
+ordered embeddings with r after f equal to s after g.  Postconditions are
+re-checked rather than trusted.  The amalgamation suite checks A, each host
+and each copy of A once and reuses each copy's merge data for every pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     ClassKind,
@@ -73,89 +78,86 @@ def amalgamate(
     f: Embedding,
     g: Embedding,
 ) -> AmalgamationResult:
-    """Amalgamate B and C over A along ordered embeddings f and g."""
+    """Amalgamate B and C over A along ordered embeddings f and g.
+
+    The merged order takes B's head while it is loose or heads C too, and
+    its level is at most C's head's; otherwise C's loose head.  That is the
+    first completion of the walk that tries B's head before C's: both
+    streams are level-sorted with the merged atoms in block order, so a
+    prefix completes exactly when its last level is at most both heads'.
+    One right-to-left pass, keeping the nearest image atom of each A-block
+    per side, then absorbs every loose atom.
+    """
     for algebra, name in ((a, "A"), (b, "B"), (c, "C")):
         _require_member(algebra, kind, name)
     _require_ordered_embedding(f, a, b, "f")
     _require_ordered_embedding(g, a, c, "g")
+    return _amalgamate_sides(kind, _side(f), _side(g))
 
-    k = a.n_atoms
-    f_max = [max(block) for block in f.blocks()]
-    g_max = [max(block) for block in g.blocks()]
 
-    # Token streams: the canonical atom sequences of B and C, block maxima
-    # replaced by shared merged tokens ("M", i).
-    merged_of_b = {f_max[i]: i for i in range(k)}
-    merged_of_c = {g_max[i]: i for i in range(k)}
-    tokens_b = [("M", merged_of_b[x]) if x in merged_of_b else ("B", x) for x in b.atoms]
-    tokens_c = [("M", merged_of_c[x]) if x in merged_of_c else ("C", x) for x in c.atoms]
+def _side(e: Embedding) -> tuple[Embedding, list[int], list[int], list]:
+    """Per-copy data: the copy, its block maxima, each host atom's A-block if
+    it is a block maximum (-1 if loose), and the host's level keys."""
+    maxima = [max(block) for block in e.blocks()]
+    merged = [-1] * e.big.n_atoms
+    for i, m in enumerate(maxima):
+        merged[m] = i
+    return e, maxima, merged, [level_key(level) for level in e.big.levels]
 
-    def token_level(token: tuple[str, int]) -> Level:
-        tag, x = token
-        if tag == "B":
-            return b.levels[x]
-        if tag == "C":
-            return c.levels[x]
-        return a.levels[x]
 
-    placed: list[tuple[str, int]] = []
+def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> AmalgamationResult:
+    """Amalgamate two checked copies of one A, given as _side data."""
+    f, f_max, merged_b, keys_b = side_b
+    g, g_max, merged_c, keys_c = side_c
+    a, b, c = f.small, f.big, g.big
+    nb, nc = b.n_atoms, c.n_atoms
 
-    def interleavings(pb: int, pc: int) -> Iterator[list[tuple[str, int]]]:
-        if pb == len(tokens_b) and pc == len(tokens_c):
-            yield list(placed)
-            return
-        last = level_key(token_level(placed[-1])) if placed else None
-        candidates = []
-        if pb < len(tokens_b):
-            head = tokens_b[pb]
-            if head[0] != "M" or (pc < len(tokens_c) and tokens_c[pc] == head):
-                candidates.append((head, pb + 1, pc + (head[0] == "M")))
-        if pc < len(tokens_c):
-            head = tokens_c[pc]
-            if head[0] == "C":
-                candidates.append((head, pb, pc + 1))
-        for token, nb, nc in candidates:
-            if last is not None and level_key(token_level(token)) < last:
-                continue
-            placed.append(token)
-            yield from interleavings(nb, nc)
-            placed.pop()
-
-    solution = next(interleavings(0, 0), None)
-    if solution is None:
-        raise AmalgamationFailed(
-            f"no proper interleaving for A={signature_json(a)},"
-            f" B={signature_json(b)}, C={signature_json(c)},"
-            f" f={list(f.block_of)}, g={list(g.block_of)}"
-        )
+    # Merge: order[pos] = (B atom, C atom), -1 on the side an atom is not from.
+    order: list[tuple[int, int]] = []
+    pb = pc = 0
+    while pb < nb or pc < nc:
+        if (
+            pb < nb
+            and (merged_b[pb] < 0 or (pc < nc and merged_c[pc] == merged_b[pb]))
+            and (pc == nc or keys_b[pb] <= keys_c[pc])
+        ):
+            if merged_b[pb] < 0:
+                order.append((pb, -1))
+            else:
+                order.append((pb, pc))
+                pc += 1
+            pb += 1
+        elif pc < nc and merged_c[pc] < 0:
+            order.append((-1, pc))
+            pc += 1
+        else:
+            raise AmalgamationFailed(
+                f"no proper interleaving for A={signature_json(a)},"
+                f" B={signature_json(b)}, C={signature_json(c)},"
+                f" f={list(f.block_of)}, g={list(g.block_of)}"
+            )
 
     # Absorption: image atoms anchor their own positions; a loose atom joins
-    # the nearest later image atom of the other side in the same A-block.
-    d = make_algebra([token_level(token) for token in solution], a.chain_length)
-    r_block = [-1] * d.n_atoms
-    s_block = [-1] * d.n_atoms
-    for pos, (tag, x) in enumerate(solution):
-        if tag in ("B", "M"):
-            r_block[pos] = x if tag == "B" else f_max[x]
-        if tag in ("C", "M"):
-            s_block[pos] = x if tag == "C" else g_max[x]
-    for pos, (tag, x) in enumerate(solution):
-        if tag == "C":
-            stage = g.block_of[x]
-            target = next(
-                q
-                for q in range(pos + 1, d.n_atoms)
-                if r_block[q] >= 0 and f.block_of[r_block[q]] == stage
-            )
-            r_block[pos] = r_block[target]
-        elif tag == "B":
-            stage = f.block_of[x]
-            target = next(
-                q
-                for q in range(pos + 1, d.n_atoms)
-                if s_block[q] >= 0 and g.block_of[s_block[q]] == stage
-            )
-            s_block[pos] = s_block[target]
+    # the nearest later image atom of the other side in the same A-block,
+    # which a right-to-left pass holds in near_b and near_c.
+    n = len(order)
+    d = make_algebra(
+        [b.levels[x] if x >= 0 else c.levels[y] for x, y in order], a.chain_length
+    )
+    r_block = [0] * n
+    s_block = [0] * n
+    near_b = [-1] * a.n_atoms
+    near_c = [-1] * a.n_atoms
+    for pos in range(n - 1, -1, -1):
+        x, y = order[pos]
+        if x >= 0:
+            r_block[pos] = near_b[f.block_of[x]] = x
+        else:
+            r_block[pos] = near_b[g.block_of[y]]
+        if y >= 0:
+            s_block[pos] = near_c[g.block_of[y]] = y
+        else:
+            s_block[pos] = near_c[f.block_of[x]]
 
     r = Embedding(small=b, big=d, block_of=tuple(r_block), ordered=True)
     s = Embedding(small=c, big=d, block_of=tuple(s_block), ordered=True)
@@ -163,17 +165,14 @@ def amalgamate(
     # postconditions, never trusted
     validate_embedding(r)
     validate_embedding(s)
-    if d.n_atoms != b.n_atoms + c.n_atoms - k:
+    if d.n_atoms != nb + nc - a.n_atoms:
         raise AmalgamationFailed("amalgam has the wrong atom count")
     if compose(r, f) != compose(s, g):
         raise AmalgamationFailed("amalgamation square does not commute")
     if not class_membership(d, kind):
         raise AmalgamationFailed(f"amalgam left the class {kind.value}")
     return AmalgamationResult(
-        d=d,
-        r=r,
-        s=s,
-        identified=tuple((f_max[i], g_max[i]) for i in range(k)),
+        d=d, r=r, s=s, identified=tuple(zip(f_max, g_max))
     )
 
 
@@ -246,26 +245,32 @@ def _ap_shard(
     kind_value, a_levels, chain_length, max_atoms = args
     kind = ClassKind(kind_value)
     a = make_algebra(a_levels, chain_length)
+    _require_member(a, kind, "A")
+    copies = []  # per host, the _side data of each ordered copy of A
+    for host in enumerate_algebras(max_atoms, chain_length, kind):
+        if host.n_atoms >= a.n_atoms:
+            _require_member(host, kind, "host")
+            sides = []
+            for e in enumerate_embeddings(a, host, mode="ordered"):
+                _require_ordered_embedding(e, a, host, "copy")
+                sides.append(_side(e))
+            copies.append(sides)
     instances = 0
     violations: list[dict] = []
-    copies = [
-        (host, enumerate_embeddings(a, host, mode="ordered"))
-        for host in enumerate_algebras(max_atoms, chain_length, kind)
-        if host.n_atoms >= a.n_atoms
-    ]
-    for b, fs in copies:
-        for c, gs in copies:
-            for f in fs:
-                for g in gs:
-                    instances += 1
+    for sides_b in copies:
+        for sides_c in copies:
+            instances += len(sides_b) * len(sides_c)
+            for side_b in sides_b:
+                for side_c in sides_c:
                     try:
-                        amalgamate(kind, a, b, c, f, g)
+                        _amalgamate_sides(kind, side_b, side_c)
                     except AmalgamationFailed as failure:
+                        f, g = side_b[0], side_c[0]
                         violations.append(
                             {
                                 "a": signature_json(a),
-                                "b": signature_json(b),
-                                "c": signature_json(c),
+                                "b": signature_json(f.big),
+                                "c": signature_json(g.big),
                                 "f": list(f.block_of),
                                 "g": list(g.block_of),
                                 "error": str(failure),

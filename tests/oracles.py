@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from ramsey_ba.core import LabeledAlgebra, level_key, signature_json
+from ramsey_ba.core import LabeledAlgebra, level_key, make_algebra, signature_json
+from ramsey_ba.embed import Embedding
+from ramsey_ba.errors import AmalgamationFailed
 
 
 def stirling2(n: int, k: int) -> int:
@@ -240,3 +242,93 @@ def reference_search_bad_coloring(
     if dfs():
         return list(color), nodes
     return None, nodes
+
+
+def reference_amalgamate(a: LabeledAlgebra, b: LabeledAlgebra, c: LabeledAlgebra, f, g):
+    """The recursive interleaving and scan absorption the merge replaced, verbatim.
+
+    Returns (d, r, s, identified) for ordered embeddings f: A -> B and
+    g: A -> C that the caller has already checked; postconditions are left
+    to the code under test.
+    """
+    k = a.n_atoms
+    f_max = [max(block) for block in f.blocks()]
+    g_max = [max(block) for block in g.blocks()]
+
+    # Token streams: the canonical atom sequences of B and C, block maxima
+    # replaced by shared merged tokens ("M", i).
+    merged_of_b = {f_max[i]: i for i in range(k)}
+    merged_of_c = {g_max[i]: i for i in range(k)}
+    tokens_b = [("M", merged_of_b[x]) if x in merged_of_b else ("B", x) for x in b.atoms]
+    tokens_c = [("M", merged_of_c[x]) if x in merged_of_c else ("C", x) for x in c.atoms]
+
+    def token_level(token: tuple[str, int]):
+        tag, x = token
+        if tag == "B":
+            return b.levels[x]
+        if tag == "C":
+            return c.levels[x]
+        return a.levels[x]
+
+    placed: list[tuple[str, int]] = []
+
+    def interleavings(pb: int, pc: int):
+        if pb == len(tokens_b) and pc == len(tokens_c):
+            yield list(placed)
+            return
+        last = level_key(token_level(placed[-1])) if placed else None
+        candidates = []
+        if pb < len(tokens_b):
+            head = tokens_b[pb]
+            if head[0] != "M" or (pc < len(tokens_c) and tokens_c[pc] == head):
+                candidates.append((head, pb + 1, pc + (head[0] == "M")))
+        if pc < len(tokens_c):
+            head = tokens_c[pc]
+            if head[0] == "C":
+                candidates.append((head, pb, pc + 1))
+        for token, nb, nc in candidates:
+            if last is not None and level_key(token_level(token)) < last:
+                continue
+            placed.append(token)
+            yield from interleavings(nb, nc)
+            placed.pop()
+
+    solution = next(interleavings(0, 0), None)
+    if solution is None:
+        raise AmalgamationFailed(
+            f"no proper interleaving for A={signature_json(a)},"
+            f" B={signature_json(b)}, C={signature_json(c)},"
+            f" f={list(f.block_of)}, g={list(g.block_of)}"
+        )
+
+    # Absorption: image atoms anchor their own positions; a loose atom joins
+    # the nearest later image atom of the other side in the same A-block.
+    d = make_algebra([token_level(token) for token in solution], a.chain_length)
+    r_block = [-1] * d.n_atoms
+    s_block = [-1] * d.n_atoms
+    for pos, (tag, x) in enumerate(solution):
+        if tag in ("B", "M"):
+            r_block[pos] = x if tag == "B" else f_max[x]
+        if tag in ("C", "M"):
+            s_block[pos] = x if tag == "C" else g_max[x]
+    for pos, (tag, x) in enumerate(solution):
+        if tag == "C":
+            stage = g.block_of[x]
+            target = next(
+                q
+                for q in range(pos + 1, d.n_atoms)
+                if r_block[q] >= 0 and f.block_of[r_block[q]] == stage
+            )
+            r_block[pos] = r_block[target]
+        elif tag == "B":
+            stage = f.block_of[x]
+            target = next(
+                q
+                for q in range(pos + 1, d.n_atoms)
+                if s_block[q] >= 0 and g.block_of[s_block[q]] == stage
+            )
+            s_block[pos] = s_block[target]
+
+    r = Embedding(small=b, big=d, block_of=tuple(r_block), ordered=True)
+    s = Embedding(small=c, big=d, block_of=tuple(s_block), ordered=True)
+    return d, r, s, tuple((f_max[i], g_max[i]) for i in range(k))

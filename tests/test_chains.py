@@ -171,3 +171,11 @@ def test_chains_extending_point_budget(monkeypatch):
     assert report["matched"]
     with pytest.raises(BoundExceeded):
         chains_extending(make_algebra([0, 0, 0, OUT], 1))
+
+
+def test_chains_extending_output_budget(monkeypatch):
+    monkeypatch.setattr(chains, "MAX_CHAIN_OUTPUT", 2)
+    extending, _ = chains_extending(make_algebra([0, 0, OUT], 1))
+    assert len(extending) == 2
+    with pytest.raises(BoundExceeded):
+        chains_extending(make_algebra([0, 0, 0, OUT], 1))

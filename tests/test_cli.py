@@ -151,6 +151,16 @@ def test_chains_refuses_past_point_budget(capsys, tmp_path):
     assert report["error"]["type"] == "bound-exceeded"
 
 
+def test_chains_refuses_past_output_budget(capsys, tmp_path):
+    # 9 level-free atoms pass the point budget but have 9! extending chains
+    big = write(tmp_path, "free.json", {"chain_length": 0, "levels": ["out"] * 9})
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["chains", "--algebra", big])
+    assert time.perf_counter() - start < 1  # refused before any chain is walked
+    assert code == 2
+    assert report["error"]["type"] == "bound-exceeded"
+
+
 def test_forgetful_sweep(capsys):
     code, report = run_cli(
         capsys, ["forgetful", "--max-atoms", "3", "--chain-length", "2"]

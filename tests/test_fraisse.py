@@ -27,6 +27,8 @@ from ramsey_ba import (
     signature_json,
 )
 
+from .oracles import reference_amalgamate
+
 
 def unique_embedding(small, big):
     found = enumerate_embeddings(small, big, "ordered")
@@ -183,6 +185,48 @@ def test_suites_worker_count_invariant():
     assert check_hp(ClassKind.BJ, 3, 1, workers=2) == check_hp(
         ClassKind.BJ, 3, 1, workers=1
     )
-    assert check_ap(ClassKind.BJ, 3, 1, workers=2) == check_ap(
-        ClassKind.BJ, 3, 1, workers=1
-    )
+    for n in (3, 4):
+        assert check_ap(ClassKind.BJ, n, 1, workers=2) == check_ap(
+            ClassKind.BJ, n, 1, workers=1
+        )
+
+
+def ap_instances(kind, max_atoms, t):
+    """Every (A, B, C, f, g) that check_ap(kind, max_atoms, t) amalgamates."""
+    for a in enumerate_algebras(max_atoms, t, kind):
+        copies = [
+            (host, enumerate_embeddings(a, host, "ordered"))
+            for host in enumerate_algebras(max_atoms, t, kind)
+            if host.n_atoms >= a.n_atoms
+        ]
+        for b, fs in copies:
+            for c, gs in copies:
+                for f in fs:
+                    for g in gs:
+                        yield kind, a, b, c, f, g
+
+
+@pytest.mark.parametrize(
+    "suites, expected",
+    [
+        (
+            [(kind, 4, t) for kind in (ClassKind.BJ, ClassKind.BJU) for t in (0, 1, 2)]
+            + [(ClassKind.BU, 4, 1)],
+            6881,
+        ),
+        ([(ClassKind.BJ, 5, 1)], 15856),
+    ],
+)
+def test_amalgamate_matches_reference(suites, expected):
+    instances = reported = 0
+    for suite in suites:
+        report = check_ap(*suite)
+        assert report["violations"] == []
+        reported += report["instances"]
+        for kind, a, b, c, f, g in ap_instances(*suite):
+            instances += 1
+            res = amalgamate(kind, a, b, c, f, g)
+            d, r, s, identified = reference_amalgamate(a, b, c, f, g)
+            assert (res.d, res.r, res.s, res.identified) == (d, r, s, identified)
+            assert res.d.sort_perm == d.sort_perm
+    assert instances == reported == expected
