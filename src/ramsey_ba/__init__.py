@@ -22,7 +22,6 @@ from .core import (
     join,
     leq,
     level_alphabet,
-    level_key,
     make_algebra,
     meet,
     one,

@@ -14,7 +14,7 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .core import LabeledAlgebra, level_key, signature_json
+from .core import LabeledAlgebra, signature_json
 from .errors import BoundExceeded, SizeMismatch
 from .order import AtomOrder, count_proper_orders, enumerate_proper_orders
 
@@ -83,9 +83,7 @@ def atoms_above(algebra: LabeledAlgebra, j: int) -> frozenset[int]:
     """Atoms with level strictly above j; an element is in ideal j iff disjoint from this set."""
     if not 0 <= j < algebra.chain_length:
         raise ValueError(f"no ideal at position {j}")
-    return frozenset(
-        a for a in algebra.atoms if level_key(algebra.levels[a]) > (0, j)
-    )
+    return frozenset(a for a in algebra.atoms if algebra.levels[a] > j)
 
 
 def filter_family(algebra: LabeledAlgebra) -> tuple[frozenset[int], ...]:

@@ -2,11 +2,11 @@
 
 An algebra here is the power set of a finite atom set together with an
 increasing chain of t ideals, encoded per atom: an atom at level j first
-appears in the j-th ideal, an atom at level OUT lies in no ideal.  An
-element belongs to the j-th ideal exactly when every atom below it has
-level at most j.  Atoms are stored sorted by level (canonical order), so an
-algebra is determined by its chain length and its nondecreasing level
-sequence.
+appears in the j-th ideal, an atom at level OUT, an int above every ideal
+index, lies in no ideal.  An element belongs to the j-th ideal exactly when
+every atom below it has level at most j.  Atoms are stored sorted by level
+(canonical order), so an algebra is determined by its chain length and its
+nondecreasing level sequence.
 
 Three classes of such algebras are distinguished:
 
@@ -17,9 +17,9 @@ Three classes of such algebras are distinguished:
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -34,22 +34,10 @@ def _restore_out() -> "_OutsideLevel":
     return OUT
 
 
-@total_ordering
-class _OutsideLevel:
-    """Level of an atom lying in no ideal; greater than every ideal index."""
+class _OutsideLevel(int):
+    """Level of an atom lying in no ideal: an int above every ideal index."""
 
     __slots__ = ()
-
-    def __lt__(self, other):
-        if isinstance(other, (int, _OutsideLevel)):
-            return False
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, _OutsideLevel)
-
-    def __hash__(self):
-        return hash("ramsey_ba.level.OUT")
 
     def __repr__(self):
         return "OUT"
@@ -60,16 +48,9 @@ class _OutsideLevel:
         return (_restore_out, ())
 
 
-OUT = _OutsideLevel()
+OUT = _OutsideLevel(sys.maxsize)
 
-Level = int | _OutsideLevel
-
-
-def level_key(level: Level) -> tuple[int, int]:
-    """Sort key putting ideal indices first, OUT last."""
-    if isinstance(level, _OutsideLevel):
-        return (1, 0)
-    return (0, level)
+Level = int
 
 
 def level_alphabet(chain_length: int) -> tuple[Level, ...]:
@@ -111,11 +92,13 @@ def make_algebra(levels: Sequence[Level], chain_length: int) -> LabeledAlgebra:
     """Build an algebra from per-atom levels, re-sorting into canonical order."""
     if chain_length < 0:
         raise LevelOutOfRange(f"chain_length must be nonnegative, got {chain_length}")
+    if chain_length >= OUT:
+        raise LevelOutOfRange(f"chain_length must be below {OUT!r}, got {chain_length}")
     levels = tuple(levels)
     if not levels:
         raise EmptyAtomSet("an algebra needs at least one atom")
     for pos, level in enumerate(levels):
-        if isinstance(level, _OutsideLevel):
+        if level is OUT:
             continue
         if isinstance(level, bool) or not isinstance(level, int):
             raise LevelOutOfRange(f"levels[{pos}] is not an ideal index or OUT: {level!r}")
@@ -123,7 +106,7 @@ def make_algebra(levels: Sequence[Level], chain_length: int) -> LabeledAlgebra:
             raise LevelOutOfRange(
                 f"levels[{pos}] = {level} outside 0 .. {chain_length - 1}"
             )
-    perm = tuple(sorted(range(len(levels)), key=lambda a: level_key(levels[a])))
+    perm = tuple(sorted(range(len(levels)), key=levels.__getitem__))
     return LabeledAlgebra(
         chain_length=chain_length,
         levels=tuple(levels[a] for a in perm),
@@ -214,7 +197,7 @@ def in_ideal(algebra: LabeledAlgebra, x: Element, j: int) -> bool:
 
 def class_membership(algebra: LabeledAlgebra, kind: ClassKind) -> bool:
     """Decide membership in BJ, BU, or BJU from the level signature."""
-    outside = sum(1 for level in algebra.levels if level == OUT)
+    outside = sum(1 for level in algebra.levels if level is OUT)
     if kind is ClassKind.BJ:
         return outside >= 1
     if kind is ClassKind.BU:
@@ -258,7 +241,7 @@ def generated_subalgebra(
         for a in block:
             block_of[a] = i
     sub = make_algebra(
-        [max((algebra.levels[a] for a in block), key=level_key) for block in blocks],
+        [max(algebra.levels[a] for a in block) for block in blocks],
         algebra.chain_length,
     )
     return sub, Embedding(
@@ -268,7 +251,7 @@ def generated_subalgebra(
 
 def signature_json(algebra: LabeledAlgebra) -> list[int | str]:
     """Level sequence in the wire convention: ideal index or \"out\"."""
-    return [l if isinstance(l, int) else "out" for l in algebra.levels]
+    return ["out" if l is OUT else l for l in algebra.levels]
 
 
 def enumerate_signatures(

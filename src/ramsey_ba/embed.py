@@ -23,14 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .core import (
-    OUT,
-    Element,
-    LabeledAlgebra,
-    Level,
-    level_key,
-    make_algebra,
-)
+from .core import OUT, Element, LabeledAlgebra, make_algebra
 from .errors import (
     ChainMismatch,
     ImproperConcatenation,
@@ -193,7 +186,7 @@ def star(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
         raise ChainMismatch(
             f"chain lengths differ: {x.chain_length} vs {y.chain_length}"
         )
-    if level_key(x.levels[-1]) > level_key(y.levels[0]):
+    if x.levels[-1] > y.levels[0]:
         raise ImproperConcatenation(
             f"levels {x.levels[-1]!r} then {y.levels[0]!r} would decrease"
         )
@@ -214,7 +207,7 @@ def circ(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
     n, m = x.n_atoms, y.n_atoms
     if n < m:
         raise SizeMismatch(f"left operand has {n} atoms, right needs at most that, got {m}")
-    if level_key(x.levels[-1]) >= level_key(y.levels[0]):
+    if x.levels[-1] >= y.levels[0]:
         raise LevelOverlap(
             f"levels of the left operand must stay strictly below the right's:"
             f" {x.levels[-1]!r} vs {y.levels[0]!r}"
@@ -224,7 +217,7 @@ def circ(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
 
 def lift(pure: LabeledAlgebra, j: int, chain_length: int) -> LabeledAlgebra:
     """Place every atom of a pure algebra at ideal level j."""
-    if pure.chain_length != 0 or any(l != OUT for l in pure.levels):
+    if pure.chain_length != 0 or any(l is not OUT for l in pure.levels):
         raise ValueError("lift expects a pure algebra (chain length 0)")
     if not 0 <= j < chain_length:
         raise LevelOutOfRange(f"level {j} outside 0 .. {chain_length - 1}")

@@ -34,7 +34,6 @@ from .core import (
     element,
     enumerate_algebras,
     generated_subalgebra,
-    level_key,
     make_algebra,
     signature_json,
 )
@@ -95,20 +94,20 @@ def amalgamate(
     return _amalgamate_sides(kind, _side(f), _side(g))
 
 
-def _side(e: Embedding) -> tuple[Embedding, list[int], list[int], list]:
-    """Per-copy data: the copy, its block maxima, each host atom's A-block if
-    it is a block maximum (-1 if loose), and the host's level keys."""
+def _side(e: Embedding) -> tuple[Embedding, list[int], list[int]]:
+    """Per-copy data: the copy, its block maxima, and each host atom's A-block
+    if it is a block maximum (-1 if loose)."""
     maxima = [max(block) for block in e.blocks()]
     merged = [-1] * e.big.n_atoms
     for i, m in enumerate(maxima):
         merged[m] = i
-    return e, maxima, merged, [level_key(level) for level in e.big.levels]
+    return e, maxima, merged
 
 
 def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> AmalgamationResult:
     """Amalgamate two checked copies of one A, given as _side data."""
-    f, f_max, merged_b, keys_b = side_b
-    g, g_max, merged_c, keys_c = side_c
+    f, f_max, merged_b = side_b
+    g, g_max, merged_c = side_c
     a, b, c = f.small, f.big, g.big
     nb, nc = b.n_atoms, c.n_atoms
 
@@ -119,7 +118,7 @@ def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> Amalgama
         if (
             pb < nb
             and (merged_b[pb] < 0 or (pc < nc and merged_c[pc] == merged_b[pb]))
-            and (pc == nc or keys_b[pb] <= keys_c[pc])
+            and (pc == nc or b.levels[pb] <= c.levels[pc])
         ):
             if merged_b[pb] < 0:
                 order.append((pb, -1))

@@ -14,10 +14,12 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .core import Element, LabeledAlgebra, level_key, signature_json
-from .errors import ChainMismatch, ImproperOrder, MixedAlgebras
+from .core import Element, LabeledAlgebra, signature_json
+from .errors import BoundExceeded, ChainMismatch, ImproperOrder, MixedAlgebras
 
 AtomOrder = tuple[int, ...]
+
+MAX_SWEEP_ORDERS = 500_000  # a forgetfulness sweep bounds at most this many orders
 
 LT, EQ, GT = -1, 0, 1
 
@@ -32,8 +34,8 @@ def _check_permutation(algebra: LabeledAlgebra, ord: Sequence[int]) -> AtomOrder
 def is_proper(algebra: LabeledAlgebra, ord: Sequence[int]) -> bool:
     """True iff levels are nondecreasing along ord."""
     ord = _check_permutation(algebra, ord)
-    keys = [level_key(algebra.levels[a]) for a in ord]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
+    levels = [algebra.levels[a] for a in ord]
+    return all(levels[i] <= levels[i + 1] for i in range(len(levels) - 1))
 
 
 def canonical_order(algebra: LabeledAlgebra) -> AtomOrder:
@@ -105,9 +107,22 @@ def forgetfulness_report(max_atoms: int, chain_length: int) -> dict:
 
     For every algebra, every proper order must be ordered-isomorphic to the
     canonical one (an equivalence, so every pair is) and the enumerated count
-    must match the run-factorial product.
+    must match the run-factorial product.  Refuses before sweeping when
+    the sum over n <= max_atoms of C(n+t, n) * n!, signatures times a bound
+    on each one's orders, exceeds MAX_SWEEP_ORDERS.
     """
     from .core import enumerate_algebras
+
+    if chain_length >= 0:  # a negative one is refused by make_algebra
+        bound = 0
+        for n in range(1, max_atoms + 1):
+            bound += math.comb(n + chain_length, n) * math.factorial(n)
+            if bound > MAX_SWEEP_ORDERS:
+                raise BoundExceeded(
+                    f"forgetful sweeps at most {MAX_SWEEP_ORDERS} orders by the sum"
+                    f" of C(n+t, n)*n!, which reaches {bound} at {n} atoms"
+                    f" with chain length {chain_length}"
+                )
 
     algebras = 0
     orders = 0

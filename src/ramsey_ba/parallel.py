@@ -7,7 +7,6 @@ variable RAMSEY_BA_WORKERS overrides a requested worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -36,5 +35,8 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> l
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported only when fanning out: it pulls in multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

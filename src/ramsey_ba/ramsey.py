@@ -36,7 +36,6 @@ from .core import (
     OUT,
     class_membership,
     enumerate_algebras,
-    level_key,
     make_algebra,
     signature_json,
 )
@@ -290,14 +289,14 @@ def dual_ramsey_oracle(
 
 
 def _split_above(algebra: LabeledAlgebra, j: int) -> LabeledAlgebra:
-    kept = [lv for lv in algebra.levels if level_key(lv) > (0, j)]
+    kept = [lv for lv in algebra.levels if lv > j]
     return make_algebra(kept, algebra.chain_length)
 
 
 def _assemble_witness(
     a: LabeledAlgebra, b: LabeledAlgebra, k: int, max_atoms: int
 ) -> LabeledAlgebra:
-    occupied = [lv for lv in b.levels if isinstance(lv, int)]
+    occupied = [lv for lv in b.levels if lv is not OUT]
     c0 = dual_ramsey_oracle(reduct(a), reduct(b), k, max_atoms)
     if not occupied:
         return make_algebra([OUT] * c0.n_atoms, b.chain_length)

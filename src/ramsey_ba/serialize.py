@@ -18,10 +18,6 @@ from .ramsey import ArrowCertificate, Coloring, SearchStats
 OUTSIDE_TOKEN = "out"
 
 
-def level_to_json(level: Level) -> int | str:
-    return OUTSIDE_TOKEN if level is OUT else level
-
-
 def level_from_json(value: Any, field: str) -> Level:
     if value == OUTSIDE_TOKEN:
         return OUT

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from ramsey_ba.core import LabeledAlgebra, level_key, make_algebra, signature_json
+from ramsey_ba.core import OUT, LabeledAlgebra, make_algebra, signature_json
 from ramsey_ba.embed import Embedding
 from ramsey_ba.errors import AmalgamationFailed
+
+
+def level_key(level) -> tuple[int, int]:
+    """Level order from the definition: ideal indices ascending, OUT last."""
+    return (1, 0) if level is OUT else (0, level)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from ramsey_ba import ClassKind, arrows, cli, recheck_bad_coloring
+import ramsey_ba
+from ramsey_ba import OUT, ClassKind, arrows, cli, recheck_bad_coloring
 from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, main, run
 from ramsey_ba.parallel import WORKERS_ENV
@@ -167,6 +172,56 @@ def test_forgetful_sweep(capsys):
     )
     assert code == 0
     assert report["sweep"]["violations"] == []
+
+
+def test_forgetful_refuses_past_sweep_budget(capsys):
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["forgetful", "--max-atoms", "9", "--chain-length", "1"]
+    )
+    assert time.perf_counter() - start < 1  # refused before any algebra is swept
+    assert code == 2
+    assert report["error"]["type"] == "bound-exceeded"
+
+
+def test_reports_never_print_out_as_an_int(capsys, tmp_path, algebras):
+    # OUT is an int, so a level that skipped signature_json would print its value
+    f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})
+    runs = [
+        ["validate", "--kind", "bj", "--algebra", algebras["pure2"]],
+        ["validate", "--kind", "bj", "--algebra", algebras["bad_level"]],
+        ["copies", "--small", algebras["small"], "--big", algebras["mid"]],
+        ["copies", "--small", algebras["one_out"], "--big", algebras["pure2"],
+         "--mode", "plain"],
+        ["arrow", "--c", algebras["mid"], "--b", algebras["mid"],
+         "--a", algebras["small"]],
+        ["witness", "--kind", "bu", "--a", algebras["small"],
+         "--b", algebras["mid"], "--minimal"],
+        ["amalgamate", "--kind", "bj", "--a", algebras["one_out"],
+         "--b", algebras["small"], "--c", algebras["pure2"], "--f", f, "--g", f],
+        ["fraisse", "--kind", "bj", "--max-atoms", "3", "--workers", "2"],
+        ["chains", "--algebra", algebras["mid"]],
+        ["forgetful", "--max-atoms", "3", "--chain-length", "2"],
+    ]
+    for argv in runs:
+        main(argv)
+        text = capsys.readouterr().out
+        assert str(int(OUT)) not in text, argv
+    assert {argv[0] for argv in runs} == set(cli._HANDLERS)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = str(Path(ramsey_ba.__file__).resolve().parents[1])
+    probe = (
+        "import sys, ramsey_ba.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path, algebras):

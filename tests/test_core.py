@@ -1,6 +1,9 @@
 """Representation, canonicalization, Boolean operations, class membership."""
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -22,7 +25,6 @@ from ramsey_ba import (
     in_ideal,
     join,
     leq,
-    level_key,
     make_algebra,
     meet,
     one,
@@ -66,9 +68,31 @@ def test_make_algebra_rejects_bad_input():
 
 
 def test_level_order():
-    assert level_key(0) < level_key(1) < level_key(OUT)
+    assert 0 < 1 < OUT
     assert not OUT < OUT
     assert 3 < OUT and not OUT < 3
+
+
+def test_out_stays_the_singleton_through_pickle_and_copy():
+    a = make_algebra([0, OUT, OUT], 1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(OUT, protocol)) is OUT
+        again = pickle.loads(pickle.dumps(a, protocol))
+        assert again == a and all(lv is OUT for lv in again.levels[1:])
+    assert copy.copy(OUT) is OUT and copy.deepcopy(OUT) is OUT
+    assert all(lv is OUT for lv in copy.deepcopy(a).levels[1:])
+    assert repr(OUT) == f"{OUT}" == "OUT"
+    assert repr(a.levels) == "(0, OUT, OUT)"
+
+
+def test_make_algebra_keeps_every_ideal_index_below_out():
+    with pytest.raises(LevelOutOfRange, match="chain_length must be below OUT"):
+        make_algebra([OUT], sys.maxsize)
+    make_algebra([OUT], sys.maxsize - 1)
+    with pytest.raises(LevelOutOfRange):
+        make_algebra([sys.maxsize], 1)  # OUT's value, but not OUT
+    with pytest.raises(LevelOutOfRange, match="chain_length must be nonnegative, got -1"):
+        make_algebra([OUT], -1)
 
 
 def test_bool_ops_axioms():
@@ -180,9 +204,7 @@ def test_generated_subalgebra_matches_closure_oracle():
                     got = sorted((frozenset(b) for b in emb.blocks()), key=sorted)
                     assert got == want, (signature_json(a), [g.atoms for g in gens])
                     for i, block in enumerate(emb.blocks()):
-                        assert level_key(sub.levels[i]) == max(
-                            level_key(a.levels[x]) for x in block
-                        )
+                        assert sub.levels[i] == max(a.levels[x] for x in block)
 
 
 def test_generated_subalgebra_idempotent():

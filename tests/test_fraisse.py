@@ -150,7 +150,7 @@ def test_hp_subalgebras_of_bu_members_keep_one_outside_atom():
         for blocks in atom_partitions(algebra.n_atoms):
             gens = [element(algebra, block) for block in blocks]
             sub, _ = generated_subalgebra(algebra, gens)
-            assert sum(1 for l in sub.levels if not isinstance(l, int)) == 1
+            assert sum(1 for l in sub.levels if l is OUT) == 1
 
 
 def test_two_element_subalgebra_is_single_outside_atom():

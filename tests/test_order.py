@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from ramsey_ba import (
+    BoundExceeded,
     ChainMismatch,
     ImproperOrder,
     OUT,
@@ -26,6 +27,7 @@ from ramsey_ba import (
     signature_json,
     zero,
 )
+from ramsey_ba import order
 from .oracles import antilex_key, brute_proper_orders
 
 
@@ -152,3 +154,19 @@ def test_forgetfulness_report_clean():
     report = forgetfulness_report(4, 2)
     assert report["violations"] == []
     assert report["algebras_checked"] == len(list(enumerate_algebras(4, 2)))
+
+
+def test_forgetfulness_sweep_budget(monkeypatch):
+    # 3 atoms at t = 1 bound C(2,1)*1! + C(3,2)*2! + C(4,3)*3! = 32 orders
+    monkeypatch.setattr(order, "MAX_SWEEP_ORDERS", 32)
+    assert forgetfulness_report(3, 1)["violations"] == []
+    with pytest.raises(BoundExceeded):
+        forgetfulness_report(4, 1)
+    monkeypatch.setattr(order, "MAX_SWEEP_ORDERS", 31)
+    with pytest.raises(BoundExceeded):
+        forgetfulness_report(3, 1)
+
+
+def test_forgetfulness_budget_admits_five_atoms_at_every_chain_length():
+    for t in range(4):
+        assert forgetfulness_report(5, t)["violations"] == []

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import pytest
 
-from ramsey_ba import OUT, ParseError, SerializationError, arrows, make_algebra
+from ramsey_ba import (
+    OUT,
+    ParseError,
+    SerializationError,
+    arrows,
+    make_algebra,
+    signature_json,
+)
 from ramsey_ba.chains import make_chain
 from ramsey_ba.embed import identity_embedding
 from ramsey_ba.serialize import (
@@ -13,7 +20,6 @@ from ramsey_ba.serialize import (
     embedding_to_json,
     format_io,
     level_from_json,
-    level_to_json,
     load_json_file,
     parse_algebra,
     parse_chain,
@@ -22,8 +28,7 @@ from ramsey_ba.serialize import (
 
 
 def test_level_round_trip():
-    assert level_to_json(OUT) == "out"
-    assert level_to_json(3) == 3
+    assert signature_json(make_algebra([OUT, 3], 4)) == [3, "out"]
     assert level_from_json("out", "x") is OUT
     assert level_from_json(2, "x") == 2
 
