@@ -4,20 +4,23 @@ amalgamation, class suites, chain correspondence, forgetfulness sweeps.
 Every subcommand prints one canonical JSON report.  Exit 0 means the
 checked property holds (or the requested object was produced), exit 1
 means it fails and the report carries the certificate, exit 2 means the
-invocation or its inputs were unusable, including search bounds running
-out, or that the run crashed (an "internal-error" report).
-RAMSEY_BA_WORKERS overrides --workers; results are byte-identical for any
-worker count.
+invocation or its inputs were unusable, including an option value out of
+range (a "ValueError" report) and search bounds running out, or that the
+run crashed (an "internal-error" report).  A command line argparse cannot
+parse (an unknown flag, a count that is not an integer) gets its usage
+message on stderr and exit 2 instead.  --workers is checked on every
+subcommand, but only fraisse fans out; RAMSEY_BA_WORKERS overrides it, and
+results are byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .chains import chains_extending
-from .core import ClassKind, class_membership, signature_json
+from .core import ClassKind, class_membership
 from .embed import enumerate_embeddings
 from .errors import (
     AmalgamationFailed,
@@ -44,7 +47,7 @@ from .serialize import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation."""
+    """One invocation; run() checks the option values."""
 
     subcommand: str
     inputs: dict[str, str] = field(default_factory=dict)
@@ -57,14 +60,6 @@ class RunConfig:
     suite: str = "both"
     minimal: bool = False
     workers: int = 1
-    deterministic: bool = True
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be at least 1")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 def _input(config: RunConfig, role: str):
@@ -73,72 +68,51 @@ def _input(config: RunConfig, role: str):
     return load_json_file(config.inputs[role])
 
 
-def _load_algebra(config: RunConfig, role: str):
-    return parse_algebra(_input(config, role), field=role)
+def _algebras(config: RunConfig, report: dict, *roles: str) -> list:
+    """Load the algebras of these roles in order, echoing each into the report."""
+    loaded = []
+    for role in roles:
+        algebra = parse_algebra(_input(config, role), field=role)
+        report[role] = algebra_to_json(algebra)
+        loaded.append(algebra)
+    return loaded
 
 
-def _kind(config: RunConfig) -> ClassKind:
+def _kind(config: RunConfig, report: dict) -> ClassKind:
     if config.kind is None:
         raise ParseError("missing input 'kind'")
+    report["kind"] = config.kind.value
     return config.kind
 
 
-def _run_validate(config: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(config, "algebra")
-    kind = _kind(config)
-    member = class_membership(algebra, kind)
-    report = {
-        "subcommand": "validate",
-        "kind": kind.value,
-        "algebra": algebra_to_json(algebra),
-        "member": member,
-    }
-    return (0 if member else 1), report
+def _run_validate(config: RunConfig, report: dict) -> int:
+    [algebra] = _algebras(config, report, "algebra")
+    report["member"] = class_membership(algebra, _kind(config, report))
+    return 0 if report["member"] else 1
 
 
-def _run_copies(config: RunConfig) -> tuple[int, dict]:
-    small = _load_algebra(config, "small")
-    big = _load_algebra(config, "big")
+def _run_copies(config: RunConfig, report: dict) -> int:
+    small, big = _algebras(config, report, "small", "big")
     found = enumerate_embeddings(small, big, mode=config.mode)
-    report = {
-        "subcommand": "copies",
-        "mode": config.mode,
-        "small": algebra_to_json(small),
-        "big": algebra_to_json(big),
-        "count": len(found),
-        "embeddings": [embedding_to_json(e) for e in found],
-    }
-    return 0, report
+    report.update(
+        mode=config.mode,
+        count=len(found),
+        embeddings=[embedding_to_json(e) for e in found],
+    )
+    return 0
 
 
-def _run_arrow(config: RunConfig) -> tuple[int, dict]:
-    c = _load_algebra(config, "c")
-    b = _load_algebra(config, "b")
-    a = _load_algebra(config, "a")
+def _run_arrow(config: RunConfig, report: dict) -> int:
+    c, b, a = _algebras(config, report, "c", "b", "a")
     certificate = arrows(c, b, a, config.k)
-    report = {
-        "subcommand": "arrow",
-        "c": algebra_to_json(c),
-        "b": algebra_to_json(b),
-        "a": algebra_to_json(a),
-        "k": config.k,
-        "certificate": certificate_to_json(certificate),
-    }
-    return (0 if certificate.verdict == "holds" else 1), report
+    report.update(k=config.k, certificate=certificate_to_json(certificate))
+    return 0 if certificate.verdict == "holds" else 1
 
 
-def _run_witness(config: RunConfig) -> tuple[int, dict]:
-    a = _load_algebra(config, "a")
-    b = _load_algebra(config, "b")
-    kind = _kind(config)
-    report = {
-        "subcommand": "witness",
-        "kind": kind.value,
-        "a": algebra_to_json(a),
-        "b": algebra_to_json(b),
-        "k": config.k,
-        "max_atoms": config.max_atoms,
-    }
+def _run_witness(config: RunConfig, report: dict) -> int:
+    a, b = _algebras(config, report, "a", "b")
+    kind = _kind(config, report)
+    report.update(k=config.k, max_atoms=config.max_atoms)
     try:
         witness, certificate = construct_witness(kind, a, b, config.k, config.max_atoms)
     except VerificationFailed as finding:
@@ -149,7 +123,7 @@ def _run_witness(config: RunConfig) -> tuple[int, dict]:
             if finding.certificate is None
             else certificate_to_json(finding.certificate),
         }
-        return 1, report
+        return 1
     report["constructed"] = {
         "witness": algebra_to_json(witness),
         "certificate": certificate_to_json(certificate),
@@ -161,84 +135,63 @@ def _run_witness(config: RunConfig) -> tuple[int, dict]:
             if found is None
             else {"witness": algebra_to_json(found[0]), "size": found[1]}
         )
-    return 0, report
+    return 0
 
 
-def _run_amalgamate(config: RunConfig) -> tuple[int, dict]:
-    a = _load_algebra(config, "a")
-    b = _load_algebra(config, "b")
-    c = _load_algebra(config, "c")
+def _run_amalgamate(config: RunConfig, report: dict) -> int:
+    a, b, c = _algebras(config, report, "a", "b", "c")
     f = parse_embedding(_input(config, "f"), a, b, field="f")
     g = parse_embedding(_input(config, "g"), a, c, field="g")
-    kind = _kind(config)
-    report = {
-        "subcommand": "amalgamate",
-        "kind": kind.value,
-        "a": algebra_to_json(a),
-        "b": algebra_to_json(b),
-        "c": algebra_to_json(c),
-        "f": embedding_to_json(f),
-        "g": embedding_to_json(g),
-    }
+    kind = _kind(config, report)
+    report.update(f=embedding_to_json(f), g=embedding_to_json(g))
     try:
         result = amalgamate(kind, a, b, c, f, g)
     except AmalgamationFailed as failure:
-        report["result"] = None
-        report["failure"] = str(failure)
-        return 1, report
+        report.update(result=None, failure=str(failure))
+        return 1
     report["result"] = {
         "d": algebra_to_json(result.d),
         "r": embedding_to_json(result.r),
         "s": embedding_to_json(result.s),
         "identified": [list(pair) for pair in result.identified],
     }
-    return 0, report
+    return 0
 
 
-def _run_fraisse(config: RunConfig) -> tuple[int, dict]:
-    kind = _kind(config)
-    workers = resolve_workers(config.workers)
-    report = {
-        "subcommand": "fraisse",
-        "kind": kind.value,
-        "suite": config.suite,
-        "max_atoms": config.max_atoms,
-        "chain_length": config.chain_length,
-    }
+def _run_fraisse(config: RunConfig, report: dict) -> int:
+    kind = _kind(config, report)
+    report.update(
+        suite=config.suite, max_atoms=config.max_atoms, chain_length=config.chain_length
+    )
     violations = 0
     if config.suite in ("hp", "both"):
-        hp = check_hp(kind, config.max_atoms, config.chain_length, workers)
-        report["hp"] = hp
-        violations += len(hp["violations"])
+        report["hp"] = check_hp(kind, config.max_atoms, config.chain_length, config.workers)
+        violations += len(report["hp"]["violations"])
     if config.suite in ("ap", "both"):
-        ap = check_ap(
+        report["ap"] = check_ap(
             kind,
             config.max_atoms,
             config.chain_length,
             max_a_atoms=config.max_a_atoms,
-            workers=workers,
+            workers=config.workers,
         )
-        report["ap"] = ap
-        violations += len(ap["violations"])
-    return (0 if violations == 0 else 1), report
+        violations += len(report["ap"]["violations"])
+    return 0 if violations == 0 else 1
 
 
-def _run_chains(config: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(config, "algebra")
+def _run_chains(config: RunConfig, report: dict) -> int:
+    [algebra] = _algebras(config, report, "algebra")
     extending, correspondence = chains_extending(algebra)
-    report = {
-        "subcommand": "chains",
-        "algebra": algebra_to_json(algebra),
-        "correspondence": correspondence,
-        "extending": [chain_to_json(chain) for chain in extending],
-    }
-    return (0 if correspondence["matched"] else 1), report
+    report.update(
+        correspondence=correspondence,
+        extending=[chain_to_json(chain) for chain in extending],
+    )
+    return 0 if correspondence["matched"] else 1
 
 
-def _run_forgetful(config: RunConfig) -> tuple[int, dict]:
-    sweep = forgetfulness_report(config.max_atoms, config.chain_length)
-    report = {"subcommand": "forgetful", "sweep": sweep}
-    return (0 if not sweep["violations"] else 1), report
+def _run_forgetful(config: RunConfig, report: dict) -> int:
+    report["sweep"] = forgetfulness_report(config.max_atoms, config.chain_length)
+    return 0 if not report["sweep"]["violations"] else 1
 
 
 _HANDLERS = {
@@ -258,8 +211,16 @@ def run(config: RunConfig) -> tuple[int, str]:
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         return 2, format_io({"error": {"type": "unknown-subcommand", "detail": config.subcommand}})
+    report = {"subcommand": config.subcommand}
     try:
-        code, report = handler(config)
+        if config.max_atoms < 1:
+            raise ValueError("max_atoms must be at least 1")
+        if config.k < 1:
+            raise ValueError("k must be at least 1")
+        workers = resolve_workers(config.workers)
+        if workers != config.workers:  # replace() rebuilds the whole config
+            config = replace(config, workers=workers)
+        code = handler(config, report)
     except BoundExceeded as bound:
         return 2, format_io({"error": {"type": "bound-exceeded", "detail": str(bound)}})
     except (ParseError, WorkbenchError, ValueError) as bad:
@@ -273,8 +234,19 @@ def run(config: RunConfig) -> tuple[int, str]:
     return code, format_io(report)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
+def _subcommand(
+    sub, name: str, help: str, *roles: str, **described: str
+) -> argparse.ArgumentParser:
+    """Add a subcommand: a required --<role> file per input, then the common options.
+
+    Roles given by keyword carry their help text.  The roles are recorded on
+    the parsed arguments, where config_from_args reads them.
+    """
+    roles += tuple(described)
+    parser = sub.add_parser(name, help=help)
+    for role in roles:
+        parser.add_argument(f"--{role}", required=True, help=described.get(role))
+    parser.add_argument("--workers", type=int, default=1, help="worker count; only fraisse fans out")
     parser.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
@@ -282,6 +254,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="reserved; all code paths are deterministic regardless",
     )
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
+    parser.set_defaults(roles=roles)
+    return parser
 
 
 def _kind_argument(parser: argparse.ArgumentParser) -> None:
@@ -300,109 +274,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="check class membership")
-    p.add_argument("--algebra", required=True)
+    p = _subcommand(sub, "validate", "check class membership", "algebra")
     _kind_argument(p)
-    _add_common(p)
 
-    p = sub.add_parser("copies", help="enumerate embeddings")
-    p.add_argument("--small", required=True)
-    p.add_argument("--big", required=True)
+    p = _subcommand(sub, "copies", "enumerate embeddings", "small", "big")
     p.add_argument("--mode", choices=["plain", "ordered"], default="ordered")
-    _add_common(p)
 
-    p = sub.add_parser("arrow", help="decide an arrow relation")
-    p.add_argument("--c", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--a", required=True)
+    p = _subcommand(sub, "arrow", "decide an arrow relation", "c", "b", "a")
     p.add_argument("-k", type=int, default=2)
-    _add_common(p)
 
-    p = sub.add_parser("witness", help="construct and verify a Ramsey witness")
+    p = _subcommand(sub, "witness", "construct and verify a Ramsey witness", "a", "b")
     _kind_argument(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
     p.add_argument("-k", type=int, default=2)
     p.add_argument("--max-atoms", type=int, default=8)
     p.add_argument("--minimal", action="store_true", help="also search the smallest witness")
-    _add_common(p)
 
-    p = sub.add_parser("amalgamate", help="amalgamate two embeddings over a base")
+    p = _subcommand(
+        sub, "amalgamate", "amalgamate two embeddings over a base", "a", "b", "c",
+        f="embedding of A into B", g="embedding of A into C",
+    )
     _kind_argument(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--f", required=True, help="embedding of A into B")
-    p.add_argument("--g", required=True, help="embedding of A into C")
-    _add_common(p)
 
-    p = sub.add_parser("fraisse", help="run the hereditary and amalgamation suites")
+    p = _subcommand(sub, "fraisse", "run the hereditary and amalgamation suites")
     _kind_argument(p)
     p.add_argument("--suite", choices=["hp", "ap", "both"], default="both")
     p.add_argument("--max-atoms", type=int, default=4)
     p.add_argument("--chain-length", type=int, default=1)
-    p.add_argument("--max-a-atoms", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--max-a-atoms", type=int)
 
-    p = sub.add_parser("chains", help="chain versus proper-order correspondence")
-    p.add_argument("--algebra", required=True)
-    _add_common(p)
+    _subcommand(sub, "chains", "chain versus proper-order correspondence", "algebra")
 
-    p = sub.add_parser("forgetful", help="order-forgetfulness sweep")
+    p = _subcommand(sub, "forgetful", "order-forgetfulness sweep")
     p.add_argument("--max-atoms", type=int, default=5)
     p.add_argument("--chain-length", type=int, default=1)
-    _add_common(p)
 
     return parser
 
 
-_INPUT_ROLES = {
-    "validate": ("algebra",),
-    "copies": ("small", "big"),
-    "arrow": ("c", "b", "a"),
-    "witness": ("a", "b"),
-    "amalgamate": ("a", "b", "c", "f", "g"),
-    "fraisse": (),
-    "chains": ("algebra",),
-    "forgetful": (),
-}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The invocation a parsed command line names.
+
+    Only the options its subcommand defines are copied; the rest keep
+    RunConfig's defaults.
+    """
     values = vars(args)
-    inputs = {role: values[role] for role in _INPUT_ROLES[args.subcommand]}
-    kind = ClassKind(values["kind"]) if "kind" in values else None
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=inputs,
-        kind=kind,
-        k=values.get("k", 2),
-        max_atoms=values.get("max_atoms", 6),
-        chain_length=values.get("chain_length", 1),
-        max_a_atoms=values.get("max_a_atoms"),
-        mode=values.get("mode", "ordered"),
-        suite=values.get("suite", "both"),
-        minimal=values.get("minimal", False),
-        workers=values["workers"],
-        deterministic=values["deterministic"],
-        output=values["output"],
-    )
+    options = {f.name: values[f.name] for f in fields(RunConfig) if f.name in values}
+    if "kind" in options:
+        options["kind"] = ClassKind(options["kind"])
+    return RunConfig(inputs={role: values[role] for role in args.roles}, **options)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as bad:
-        sys.stderr.write(f"error: {bad}\n")
-        return 2
-    code, text = run(config)
-    if config.output:
+    code, text = run(config_from_args(args))
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as bad:
-            sys.stderr.write(f"error: cannot write {config.output}: {bad}\n")
+            sys.stderr.write(f"error: cannot write {args.output}: {bad}\n")
             return 2
     else:
         sys.stdout.write(text)

@@ -27,6 +27,7 @@ from .errors import (
     EmptyAtomSet,
     LevelOutOfRange,
     MixedAlgebras,
+    NotInClass,
 )
 
 
@@ -49,6 +50,9 @@ class _OutsideLevel(int):
 
 
 OUT = _OutsideLevel(sys.maxsize)
+
+# How OUT is written in the wire format.
+OUTSIDE_TOKEN = "out"
 
 Level = int
 
@@ -207,12 +211,25 @@ def class_membership(algebra: LabeledAlgebra, kind: ClassKind) -> bool:
     raise ValueError(f"unknown class kind {kind!r}")
 
 
-def signature_iso(a: LabeledAlgebra, b: LabeledAlgebra) -> bool:
-    """Isomorphism test: equal canonical level sequences."""
+def _require_member(algebra: LabeledAlgebra, kind: ClassKind, name: str) -> None:
+    """Raise NotInClass unless the algebra belongs to the class."""
+    if not class_membership(algebra, kind):
+        raise NotInClass(
+            f"{name} with levels {signature_json(algebra)} is not in {kind.value}"
+        )
+
+
+def _require_same_chain(a: LabeledAlgebra, b: LabeledAlgebra) -> None:
+    """Raise ChainMismatch unless both algebras carry the same chain length."""
     if a.chain_length != b.chain_length:
         raise ChainMismatch(
             f"chain lengths differ: {a.chain_length} vs {b.chain_length}"
         )
+
+
+def signature_iso(a: LabeledAlgebra, b: LabeledAlgebra) -> bool:
+    """Isomorphism test: equal canonical level sequences."""
+    _require_same_chain(a, b)
     return a.levels == b.levels
 
 
@@ -251,7 +268,7 @@ def generated_subalgebra(
 
 def signature_json(algebra: LabeledAlgebra) -> list[int | str]:
     """Level sequence in the wire convention: ideal index or \"out\"."""
-    return ["out" if l is OUT else l for l in algebra.levels]
+    return [OUTSIDE_TOKEN if l is OUT else l for l in algebra.levels]
 
 
 def enumerate_signatures(

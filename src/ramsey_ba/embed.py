@@ -23,9 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .core import OUT, Element, LabeledAlgebra, make_algebra
+from .core import OUT, Element, LabeledAlgebra, _require_same_chain, make_algebra
 from .errors import (
-    ChainMismatch,
     ImproperConcatenation,
     LevelOutOfRange,
     LevelOverlap,
@@ -75,10 +74,7 @@ def _block_maxima(block_of: tuple[int, ...], k: int) -> list[int]:
 def validate_embedding(e: Embedding) -> None:
     """Raise NotAnEmbedding unless all conditions hold (ordered only if flagged)."""
     small, big = e.small, e.big
-    if small.chain_length != big.chain_length:
-        raise ChainMismatch(
-            f"chain lengths differ: {small.chain_length} vs {big.chain_length}"
-        )
+    _require_same_chain(small, big)
     if len(e.block_of) != big.n_atoms:
         raise NotAnEmbedding(
             f"block map has {len(e.block_of)} entries for {big.n_atoms} atoms"
@@ -127,10 +123,7 @@ def enumerate_embeddings(
 
     Plain mode relabels each ordered map by every proper order of small.
     """
-    if small.chain_length != big.chain_length:
-        raise ChainMismatch(
-            f"chain lengths differ: {small.chain_length} vs {big.chain_length}"
-        )
+    _require_same_chain(small, big)
     if mode not in ("plain", "ordered"):
         raise ValueError(f"unknown mode {mode!r}")
     maps = list(_ordered_block_maps(small, big))
@@ -182,10 +175,7 @@ def image_copy(e: Embedding) -> frozenset[Element]:
 
 def star(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
     """Concatenate level sequences; defined when the result stays nondecreasing."""
-    if x.chain_length != y.chain_length:
-        raise ChainMismatch(
-            f"chain lengths differ: {x.chain_length} vs {y.chain_length}"
-        )
+    _require_same_chain(x, y)
     if x.levels[-1] > y.levels[0]:
         raise ImproperConcatenation(
             f"levels {x.levels[-1]!r} then {y.levels[0]!r} would decrease"
@@ -200,10 +190,7 @@ def circ(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
     With n = m the result is just y's signature; the witness recursion needs
     that degenerate case.
     """
-    if x.chain_length != y.chain_length:
-        raise ChainMismatch(
-            f"chain lengths differ: {x.chain_length} vs {y.chain_length}"
-        )
+    _require_same_chain(x, y)
     n, m = x.n_atoms, y.n_atoms
     if n < m:
         raise SizeMismatch(f"left operand has {n} atoms, right needs at most that, got {m}")

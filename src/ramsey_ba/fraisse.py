@@ -29,6 +29,7 @@ from .core import (
     LabeledAlgebra,
     Level,
     OUT,
+    _require_member,
     atom_partitions,
     class_membership,
     element,
@@ -38,7 +39,7 @@ from .core import (
     signature_json,
 )
 from .embed import Embedding, compose, enumerate_embeddings, validate_embedding
-from .errors import AmalgamationFailed, NotAnEmbedding, NotInClass
+from .errors import AmalgamationFailed, NotAnEmbedding
 from .parallel import ordered_map
 
 
@@ -50,13 +51,6 @@ class AmalgamationResult:
     r: Embedding
     s: Embedding
     identified: tuple[tuple[int, int], ...]
-
-
-def _require_member(algebra: LabeledAlgebra, kind: ClassKind, name: str) -> None:
-    if not class_membership(algebra, kind):
-        raise NotInClass(
-            f"{name} with levels {signature_json(algebra)} is not in {kind.value}"
-        )
 
 
 def _require_ordered_embedding(

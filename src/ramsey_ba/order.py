@@ -14,8 +14,14 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .core import Element, LabeledAlgebra, signature_json
-from .errors import BoundExceeded, ChainMismatch, ImproperOrder, MixedAlgebras
+from .core import (
+    Element,
+    LabeledAlgebra,
+    _require_same_chain,
+    enumerate_algebras,
+    signature_json,
+)
+from .errors import BoundExceeded, ImproperOrder, MixedAlgebras
 
 AtomOrder = tuple[int, ...]
 
@@ -89,10 +95,7 @@ def ordered_isomorphic(
     a: LabeledAlgebra, ord_a: Sequence[int], b: LabeledAlgebra, ord_b: Sequence[int]
 ) -> bool:
     """True iff the level sequences read along the two proper orders agree."""
-    if a.chain_length != b.chain_length:
-        raise ChainMismatch(
-            f"chain lengths differ: {a.chain_length} vs {b.chain_length}"
-        )
+    _require_same_chain(a, b)
     ord_a = _check_permutation(a, ord_a)
     ord_b = _check_permutation(b, ord_b)
     if not is_proper(a, ord_a):
@@ -111,8 +114,6 @@ def forgetfulness_report(max_atoms: int, chain_length: int) -> dict:
     the sum over n <= max_atoms of C(n+t, n) * n!, signatures times a bound
     on each one's orders, exceeds MAX_SWEEP_ORDERS.
     """
-    from .core import enumerate_algebras
-
     if chain_length >= 0:  # a negative one is refused by make_algebra
         bound = 0
         for n in range(1, max_atoms + 1):

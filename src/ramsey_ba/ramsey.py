@@ -34,6 +34,7 @@ from .core import (
     ClassKind,
     LabeledAlgebra,
     OUT,
+    _require_member,
     class_membership,
     enumerate_algebras,
     make_algebra,
@@ -44,7 +45,6 @@ from .errors import (
     BoundExceeded,
     ChainMismatch,
     NotAnEmbedding,
-    NotInClass,
     VerificationFailed,
 )
 
@@ -57,9 +57,6 @@ class Coloring:
     """Total assignment of colors to the ordered copies of A in C."""
 
     entries: tuple[tuple[Embedding, int], ...]
-
-    def as_dict(self) -> dict[Embedding, int]:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)
@@ -312,10 +309,7 @@ def _check_witness_inputs(
     kind: ClassKind, a: LabeledAlgebra, b: LabeledAlgebra, k: int
 ) -> None:
     for algebra, name in ((a, "A"), (b, "B")):
-        if not class_membership(algebra, kind):
-            raise NotInClass(
-                f"{name} with levels {signature_json(algebra)} is not in {kind.value}"
-            )
+        _require_member(algebra, kind, name)
     if a.chain_length != b.chain_length:
         raise ChainMismatch("witness operands must share the chain length")
     if not enumerate_embeddings(a, b, mode="ordered"):

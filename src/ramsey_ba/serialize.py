@@ -10,13 +10,10 @@ import json
 from typing import Any
 
 from .chains import MaximalChain, make_chain
-from .core import LabeledAlgebra, Level, OUT, make_algebra, signature_json
+from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
 from .embed import Embedding, validate_embedding
 from .errors import ParseError, SerializationError
 from .ramsey import ArrowCertificate, Coloring, SearchStats
-
-OUTSIDE_TOKEN = "out"
-
 
 def level_from_json(value: Any, field: str) -> Level:
     if value == OUTSIDE_TOKEN:

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, canonical reports."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import ramsey_ba
 from ramsey_ba import OUT, ClassKind, arrows, cli, recheck_bad_coloring
 from ramsey_ba.chains import MAX_CHAIN_POINTS
-from ramsey_ba.cli import RunConfig, main, run
+from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.parallel import WORKERS_ENV
 from ramsey_ba.ramsey import _arrows
 from ramsey_ba.serialize import certificate_to_json, parse_algebra
@@ -34,6 +35,24 @@ def algebras(tmp_path):
         "pure2": write(tmp_path, "pure2.json", {"chain_length": 1, "levels": ["out", "out"]}),
         "no_out": write(tmp_path, "no_out.json", {"chain_length": 1, "levels": [0, 0]}),
         "bad_level": write(tmp_path, "bad_level.json", {"chain_length": 1, "levels": [1, "out"]}),
+    }
+
+
+@pytest.fixture
+def minimal_argv(tmp_path, algebras):
+    """Each subcommand's shortest accepted command line."""
+    f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})
+    small, mid = algebras["small"], algebras["mid"]
+    return {
+        "validate": ["validate", "--kind", "bj", "--algebra", small],
+        "copies": ["copies", "--small", small, "--big", mid],
+        "arrow": ["arrow", "--c", mid, "--b", small, "--a", small],
+        "witness": ["witness", "--kind", "bu", "--a", small, "--b", mid],
+        "amalgamate": ["amalgamate", "--kind", "bj", "--a", algebras["one_out"],
+                       "--b", small, "--c", algebras["pure2"], "--f", f, "--g", f],
+        "fraisse": ["fraisse", "--kind", "bj"],
+        "chains": ["chains", "--algebra", mid],
+        "forgetful": ["forgetful"],
     }
 
 
@@ -224,6 +243,76 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert done.stdout == "[]\n"
 
 
+INPUT_ROLES = {
+    "validate": ["algebra"],
+    "copies": ["small", "big"],
+    "arrow": ["c", "b", "a"],
+    "witness": ["a", "b"],
+    "amalgamate": ["a", "b", "c", "f", "g"],
+    "fraisse": [],
+    "chains": ["algebra"],
+    "forgetful": [],
+}
+
+
+def test_config_from_args_takes_roles_and_defaults_from_the_parser(minimal_argv):
+    assert set(minimal_argv) == set(INPUT_ROLES) == set(cli._HANDLERS)
+    for name, argv in minimal_argv.items():
+        args = build_parser().parse_args(argv)
+        config = config_from_args(args)
+        assert config.subcommand == name
+        assert list(config.inputs) == INPUT_ROLES[name]
+        assert all(config.inputs[role] == argv[argv.index(f"--{role}") + 1]
+                   for role in INPUT_ROLES[name])
+        defined = vars(args)
+        for option in dataclasses.fields(RunConfig):
+            if option.name in ("subcommand", "inputs"):
+                continue
+            value = getattr(config, option.name)
+            if option.name not in defined:
+                assert value == option.default, (name, option.name)
+            elif option.name == "kind":
+                assert value is ClassKind(defined["kind"])
+            else:
+                assert value == defined[option.name], (name, option.name)
+    chains = config_from_args(build_parser().parse_args(minimal_argv["chains"]))
+    assert (chains.k, chains.max_atoms, chains.kind) == (2, 6, None)
+    sizes = {name: config_from_args(build_parser().parse_args(minimal_argv[name])).max_atoms
+             for name in ("witness", "fraisse", "forgetful")}
+    assert sizes == {"witness": 8, "fraisse": 4, "forgetful": 5}
+
+
+BAD_OPTIONS = (
+    [(name, ["-k", "0"], "k must be at least 1") for name in ("arrow", "witness")]
+    + [(name, ["--max-atoms", "0"], "max_atoms must be at least 1")
+       for name in ("witness", "fraisse", "forgetful")]
+    + [(name, ["--workers", "-3"], "worker count must be at least 1, got -3")
+       for name in INPUT_ROLES]
+)
+
+
+@pytest.mark.parametrize(
+    "name,flags,detail", BAD_OPTIONS, ids=[f"{n} {' '.join(f)}" for n, f, _ in BAD_OPTIONS]
+)
+def test_bad_option_value_gets_a_json_report(capsys, minimal_argv, name, flags, detail):
+    code = main(minimal_argv[name] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": {"type": "ValueError", "detail": detail}}
+    assert captured.err == ""
+
+
+def test_bad_workers_env_gets_a_json_report(capsys, monkeypatch, minimal_argv):
+    monkeypatch.setenv(WORKERS_ENV, "x")
+    code = main(minimal_argv["validate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "error": {"type": "ValueError", "detail": f"{WORKERS_ENV} must be an integer, got 'x'"}
+    }
+    assert captured.err == ""
+
+
 def test_parse_error_exit_code(capsys, tmp_path, algebras):
     code, report = run_cli(
         capsys, ["validate", "--kind", "bj", "--algebra", algebras["bad_level"]]
@@ -273,7 +362,7 @@ def test_deep_arrow_search_exits_1_with_its_certificate(tmp_path):
 
 
 def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):
-    def overflow(config):
+    def overflow(config, report):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setitem(cli._HANDLERS, "arrow", overflow)
