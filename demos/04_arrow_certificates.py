@@ -4,7 +4,7 @@ Arrow relations with machine-checkable certificates
 """
 
 from ramsey_ba import OUT, arrows, make_algebra, recheck_bad_coloring, signature_json
-from ramsey_ba.serialize import certificate_to_json, format_io
+from ramsey_ba.serialize import format_io
 
 a = make_algebra([0, OUT], 1)
 c = make_algebra([0, 0, OUT], 1)
@@ -27,4 +27,4 @@ cert = arrows(host, c, a, 2)
 print("host", signature_json(host), "verdict:", cert.verdict)
 
 # Certificates serialize to canonical JSON for the command line.
-print(format_io(certificate_to_json(arrows(c, c, a, 2))))
+print(format_io(arrows(c, c, a, 2)))

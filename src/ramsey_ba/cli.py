@@ -1,7 +1,8 @@
 """Command line surface: validation, enumeration, arrow checks, witnesses,
 amalgamation, class suites, chain correspondence, forgetfulness sweeps.
 
-Every subcommand prints one canonical JSON report.  Exit 0 means the
+Every subcommand prints one canonical JSON report.  Handlers put domain
+values into it, and serialize.format_io writes them.  Exit 0 means the
 checked property holds (or the requested object was produced), exit 1
 means it fails and the report carries the certificate, exit 2 means the
 invocation or its inputs were unusable, including an option value out of
@@ -33,16 +34,9 @@ from .fraisse import amalgamate, check_ap, check_hp
 from .order import forgetfulness_report
 from .parallel import resolve_workers
 from .ramsey import arrows, construct_witness, min_witness
-from .serialize import (
-    algebra_to_json,
-    certificate_to_json,
-    chain_to_json,
-    embedding_to_json,
-    format_io,
-    load_json_file,
-    parse_algebra,
-    parse_embedding,
-)
+from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
+
+SUITES = ("hp", "ap", "both")  # what fraisse --suite accepts
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ def _algebras(config: RunConfig, report: dict, *roles: str) -> list:
     loaded = []
     for role in roles:
         algebra = parse_algebra(_input(config, role), field=role)
-        report[role] = algebra_to_json(algebra)
+        report[role] = algebra
         loaded.append(algebra)
     return loaded
 
@@ -94,18 +88,14 @@ def _run_validate(config: RunConfig, report: dict) -> int:
 def _run_copies(config: RunConfig, report: dict) -> int:
     small, big = _algebras(config, report, "small", "big")
     found = enumerate_embeddings(small, big, mode=config.mode)
-    report.update(
-        mode=config.mode,
-        count=len(found),
-        embeddings=[embedding_to_json(e) for e in found],
-    )
+    report.update(mode=config.mode, count=len(found), embeddings=found)
     return 0
 
 
 def _run_arrow(config: RunConfig, report: dict) -> int:
     c, b, a = _algebras(config, report, "c", "b", "a")
     certificate = arrows(c, b, a, config.k)
-    report.update(k=config.k, certificate=certificate_to_json(certificate))
+    report.update(k=config.k, certificate=certificate)
     return 0 if certificate.verdict == "holds" else 1
 
 
@@ -117,24 +107,12 @@ def _run_witness(config: RunConfig, report: dict) -> int:
         witness, certificate = construct_witness(kind, a, b, config.k, config.max_atoms)
     except VerificationFailed as finding:
         report["constructed"] = None
-        report["finding"] = {
-            "detail": str(finding),
-            "certificate": None
-            if finding.certificate is None
-            else certificate_to_json(finding.certificate),
-        }
+        report["finding"] = {"detail": str(finding), "certificate": finding.certificate}
         return 1
-    report["constructed"] = {
-        "witness": algebra_to_json(witness),
-        "certificate": certificate_to_json(certificate),
-    }
+    report["constructed"] = {"witness": witness, "certificate": certificate}
     if config.minimal:
         found = min_witness(kind, a, b, config.k, config.max_atoms)
-        report["minimal"] = (
-            None
-            if found is None
-            else {"witness": algebra_to_json(found[0]), "size": found[1]}
-        )
+        report["minimal"] = None if found is None else {"witness": found[0], "size": found[1]}
     return 0
 
 
@@ -143,18 +121,13 @@ def _run_amalgamate(config: RunConfig, report: dict) -> int:
     f = parse_embedding(_input(config, "f"), a, b, field="f")
     g = parse_embedding(_input(config, "g"), a, c, field="g")
     kind = _kind(config, report)
-    report.update(f=embedding_to_json(f), g=embedding_to_json(g))
+    report.update(f=f, g=g)
     try:
         result = amalgamate(kind, a, b, c, f, g)
     except AmalgamationFailed as failure:
         report.update(result=None, failure=str(failure))
         return 1
-    report["result"] = {
-        "d": algebra_to_json(result.d),
-        "r": embedding_to_json(result.r),
-        "s": embedding_to_json(result.s),
-        "identified": [list(pair) for pair in result.identified],
-    }
+    report["result"] = result
     return 0
 
 
@@ -182,10 +155,7 @@ def _run_fraisse(config: RunConfig, report: dict) -> int:
 def _run_chains(config: RunConfig, report: dict) -> int:
     [algebra] = _algebras(config, report, "algebra")
     extending, correspondence = chains_extending(algebra)
-    report.update(
-        correspondence=correspondence,
-        extending=[chain_to_json(chain) for chain in extending],
-    )
+    report.update(correspondence=correspondence, extending=extending)
     return 0 if correspondence["matched"] else 1
 
 
@@ -217,13 +187,17 @@ def run(config: RunConfig) -> tuple[int, str]:
             raise ValueError("max_atoms must be at least 1")
         if config.k < 1:
             raise ValueError("k must be at least 1")
+        if config.max_a_atoms is not None and config.max_a_atoms < 1:
+            raise ValueError("max_a_atoms must be at least 1")
+        if config.suite not in SUITES:
+            raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {config.suite!r}")
         workers = resolve_workers(config.workers)
         if workers != config.workers:  # replace() rebuilds the whole config
             config = replace(config, workers=workers)
         code = handler(config, report)
     except BoundExceeded as bound:
         return 2, format_io({"error": {"type": "bound-exceeded", "detail": str(bound)}})
-    except (ParseError, WorkbenchError, ValueError) as bad:
+    except (WorkbenchError, ValueError) as bad:
         return 2, format_io(
             {"error": {"type": type(bad).__name__, "detail": str(bad)}}
         )
@@ -297,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "fraisse", "run the hereditary and amalgamation suites")
     _kind_argument(p)
-    p.add_argument("--suite", choices=["hp", "ap", "both"], default="both")
+    p.add_argument("--suite", choices=SUITES, default="both")
     p.add_argument("--max-atoms", type=int, default=4)
     p.add_argument("--chain-length", type=int, default=1)
     p.add_argument("--max-a-atoms", type=int)

@@ -1,8 +1,10 @@
 """Canonical JSON for every domain type, and strict parsers.
 
-Formatting is byte-stable: sorted keys, two-space indent, a trailing
-newline, arrays in each module's deterministic enumeration order.  Parsers
-name the offending field instead of echoing tracebacks.
+Reports carry domain values (algebras, embeddings, chains, certificates,
+amalgams); format_io alone turns them into JSON.  Formatting is
+byte-stable: sorted keys, two-space indent, a trailing newline, arrays in
+each module's deterministic enumeration order.  Parsers name the offending
+field instead of echoing tracebacks.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ from .chains import MaximalChain, make_chain
 from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
 from .embed import Embedding, validate_embedding
 from .errors import ParseError, SerializationError
+from .fraisse import AmalgamationResult
 from .ramsey import ArrowCertificate, Coloring, SearchStats
+
 
 def level_from_json(value: Any, field: str) -> Level:
     if value == OUTSIDE_TOKEN:
@@ -21,13 +25,6 @@ def level_from_json(value: Any, field: str) -> Level:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ParseError(f'{field} must be an integer or "{OUTSIDE_TOKEN}", got {value!r}')
-
-
-def algebra_to_json(algebra: LabeledAlgebra) -> dict:
-    return {
-        "chain_length": algebra.chain_length,
-        "levels": signature_json(algebra),
-    }
 
 
 def parse_algebra(data: Any, field: str = "algebra") -> LabeledAlgebra:
@@ -43,10 +40,6 @@ def parse_algebra(data: Any, field: str = "algebra") -> LabeledAlgebra:
         level_from_json(value, f"{field}.levels[{i}]") for i, value in enumerate(levels)
     ]
     return make_algebra(parsed, chain_length)
-
-
-def embedding_to_json(e: Embedding) -> dict:
-    return {"block_of": list(e.block_of), "ordered": e.ordered}
 
 
 def parse_embedding(
@@ -67,10 +60,6 @@ def parse_embedding(
     return e
 
 
-def chain_to_json(chain: MaximalChain) -> list[list[int]]:
-    return [sorted(s) for s in chain.sets]
-
-
 def parse_chain(data: Any, field: str = "chain") -> MaximalChain:
     if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
         raise ParseError(f"{field} must be an array of point arrays")
@@ -83,36 +72,36 @@ def parse_chain(data: Any, field: str = "chain") -> MaximalChain:
         raise ParseError(f"{field}: {bad}") from bad
 
 
-def coloring_to_json(coloring: Coloring) -> list[dict]:
-    return [
-        {"embedding": list(e.block_of), "color": color}
-        for e, color in coloring.entries
-    ]
+def _wire(value: Any) -> Any:
+    """The JSON value of a report, converting domain values in one pass.
 
-
-def stats_to_json(stats: SearchStats) -> dict:
-    return {
-        "nodes": stats.nodes,
-        "a_copies": stats.a_copies,
-        "b_copies": stats.b_copies,
-    }
-
-
-def certificate_to_json(certificate: ArrowCertificate) -> dict:
-    return {
-        "verdict": certificate.verdict,
-        "bad_coloring": None
-        if certificate.bad_coloring is None
-        else coloring_to_json(certificate.bad_coloring),
-        "stats": stats_to_json(certificate.stats),
-        "vacuous": certificate.vacuous,
-    }
+    Dicts and lists are walked; tuples (block_of, identified) are leaves,
+    which json writes as arrays.  ArrowCertificate, SearchStats and
+    AmalgamationResult are written field by field, so renaming one of their
+    fields changes the wire format.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {key: _wire(item) for key, item in value.items()}
+    if kind is list:
+        return [_wire(item) for item in value]
+    if kind is LabeledAlgebra:
+        return {"chain_length": value.chain_length, "levels": signature_json(value)}
+    if kind is Embedding:
+        return {"block_of": value.block_of, "ordered": value.ordered}
+    if kind is MaximalChain:  # its sets, each a sorted prefix of the additions
+        return [sorted(value.additions[:i]) for i in range(value.n_points + 1)]
+    if kind is Coloring:
+        return [{"embedding": e.block_of, "color": color} for e, color in value.entries]
+    if kind in (ArrowCertificate, SearchStats, AmalgamationResult):
+        return {key: _wire(item) for key, item in vars(value).items()}
+    return value
 
 
 def format_io(payload: Any) -> str:
     """Canonical JSON text: sorted keys, stable arrays, trailing newline."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_wire(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     except (TypeError, ValueError) as bad:
         raise SerializationError(f"payload is not canonically serializable: {bad}")
 

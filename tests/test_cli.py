@@ -17,7 +17,7 @@ from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.parallel import WORKERS_ENV
 from ramsey_ba.ramsey import _arrows
-from ramsey_ba.serialize import certificate_to_json, parse_algebra
+from ramsey_ba.serialize import format_io, parse_algebra
 
 
 def write(tmp_path, name, payload) -> str:
@@ -286,6 +286,8 @@ BAD_OPTIONS = (
     [(name, ["-k", "0"], "k must be at least 1") for name in ("arrow", "witness")]
     + [(name, ["--max-atoms", "0"], "max_atoms must be at least 1")
        for name in ("witness", "fraisse", "forgetful")]
+    + [("fraisse", ["--suite", "ap", "--max-a-atoms", value], "max_a_atoms must be at least 1")
+       for value in ("0", "-2")]
     + [(name, ["--workers", "-3"], "worker count must be at least 1, got -3")
        for name in INPUT_ROLES]
 )
@@ -358,7 +360,7 @@ def test_deep_arrow_search_exits_1_with_its_certificate(tmp_path):
     certificate = arrows(c, b, a, 40)
     assert certificate.stats.a_copies == 1023
     assert recheck_bad_coloring(c, b, a, 40, certificate.bad_coloring)
-    assert json.loads(text)["certificate"] == certificate_to_json(certificate)
+    assert json.loads(text)["certificate"] == json.loads(format_io(certificate))
 
 
 def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):
@@ -425,3 +427,499 @@ def test_deterministic_flag_is_accepted(capsys, algebras):
          "--a", algebras["small"], "-k", "2", "--no-deterministic"],
     )
     assert code2 == 1 and report2 == report
+
+
+CODE_BUILT_CONFIGS = (
+    ({"suite": "ap", "max_a_atoms": 0}, "max_a_atoms must be at least 1"),
+    ({"suite": "hq"}, "suite must be one of hp, ap, both, got 'hq'"),
+)
+
+
+@pytest.mark.parametrize("options,detail", CODE_BUILT_CONFIGS)
+def test_config_built_in_code_is_checked(options, detail):
+    code, text = run(RunConfig("fraisse", kind=ClassKind.BJ, max_atoms=3, **options))
+    assert code == 2
+    assert json.loads(text) == {"error": {"type": "ValueError", "detail": detail}}
+
+
+def test_parser_offers_the_checked_suites(capsys):
+    for suite in cli.SUITES:
+        assert build_parser().parse_args(["fraisse", "--kind", "bj", "--suite", suite])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fraisse", "--kind", "bj", "--suite", "hq"])
+    assert "invalid choice: 'hq'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pinned_argv(tmp_path, algebras):
+    f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})
+    one_out, small, mid, pure2 = (algebras[name] for name in ("one_out", "small", "mid", "pure2"))
+    return {
+        "validate": ["validate", "--kind", "bj", "--algebra", small],
+        "copies": ["copies", "--small", small, "--big", mid],
+        "arrow": ["arrow", "--c", mid, "--b", small, "--a", small],
+        "arrow-fails": ["arrow", "--c", mid, "--b", mid, "--a", small],
+        "arrow-vacuous": ["arrow", "--c", small, "--b", mid, "--a", small],
+        "witness": ["witness", "--kind", "bu", "--a", small, "--b", mid, "--minimal"],
+        "amalgamate": ["amalgamate", "--kind", "bj", "--a", one_out, "--b", small,
+                       "--c", pure2, "--f", f, "--g", f],
+        "fraisse": ["fraisse", "--kind", "bj", "--max-atoms", "2"],
+        "chains": ["chains", "--algebra", mid],
+        "forgetful": ["forgetful", "--max-atoms", "2"],
+    }
+
+
+def test_reports_are_pinned_byte_for_byte(capsys, pinned_argv):
+    assert {argv[0] for argv in pinned_argv.values()} == set(cli._HANDLERS)
+    for name, argv in pinned_argv.items():
+        code = main(argv)
+        expected_code, expected_text = PINNED_REPORTS[name]
+        assert (code, capsys.readouterr().out) == (expected_code, expected_text), name
+
+
+# Exit code and exact report text of each pinned_argv command line.
+PINNED_REPORTS = {
+    "validate": (0, """\
+{
+  "algebra": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "kind": "bj",
+  "member": true,
+  "subcommand": "validate"
+}
+"""),
+    "copies": (0, """\
+{
+  "big": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "count": 3,
+  "embeddings": [
+    {
+      "block_of": [
+        0,
+        0,
+        1
+      ],
+      "ordered": true
+    },
+    {
+      "block_of": [
+        0,
+        1,
+        1
+      ],
+      "ordered": true
+    },
+    {
+      "block_of": [
+        1,
+        0,
+        1
+      ],
+      "ordered": true
+    }
+  ],
+  "mode": "ordered",
+  "small": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "subcommand": "copies"
+}
+"""),
+    "arrow": (0, """\
+{
+  "a": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "b": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "c": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "certificate": {
+    "bad_coloring": null,
+    "stats": {
+      "a_copies": 3,
+      "b_copies": 3,
+      "nodes": 0
+    },
+    "vacuous": false,
+    "verdict": "holds"
+  },
+  "k": 2,
+  "subcommand": "arrow"
+}
+"""),
+    "arrow-fails": (1, """\
+{
+  "a": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "b": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "c": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "certificate": {
+    "bad_coloring": [
+      {
+        "color": 0,
+        "embedding": [
+          0,
+          0,
+          1
+        ]
+      },
+      {
+        "color": 0,
+        "embedding": [
+          0,
+          1,
+          1
+        ]
+      },
+      {
+        "color": 1,
+        "embedding": [
+          1,
+          0,
+          1
+        ]
+      }
+    ],
+    "stats": {
+      "a_copies": 3,
+      "b_copies": 1,
+      "nodes": 3
+    },
+    "vacuous": false,
+    "verdict": "fails"
+  },
+  "k": 2,
+  "subcommand": "arrow"
+}
+"""),
+    "arrow-vacuous": (1, """\
+{
+  "a": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "b": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "c": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "certificate": {
+    "bad_coloring": [
+      {
+        "color": 0,
+        "embedding": [
+          0,
+          1
+        ]
+      }
+    ],
+    "stats": {
+      "a_copies": 1,
+      "b_copies": 0,
+      "nodes": 0
+    },
+    "vacuous": true,
+    "verdict": "fails"
+  },
+  "k": 2,
+  "subcommand": "arrow"
+}
+"""),
+    "witness": (0, """\
+{
+  "a": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "b": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "constructed": {
+    "certificate": {
+      "bad_coloring": null,
+      "stats": {
+        "a_copies": 63,
+        "b_copies": 301,
+        "nodes": 51
+      },
+      "vacuous": false,
+      "verdict": "holds"
+    },
+    "witness": {
+      "chain_length": 1,
+      "levels": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        "out"
+      ]
+    }
+  },
+  "k": 2,
+  "kind": "bu",
+  "max_atoms": 8,
+  "minimal": {
+    "size": 6,
+    "witness": {
+      "chain_length": 1,
+      "levels": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        "out"
+      ]
+    }
+  },
+  "subcommand": "witness"
+}
+"""),
+    "amalgamate": (0, """\
+{
+  "a": {
+    "chain_length": 1,
+    "levels": [
+      "out"
+    ]
+  },
+  "b": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      "out"
+    ]
+  },
+  "c": {
+    "chain_length": 1,
+    "levels": [
+      "out",
+      "out"
+    ]
+  },
+  "f": {
+    "block_of": [
+      0,
+      0
+    ],
+    "ordered": true
+  },
+  "g": {
+    "block_of": [
+      0,
+      0
+    ],
+    "ordered": true
+  },
+  "kind": "bj",
+  "result": {
+    "d": {
+      "chain_length": 1,
+      "levels": [
+        0,
+        "out",
+        "out"
+      ]
+    },
+    "identified": [
+      [
+        1,
+        1
+      ]
+    ],
+    "r": {
+      "block_of": [
+        0,
+        1,
+        1
+      ],
+      "ordered": true
+    },
+    "s": {
+      "block_of": [
+        0,
+        0,
+        1
+      ],
+      "ordered": true
+    }
+  },
+  "subcommand": "amalgamate"
+}
+"""),
+    "fraisse": (0, """\
+{
+  "ap": {
+    "base_algebras": 3,
+    "chain_length": 1,
+    "instances": 11,
+    "kind": "bj",
+    "max_a_atoms": 2,
+    "max_atoms": 2,
+    "violations": []
+  },
+  "chain_length": 1,
+  "hp": {
+    "algebras": 3,
+    "chain_length": 1,
+    "instances": 5,
+    "kind": "bj",
+    "max_atoms": 2,
+    "violations": []
+  },
+  "kind": "bj",
+  "max_atoms": 2,
+  "subcommand": "fraisse",
+  "suite": "both"
+}
+"""),
+    "chains": (0, """\
+{
+  "algebra": {
+    "chain_length": 1,
+    "levels": [
+      0,
+      0,
+      "out"
+    ]
+  },
+  "correspondence": {
+    "chain_length": 1,
+    "extending_chains": 2,
+    "extending_map_to_proper": true,
+    "map_is_injective": true,
+    "map_is_onto": true,
+    "matched": true,
+    "n_atoms": 3,
+    "non_extending_map_to_improper": true,
+    "proper_orders": 2,
+    "signature": [
+      0,
+      0,
+      "out"
+    ],
+    "total_chains": 6
+  },
+  "extending": [
+    [
+      [],
+      [
+        2
+      ],
+      [
+        0,
+        2
+      ],
+      [
+        0,
+        1,
+        2
+      ]
+    ],
+    [
+      [],
+      [
+        2
+      ],
+      [
+        1,
+        2
+      ],
+      [
+        0,
+        1,
+        2
+      ]
+    ]
+  ],
+  "subcommand": "chains"
+}
+"""),
+    "forgetful": (0, """\
+{
+  "subcommand": "forgetful",
+  "sweep": {
+    "algebras_checked": 5,
+    "chain_length": 1,
+    "max_atoms": 2,
+    "proper_orders_checked": 7,
+    "violations": []
+  }
+}
+"""),
+}

@@ -1,6 +1,8 @@
 """Wire format round trips and strict parsing."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from ramsey_ba import (
@@ -14,10 +16,6 @@ from ramsey_ba import (
 from ramsey_ba.chains import make_chain
 from ramsey_ba.embed import identity_embedding
 from ramsey_ba.serialize import (
-    algebra_to_json,
-    certificate_to_json,
-    chain_to_json,
-    embedding_to_json,
     format_io,
     level_from_json,
     load_json_file,
@@ -44,9 +42,9 @@ def test_level_parse_errors_name_the_field():
 
 def test_algebra_round_trip():
     a = make_algebra([0, 1, OUT], 2)
-    data = algebra_to_json(a)
-    assert data == {"chain_length": 2, "levels": [0, 1, "out"]}
-    assert parse_algebra(data) == a
+    text = format_io(a)
+    assert text == '{\n  "chain_length": 2,\n  "levels": [\n    0,\n    1,\n    "out"\n  ]\n}\n'
+    assert parse_algebra(json.loads(text)) == a
 
 
 def test_algebra_parse_errors():
@@ -63,9 +61,9 @@ def test_algebra_parse_errors():
 def test_embedding_round_trip():
     a = make_algebra([0, OUT], 1)
     e = identity_embedding(a)
-    data = embedding_to_json(e)
-    assert data == {"block_of": [0, 1], "ordered": True}
-    assert parse_embedding(data, a, a) == e
+    text = format_io(e)
+    assert text == '{\n  "block_of": [\n    0,\n    1\n  ],\n  "ordered": true\n}\n'
+    assert parse_embedding(json.loads(text), a, a) == e
 
 
 def test_embedding_parse_validates():
@@ -85,9 +83,12 @@ def test_embedding_parse_validates():
 
 def test_chain_round_trip():
     chain = make_chain([set(), {2}, {1, 2}, {0, 1, 2}])
-    data = chain_to_json(chain)
-    assert data == [[], [2], [1, 2], [0, 1, 2]]
-    assert parse_chain(data) == chain
+    text = format_io(chain)
+    assert text == (
+        "[\n  [],\n  [\n    2\n  ],\n  [\n    1,\n    2\n  ],\n"
+        "  [\n    0,\n    1,\n    2\n  ]\n]\n"
+    )
+    assert parse_chain(json.loads(text)) == chain
 
 
 def test_chain_parse_errors():
@@ -102,17 +103,60 @@ def test_chain_parse_errors():
 def test_certificate_serialization():
     c = make_algebra([0, 0, OUT], 1)
     a = make_algebra([0, OUT], 1)
-    data = certificate_to_json(arrows(c, c, a, 2))
-    assert data["verdict"] == "fails"
-    assert data["vacuous"] is False
-    assert data["stats"] == {"nodes": 3, "a_copies": 3, "b_copies": 1}
-    assert data["bad_coloring"] == [
-        {"embedding": [0, 0, 1], "color": 0},
-        {"embedding": [0, 1, 1], "color": 0},
-        {"embedding": [1, 0, 1], "color": 1},
-    ]
-    held = certificate_to_json(arrows(c, a, a, 2))
-    assert held["verdict"] == "holds" and held["bad_coloring"] is None
+    assert format_io(arrows(c, c, a, 2)) == FAILING_CERTIFICATE
+    assert format_io(arrows(c, a, a, 2)) == HOLDING_CERTIFICATE
+
+
+FAILING_CERTIFICATE = """\
+{
+  "bad_coloring": [
+    {
+      "color": 0,
+      "embedding": [
+        0,
+        0,
+        1
+      ]
+    },
+    {
+      "color": 0,
+      "embedding": [
+        0,
+        1,
+        1
+      ]
+    },
+    {
+      "color": 1,
+      "embedding": [
+        1,
+        0,
+        1
+      ]
+    }
+  ],
+  "stats": {
+    "a_copies": 3,
+    "b_copies": 1,
+    "nodes": 3
+  },
+  "vacuous": false,
+  "verdict": "fails"
+}
+"""
+
+HOLDING_CERTIFICATE = """\
+{
+  "bad_coloring": null,
+  "stats": {
+    "a_copies": 3,
+    "b_copies": 3,
+    "nodes": 0
+  },
+  "vacuous": false,
+  "verdict": "holds"
+}
+"""
 
 
 def test_format_io_is_byte_stable():
