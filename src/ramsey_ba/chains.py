@@ -105,7 +105,10 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     listed = count_proper_orders(algebra)
     if listed > MAX_CHAIN_OUTPUT:
         raise BoundExceeded(f"chains list at most {MAX_CHAIN_OUTPUT} extending chains, not {listed}")
-    family = [(len(e), e) for e in filter_family(algebra)]
+    # upper sets change only at occupied ideal levels; the rest of
+    # filter_family is the full set, which every chain contains
+    occupied = [j for j in dict.fromkeys(algebra.levels) if j < algebra.chain_length]
+    family = [(len(e), e) for e in (atoms_above(algebra, j) for j in occupied)]
     proper = set(enumerate_proper_orders(algebra))
     extending: list[MaximalChain] = []
     outside_all_improper = True

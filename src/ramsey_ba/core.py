@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -73,15 +73,11 @@ class LabeledAlgebra:
     """A finite Boolean algebra with an ideal chain, in canonical atom order.
 
     chain_length is the number t of ideals; levels[a] is the level of atom a
-    and the sequence is nondecreasing.  sort_perm records where each canonical
-    atom sat in the constructor's input (sort_perm[k] = original position of
-    the atom now at k); it is bookkeeping, not identity, and is excluded from
-    equality.
+    and the sequence is nondecreasing.
     """
 
     chain_length: int
     levels: tuple[Level, ...]
-    sort_perm: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def n_atoms(self) -> int:
@@ -110,12 +106,7 @@ def make_algebra(levels: Sequence[Level], chain_length: int) -> LabeledAlgebra:
             raise LevelOutOfRange(
                 f"levels[{pos}] = {level} outside 0 .. {chain_length - 1}"
             )
-    perm = tuple(sorted(range(len(levels)), key=levels.__getitem__))
-    return LabeledAlgebra(
-        chain_length=chain_length,
-        levels=tuple(levels[a] for a in perm),
-        sort_perm=perm,
-    )
+    return LabeledAlgebra(chain_length=chain_length, levels=tuple(sorted(levels)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks A, each host
 and each copy of A once and reuses each copy's merge data for every pair.
+Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from .core import (
     ClassKind,
     LabeledAlgebra,
-    Level,
     OUT,
     _require_member,
     atom_partitions,
@@ -185,10 +185,8 @@ def joint_embed(
 # exhaustive suites
 
 
-def _hp_shard(args: tuple[str, tuple[Level, ...], int]) -> tuple[int, list[dict]]:
-    kind_value, levels, chain_length = args
-    kind = ClassKind(kind_value)
-    algebra = make_algebra(levels, chain_length)
+def _hp_shard(args: tuple[ClassKind, LabeledAlgebra]) -> tuple[int, list[dict]]:
+    kind, algebra = args
     instances = 0
     violations: list[dict] = []
     for blocks in atom_partitions(algebra.n_atoms):
@@ -217,10 +215,7 @@ def check_hp(
     partition arises from its own blocks, so this covers every subalgebra a
     generator subset can produce.
     """
-    shards = [
-        (kind.value, algebra.levels, chain_length)
-        for algebra in enumerate_algebras(max_atoms, chain_length, kind)
-    ]
+    shards = [(kind, algebra) for algebra in enumerate_algebras(max_atoms, chain_length, kind)]
     results = ordered_map(_hp_shard, shards, workers)
     return {
         "kind": kind.value,
@@ -232,15 +227,11 @@ def check_hp(
     }
 
 
-def _ap_shard(
-    args: tuple[str, tuple[Level, ...], int, int]
-) -> tuple[int, list[dict]]:
-    kind_value, a_levels, chain_length, max_atoms = args
-    kind = ClassKind(kind_value)
-    a = make_algebra(a_levels, chain_length)
+def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[dict]]:
+    kind, a, max_atoms = args
     _require_member(a, kind, "A")
     copies = []  # per host, the _side data of each ordered copy of A
-    for host in enumerate_algebras(max_atoms, chain_length, kind):
+    for host in enumerate_algebras(max_atoms, a.chain_length, kind):
         if host.n_atoms >= a.n_atoms:
             _require_member(host, kind, "host")
             sides = []
@@ -280,11 +271,9 @@ def check_ap(
     workers: int = 1,
 ) -> dict:
     """Amalgamation sweep over every ordered embedding pair in the bounds."""
-    cap = max_atoms if max_a_atoms is None else max_a_atoms
-    shards = [
-        (kind.value, algebra.levels, chain_length, max_atoms)
-        for algebra in enumerate_algebras(cap, chain_length, kind)
-    ]
+    # a base with more atoms than max_atoms has no copy in any host
+    cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
+    shards = [(kind, a, max_atoms) for a in enumerate_algebras(cap, chain_length, kind)]
     results = ordered_map(_ap_shard, shards, workers)
     return {
         "kind": kind.value,

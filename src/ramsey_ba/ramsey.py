@@ -85,6 +85,9 @@ def _search_bad_coloring(
     n_vertices: int, edges: list[tuple[int, ...]], k: int
 ) -> tuple[list[int] | None, int]:
     """First bad coloring in branch order, or None after exhausting all."""
+    # exact: a color no colored vertex uses lies below the vertex count and
+    # always completes, so no color at or above the vertex count is tried
+    k = min(k, n_vertices)
     edges = sorted(set(edges))
     touching: list[list[int]] = [[] for _ in range(n_vertices)]
     for ei, edge in enumerate(edges):

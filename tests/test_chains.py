@@ -1,6 +1,7 @@
 """Maximal subset chains and the correspondence with proper orders."""
 from __future__ import annotations
 
+import time
 from math import factorial
 
 import pytest
@@ -179,3 +180,15 @@ def test_chains_extending_output_budget(monkeypatch):
     assert len(extending) == 2
     with pytest.raises(BoundExceeded):
         chains_extending(make_algebra([0, 0, 0, OUT], 1))
+
+
+def test_chains_extending_cost_does_not_grow_with_chain_length():
+    # 120 extending chains each tested against one upper set, not 50,000
+    levels = [0] * 5 + [OUT]
+    start = time.perf_counter()
+    extending, report = chains_extending(make_algebra(levels, 50_000))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    short_extending, short_report = chains_extending(make_algebra(levels, 1))
+    assert extending == short_extending and len(extending) == 120
+    assert report == {**short_report, "chain_length": 50_000}

@@ -442,6 +442,17 @@ def test_config_built_in_code_is_checked(options, detail):
     assert json.loads(text) == {"error": {"type": "ValueError", "detail": detail}}
 
 
+def test_ap_bases_never_exceed_the_hosts():
+    # a base with more atoms than every host has no copy, so the sweep skips it
+    reports = [
+        json.loads(run(RunConfig("fraisse", kind=ClassKind.BJ, suite="ap",
+                                 max_atoms=2, max_a_atoms=cap))[1])["ap"]
+        for cap in (2, 5)
+    ]
+    assert reports[1] == reports[0]
+    assert reports[0]["max_a_atoms"] == 2 and reports[0]["base_algebras"] == 3
+
+
 def test_parser_offers_the_checked_suites(capsys):
     for suite in cli.SUITES:
         assert build_parser().parse_args(["fraisse", "--kind", "bj", "--suite", suite])

@@ -189,6 +189,8 @@ def test_suites_worker_count_invariant():
         assert check_ap(ClassKind.BJ, n, 1, workers=2) == check_ap(
             ClassKind.BJ, n, 1, workers=1
         )
+    for check in (check_hp, check_ap):
+        assert check(ClassKind.BJU, 3, 2, workers=2) == check(ClassKind.BJU, 3, 2, workers=1)
 
 
 def ap_instances(kind, max_atoms, t):
@@ -228,5 +230,4 @@ def test_amalgamate_matches_reference(suites, expected):
             res = amalgamate(kind, a, b, c, f, g)
             d, r, s, identified = reference_amalgamate(a, b, c, f, g)
             assert (res.d, res.r, res.s, res.identified) == (d, r, s, identified)
-            assert res.d.sort_perm == d.sort_perm
     assert instances == reported == expected

@@ -1,6 +1,7 @@
 """Arrow relation, base oracle, and witness construction."""
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
@@ -146,6 +147,18 @@ def test_deep_search_has_no_recursion_limit():
     assert cert.verdict == "fails" and not cert.vacuous
     assert cert.stats.a_copies == 1023
     assert recheck_bad_coloring(c, b, a, 40, cert.bad_coloring)
+
+
+def test_colors_above_the_vertex_count_change_nothing():
+    # level-free A2 -> B3 in C5 has 15 A-copies, the search's vertices
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (5, 3, 2))
+    at_vertex_count = arrows(c, b, a, 15)
+    assert at_vertex_count.stats.a_copies == 15
+    assert at_vertex_count.verdict == "fails"
+    assert arrows(c, b, a, 10**6) == at_vertex_count
+    start = time.perf_counter()
+    assert arrows(c, b, a, 10**7) == at_vertex_count
+    assert time.perf_counter() - start < 0.5
 
 
 def test_arrows_cache_is_bounded():
