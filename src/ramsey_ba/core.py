@@ -274,12 +274,25 @@ def enumerate_signatures(
 def enumerate_algebras(
     max_atoms: int, chain_length: int, kind: ClassKind | None = None
 ) -> Iterator[LabeledAlgebra]:
-    """All algebras with 1 .. max_atoms atoms, optionally filtered by class."""
+    """All algebras with 1 .. max_atoms atoms, or the members of one class,
+    by atom count and then lexicographically.
+
+    Members are built, not filtered: sorted levels put the OUT atom every
+    class needs last, after any levels for BJ and ideal indices for BJU and
+    BU.  The one-atom [OUT] is a member whenever the class has any, so
+    testing it finds where a class is empty (BU at every t but 1).
+    """
     for n in range(1, max_atoms + 1):
-        for signature in enumerate_signatures(n, chain_length):
-            algebra = make_algebra(signature, chain_length)
-            if kind is None or class_membership(algebra, kind):
-                yield algebra
+        if kind is None:
+            signatures = enumerate_signatures(n, chain_length)
+        elif class_membership(make_algebra((OUT,), chain_length), kind):
+            lead = level_alphabet(chain_length) if kind is ClassKind.BJ else range(chain_length)
+            heads = itertools.combinations_with_replacement(lead, n - 1)
+            signatures = (head + (OUT,) for head in heads)
+        else:
+            return
+        for signature in signatures:
+            yield make_algebra(signature, chain_length)
 
 
 def atom_partitions(n: int) -> Iterator[list[list[int]]]:

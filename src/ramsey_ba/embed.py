@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .core import OUT, Element, LabeledAlgebra, _require_same_chain, make_algebra
+from .core import OUT, Element, LabeledAlgebra, _require_same_chain, elements, make_algebra
 from .errors import (
     ImproperConcatenation,
     LevelOutOfRange,
@@ -162,15 +162,7 @@ def compose(outer: Embedding, inner: Embedding) -> Embedding:
 
 def image_copy(e: Embedding) -> frozenset[Element]:
     """The image subalgebra as a set of 2^k big elements."""
-    blocks = e.blocks()
-    out = []
-    for signs in itertools.product((False, True), repeat=e.small.n_atoms):
-        atoms: set[int] = set()
-        for i, take in enumerate(signs):
-            if take:
-                atoms.update(blocks[i])
-        out.append(Element(e.big, frozenset(atoms)))
-    return frozenset(out)
+    return frozenset(map(e.induced, elements(e.small)))
 
 
 def star(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:

@@ -17,12 +17,13 @@ side the nearest image atom of each A-block seen so far.  The identified
 block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
-re-checked rather than trusted.  The amalgamation suite checks A, each host
-and each copy of A once and reuses each copy's merge data for every pair.
+re-checked rather than trusted.  The amalgamation suite checks each copy of
+A once and reuses each copy's merge data for every pair.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -38,7 +39,7 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, compose, enumerate_embeddings, validate_embedding
+from .embed import Embedding, _block_maxima, compose, enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, NotAnEmbedding
 from .parallel import ordered_map
 
@@ -91,7 +92,7 @@ def amalgamate(
 def _side(e: Embedding) -> tuple[Embedding, list[int], list[int]]:
     """Per-copy data: the copy, its block maxima, and each host atom's A-block
     if it is a block maximum (-1 if loose)."""
-    maxima = [max(block) for block in e.blocks()]
+    maxima = _block_maxima(e.block_of, e.small.n_atoms)
     merged = [-1] * e.big.n_atoms
     for i, m in enumerate(maxima):
         merged[m] = i
@@ -229,38 +230,28 @@ def check_hp(
 
 def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[dict]]:
     kind, a, max_atoms = args
-    _require_member(a, kind, "A")
-    copies = []  # per host, the _side data of each ordered copy of A
+    sides = []  # the _side data of every ordered copy of A, over all hosts
     for host in enumerate_algebras(max_atoms, a.chain_length, kind):
-        if host.n_atoms >= a.n_atoms:
-            _require_member(host, kind, "host")
-            sides = []
-            for e in enumerate_embeddings(a, host, mode="ordered"):
-                _require_ordered_embedding(e, a, host, "copy")
-                sides.append(_side(e))
-            copies.append(sides)
-    instances = 0
+        for e in enumerate_embeddings(a, host, mode="ordered"):
+            _require_ordered_embedding(e, a, host, "copy")
+            sides.append(_side(e))
     violations: list[dict] = []
-    for sides_b in copies:
-        for sides_c in copies:
-            instances += len(sides_b) * len(sides_c)
-            for side_b in sides_b:
-                for side_c in sides_c:
-                    try:
-                        _amalgamate_sides(kind, side_b, side_c)
-                    except AmalgamationFailed as failure:
-                        f, g = side_b[0], side_c[0]
-                        violations.append(
-                            {
-                                "a": signature_json(a),
-                                "b": signature_json(f.big),
-                                "c": signature_json(g.big),
-                                "f": list(f.block_of),
-                                "g": list(g.block_of),
-                                "error": str(failure),
-                            }
-                        )
-    return instances, violations
+    for side_b, side_c in itertools.product(sides, repeat=2):
+        try:
+            _amalgamate_sides(kind, side_b, side_c)
+        except AmalgamationFailed as failure:
+            f, g = side_b[0], side_c[0]
+            violations.append(
+                {
+                    "a": signature_json(a),
+                    "b": signature_json(f.big),
+                    "c": signature_json(g.big),
+                    "f": list(f.block_of),
+                    "g": list(g.block_of),
+                    "error": str(failure),
+                }
+            )
+    return len(sides) ** 2, violations
 
 
 def check_ap(
@@ -270,7 +261,12 @@ def check_ap(
     max_a_atoms: int | None = None,
     workers: int = 1,
 ) -> dict:
-    """Amalgamation sweep over every ordered embedding pair in the bounds."""
+    """Amalgamation sweep over every ordered embedding pair in the bounds.
+
+    A base A contributes every pair of its ordered copies over all hosts:
+    the square of its copy count.  Violations list pairs by base, then by
+    (B, f), then by (C, g), the same for any worker count.
+    """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
     shards = [(kind, a, max_atoms) for a in enumerate_algebras(cap, chain_length, kind)]

@@ -67,13 +67,8 @@ def antilex_compare(x: Element, y: Element, ord: Sequence[int]) -> int:
 
 def level_blocks(algebra: LabeledAlgebra) -> list[list[int]]:
     """Canonical atoms grouped into maximal runs of equal level."""
-    blocks: list[list[int]] = []
-    for a in algebra.atoms:
-        if blocks and algebra.levels[blocks[-1][-1]] == algebra.levels[a]:
-            blocks[-1].append(a)
-        else:
-            blocks.append([a])
-    return blocks
+    runs = itertools.groupby(algebra.atoms, key=algebra.levels.__getitem__)
+    return [list(run) for _, run in runs]
 
 
 def enumerate_proper_orders(algebra: LabeledAlgebra) -> Iterator[AtomOrder]:

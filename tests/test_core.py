@@ -4,7 +4,7 @@ from __future__ import annotations
 import copy
 import pickle
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -226,3 +226,23 @@ def test_enumerate_algebras_kinds():
     assert got == [["out"], [0, "out"]]  # ascending atom count, then signature
     for a in enumerate_algebras(5, 2, ClassKind.BJU):
         assert sum(1 for lv in a.levels if lv is OUT) == 1
+
+
+def test_enumerate_algebras_builds_what_the_filter_keeps():
+    # the definition: every nondecreasing signature by atom count, each
+    # kept when class_membership says so
+    for t in range(5):
+        for max_atoms in range(7):
+            everything = [
+                make_algebra(signature, t)
+                for n in range(1, max_atoms + 1)
+                for signature in combinations_with_replacement((*range(t), OUT), n)
+            ]
+            assert list(enumerate_algebras(max_atoms, t)) == everything
+            for kind in ClassKind:
+                members = [a for a in everything if class_membership(a, kind)]
+                assert list(enumerate_algebras(max_atoms, t, kind)) == members
+    for kind in (None, *ClassKind):
+        for max_atoms in range(1, 7):
+            with pytest.raises(LevelOutOfRange):
+                list(enumerate_algebras(max_atoms, -1, kind))

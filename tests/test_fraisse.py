@@ -1,6 +1,7 @@
 """Hereditary property, joint embedding, and amalgamation."""
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
@@ -26,6 +27,8 @@ from ramsey_ba import (
     make_algebra,
     signature_json,
 )
+
+from ramsey_ba import fraisse
 
 from .oracles import reference_amalgamate
 
@@ -231,3 +234,43 @@ def test_amalgamate_matches_reference(suites, expected):
             d, r, s, identified = reference_amalgamate(a, b, c, f, g)
             assert (res.d, res.r, res.s, res.identified) == (d, r, s, identified)
     assert instances == reported == expected
+
+
+def test_check_ap_long_chain_within_budget():
+    # members are built rather than filtered, so the bases times hosts
+    # left here stay small; filtering every signature took over 15 s
+    started = time.perf_counter()
+    report = check_ap(ClassKind.BJ, 2, 200)
+    assert time.perf_counter() - started < 5
+    assert report["violations"] == []
+    assert report["instances"] == 41005
+
+
+def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
+    # reject every 4-atom amalgam; with 3 atoms a host holds several copies
+    # of A.  Runs in-process: a monkeypatch does not reach pool workers.
+    definition = fraisse.class_membership
+    monkeypatch.setattr(
+        fraisse,
+        "class_membership",
+        lambda d, kind: d.n_atoms != 4 and definition(d, kind),
+    )
+    report = check_ap(ClassKind.BJ, 3, 1, workers=1)
+    algebras = list(enumerate_algebras(3, 1, ClassKind.BJ))
+    expected = []
+    for a in algebras:
+        copies = [f for b in algebras for f in enumerate_embeddings(a, b, "ordered")]
+        for f, g in product(copies, repeat=2):
+            if f.big.n_atoms + g.big.n_atoms - a.n_atoms == 4:
+                expected.append(
+                    (
+                        signature_json(a),
+                        signature_json(f.big),
+                        signature_json(g.big),
+                        list(f.block_of),
+                        list(g.block_of),
+                    )
+                )
+    got = [(v["a"], v["b"], v["c"], v["f"], v["g"]) for v in report["violations"]]
+    assert got == expected
+    assert (len(got), report["instances"]) == (53, 100)
