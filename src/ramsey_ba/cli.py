@@ -27,6 +27,7 @@ from .errors import (
     AmalgamationFailed,
     BoundExceeded,
     ParseError,
+    SerializationError,
     VerificationFailed,
     WorkbenchError,
 )
@@ -195,6 +196,9 @@ def run(config: RunConfig) -> tuple[int, str]:
         if workers != config.workers:  # replace() rebuilds the whole config
             config = replace(config, workers=workers)
         code = handler(config, report)
+        text = format_io(report)
+    except SerializationError as unwritable:  # the handler built a report JSON cannot hold
+        return _internal_error(unwritable)
     except BoundExceeded as bound:
         return 2, format_io({"error": {"type": "bound-exceeded", "detail": str(bound)}})
     except (WorkbenchError, ValueError) as bad:
@@ -202,10 +206,14 @@ def run(config: RunConfig) -> tuple[int, str]:
             {"error": {"type": type(bad).__name__, "detail": str(bad)}}
         )
     except Exception as crash:
-        traceback.print_exc()
-        detail = f"{type(crash).__name__}: {crash}"
-        return 2, format_io({"error": {"type": "internal-error", "detail": detail}})
-    return code, format_io(report)
+        return _internal_error(crash)
+    return code, text
+
+
+def _internal_error(crash: Exception) -> tuple[int, str]:
+    traceback.print_exc()
+    detail = f"{type(crash).__name__}: {crash}"
+    return 2, format_io({"error": {"type": "internal-error", "detail": detail}})
 
 
 def _subcommand(

@@ -1,18 +1,24 @@
 """Canonical JSON for every domain type, and strict parsers.
 
 Reports carry domain values (algebras, embeddings, chains, certificates,
-amalgams); format_io alone turns them into JSON.  Formatting is
-byte-stable: sorted keys, two-space indent, a trailing newline, arrays in
-each module's deterministic enumeration order.  Parsers name the offending
-field instead of echoing tracebacks.
+amalgams); format_io alone turns them into JSON, writing the canonical text
+directly from each value's fields.  Formatting is byte-stable: sorted keys,
+two-space indent, ASCII escapes, a trailing newline, arrays in each module's
+deterministic enumeration order; the text is what json.dumps(sort_keys=True,
+indent=2) would print.  format_io refuses what that refuses (NaN, infinities,
+types with no JSON form) and also any dict key that is not a string.
+Parsers name the offending field, and a key repeated within one object, instead
+of echoing tracebacks.
 """
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .chains import MaximalChain, make_chain
-from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
+from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra
 from .embed import Embedding, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
@@ -72,45 +78,169 @@ def parse_chain(data: Any, field: str = "chain") -> MaximalChain:
         raise ParseError(f"{field}: {bad}") from bad
 
 
-def _wire(value: Any) -> Any:
-    """The JSON value of a report, converting domain values in one pass.
+def _ints(values, pad: str) -> str:
+    """A JSON array of plain ints closing at pad (a newline and its indent)."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + pad + "]"
 
-    Dicts and lists are walked; tuples (block_of, identified) are leaves,
-    which json writes as arrays.  ArrowCertificate, SearchStats and
-    AmalgamationResult are written field by field, so renaming one of their
-    fields changes the wire format.
+
+def _embedding(e: Embedding, pad: str) -> str:
+    inner = pad + "  "
+    ordered = "true" if e.ordered else "false"
+    return (
+        "{" + inner + '"block_of": ' + _ints(e.block_of, inner)
+        + "," + inner + '"ordered": ' + ordered + pad + "}"
+    )
+
+
+def _algebra(a: LabeledAlgebra, pad: str) -> str:
+    inner = pad + "  "
+    item = inner + "  "
+    levels = ("," + item).join(
+        f'"{OUTSIDE_TOKEN}"' if level is OUT else int.__repr__(level) for level in a.levels
+    )
+    return (
+        "{" + inner + '"chain_length": ' + int.__repr__(a.chain_length)
+        + "," + inner + '"levels": ' + ("[" + item + levels + inner + "]" if levels else "[]")
+        + pad + "}"
+    )
+
+
+def _coloring(coloring: Coloring, pad: str) -> str:
+    """Rows {"color", "embedding": block_of} in enumeration order."""
+    if not coloring.entries:
+        return "[]"
+    row = pad + "  "
+    inner = row + "  "
+    rows = [
+        "{" + inner + '"color": ' + int.__repr__(color)
+        + "," + inner + '"embedding": ' + _ints(e.block_of, inner) + row + "}"
+        for e, color in coloring.entries
+    ]
+    return "[" + row + ("," + row).join(rows) + pad + "]"
+
+
+def _chain(chain: MaximalChain, pad: str, memo: dict) -> str:
+    """The chain's sets, each the sorted prefix of its additions.
+
+    A prefix set is a bitmask of the points added so far; its text at this
+    indent is written once per format_io call and reused by every chain
+    passing through it.
+    """
+    inner = pad + "  "
+    texts = memo.setdefault(inner, {})
+    sets = ["[]"]
+    mask = 0
+    for i, point in enumerate(chain.additions, 1):
+        mask |= 1 << point
+        text = texts.get(mask)
+        if text is None:
+            text = texts[mask] = _ints(sorted(chain.additions[:i]), inner)
+        sets.append(text)
+    return "[" + inner + ("," + inner).join(sets) + pad + "]"
+
+
+_FIELD_BY_FIELD = (ArrowCertificate, SearchStats, AmalgamationResult)
+
+
+def _write(value: Any, pad: str, out: list, memo: dict) -> None:
+    """Append the canonical text of value, whose closing line is indented by pad.
+
+    Dicts are written with sorted keys, lists and tuples as arrays.
+    ArrowCertificate, SearchStats and AmalgamationResult are written field by
+    field, so renaming one of their fields changes the wire format.
     """
     kind = type(value)
-    if kind is dict:
-        return {key: _wire(item) for key, item in value.items()}
-    if kind is list:
-        return [_wire(item) for item in value]
-    if kind is LabeledAlgebra:
-        return {"chain_length": value.chain_length, "levels": signature_json(value)}
-    if kind is Embedding:
-        return {"block_of": value.block_of, "ordered": value.ordered}
-    if kind is MaximalChain:  # its sets, each a sorted prefix of the additions
-        return [sorted(value.additions[:i]) for i in range(value.n_points + 1)]
-    if kind is Coloring:
-        return [{"embedding": e.block_of, "color": color} for e, color in value.entries]
-    if kind in (ArrowCertificate, SearchStats, AmalgamationResult):
-        return {key: _wire(item) for key, item in vars(value).items()}
-    return value
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind in _FIELD_BY_FIELD:
+        items = value if kind is dict else vars(value)
+        if not items:
+            out.append("{}")
+            return
+        for key in items:
+            if not isinstance(key, str):
+                raise SerializationError(f"payload has the non-string key {key!r}")
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _write(items[key], inner, out, memo)
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        if all(type(item) is int for item in value):
+            out.append(_ints(value, pad))
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out, memo)
+        out.append(pad + "]")
+    elif kind is Embedding:
+        out.append(_embedding(value, pad))
+    elif kind is LabeledAlgebra:
+        out.append(_algebra(value, pad))
+    elif kind is MaximalChain:
+        out.append(_chain(value, pad, memo))
+    elif kind is Coloring:
+        out.append(_coloring(value, pad))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):  # OUT outside an algebra is its integer value
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise SerializationError(f"payload holds the out-of-range float {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        _write(list(value), pad, out, memo)
+    elif isinstance(value, dict):
+        _write(dict(value), pad, out, memo)
+    else:
+        raise SerializationError(f"payload holds a {kind.__name__}, which has no JSON form")
 
 
 def format_io(payload: Any) -> str:
     """Canonical JSON text: sorted keys, stable arrays, trailing newline."""
-    try:
-        return json.dumps(_wire(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except (TypeError, ValueError) as bad:
-        raise SerializationError(f"payload is not canonically serializable: {bad}")
+    out: list[str] = []
+    _write(payload, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """An object's members as a dict, refusing a key given twice."""
+    found = dict(pairs)
+    if len(found) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError(f"repeats the key {repeated!r} in one object")
+    return found
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_json_file(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return _DECODER.decode(handle.read())
     except OSError as bad:
         raise ParseError(f"cannot read {path}: {bad}") from bad
     except json.JSONDecodeError as bad:
         raise ParseError(f"{path} is not valid JSON: {bad}") from bad
+    except ParseError as bad:  # from _unique_keys, which does not know the path
+        raise ParseError(f"{path} {bad}") from None

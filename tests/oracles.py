@@ -2,16 +2,21 @@
 
 Everything here recomputes results from definitions: block maps are filtered
 by direct condition checks, colorings are enumerated in full, subalgebra
-closures iterate the Boolean operations to a fixed point.  Nothing imports
-the search or enumeration code under test beyond the core value types.
+closures iterate the Boolean operations to a fixed point, and report values
+map to JSON values by the wire format's definition.  Nothing imports the
+search, enumeration or formatting code under test beyond the value types.
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from itertools import permutations, product
 
+from ramsey_ba.chains import MaximalChain
 from ramsey_ba.core import OUT, LabeledAlgebra, make_algebra, signature_json
 from ramsey_ba.embed import Embedding
 from ramsey_ba.errors import AmalgamationFailed
+from ramsey_ba.fraisse import AmalgamationResult
+from ramsey_ba.ramsey import ArrowCertificate, Coloring, SearchStats
 
 
 def level_key(level) -> tuple[int, int]:
@@ -337,3 +342,31 @@ def reference_amalgamate(a: LabeledAlgebra, b: LabeledAlgebra, c: LabeledAlgebra
     r = Embedding(small=b, big=d, block_of=tuple(r_block), ordered=True)
     s = Embedding(small=c, big=d, block_of=tuple(s_block), ordered=True)
     return d, r, s, tuple((f_max[i], g_max[i]) for i in range(k))
+
+
+def wire_reference(value):
+    """The JSON value of a report, from the wire format's definition.
+
+    A level is its ideal index or "out"; an algebra is its chain length and
+    levels; an embedding is its block map and ordered flag; a chain lists its
+    member sets, each sorted; a coloring lists {"embedding": block map,
+    "color"} rows in enumeration order; a certificate, search stats and an
+    amalgamation result are objects of their fields.  Containers are walked,
+    and everything else is left for json to write or refuse.
+    """
+    if isinstance(value, LabeledAlgebra):
+        levels = ["out" if level is OUT else level for level in value.levels]
+        return {"chain_length": value.chain_length, "levels": levels}
+    if isinstance(value, Embedding):
+        return {"block_of": list(value.block_of), "ordered": value.ordered}
+    if isinstance(value, MaximalChain):
+        return [sorted(member) for member in value.sets]
+    if isinstance(value, Coloring):
+        return [{"embedding": list(e.block_of), "color": color} for e, color in value.entries]
+    if isinstance(value, (ArrowCertificate, SearchStats, AmalgamationResult)):
+        return {f.name: wire_reference(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: wire_reference(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [wire_reference(item) for item in value]
+    return value

@@ -380,6 +380,23 @@ def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):
     }
 
 
+@pytest.mark.parametrize("unwritable", [float("nan"), {1, 2}], ids=["nan", "set"])
+def test_unwritable_report_exits_2_not_1(capsys, monkeypatch, algebras, unwritable):
+    def stub(config, report):
+        report["member"] = unwritable
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", stub)
+    argv = ["validate", "--kind", "bj", "--algebra", algebras["small"]]
+    code, text = run(config_from_args(build_parser().parse_args(argv)))
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "internal-error"
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "internal-error"
+    assert report["error"]["detail"].startswith("SerializationError: ")
+
+
 def test_output_file_instead_of_stdout(capsys, tmp_path, algebras):
     target = tmp_path / "report.json"
     code = main(

@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import OrderedDict, namedtuple
 
 import pytest
 
 from ramsey_ba import (
     OUT,
+    ClassKind,
     ParseError,
     SerializationError,
+    amalgamate,
     arrows,
+    enumerate_algebras,
     make_algebra,
     signature_json,
 )
-from ramsey_ba.chains import make_chain
-from ramsey_ba.embed import identity_embedding
+from ramsey_ba.chains import enumerate_maximal_chains, make_chain
+from ramsey_ba.embed import Embedding, enumerate_embeddings, identity_embedding
 from ramsey_ba.serialize import (
     format_io,
     level_from_json,
@@ -23,6 +28,8 @@ from ramsey_ba.serialize import (
     parse_chain,
     parse_embedding,
 )
+
+from .oracles import wire_reference
 
 
 def test_level_round_trip():
@@ -174,9 +181,108 @@ def test_load_json_file(tmp_path):
     target = tmp_path / "algebra.json"
     target.write_text('{"chain_length": 1, "levels": [0, "out"]}')
     assert parse_algebra(load_json_file(str(target))) == make_algebra([0, OUT], 1)
+    for text in (
+        '{"chain_length": 1, "chain_length": 3, "levels": [0, "out"]}',
+        '{"chain_length": 1, "levels": [0, "out"], "x": [{"y": 1, "y": 1}]}',
+    ):
+        target.write_text(text)
+        with pytest.raises(ParseError, match=r"algebra\.json repeats the key '(chain_length|y)'"):
+            load_json_file(str(target))
     with pytest.raises(ParseError, match="not valid JSON"):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         load_json_file(str(bad))
     with pytest.raises(ParseError, match="cannot read"):
         load_json_file(str(tmp_path / "missing.json"))
+
+
+def reference_text(payload) -> str:
+    return json.dumps(wire_reference(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Text(str):
+    """A str subclass, which json writes as its string value."""
+SMALL_ALGEBRAS = [make_algebra([OUT], 0), make_algebra([0, 1, OUT], 2), make_algebra([0, 0], 1)]
+ODD_CHARACTERS = '"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u00df\u20ac\u2028\ufeff\U0001d11e\U0001f600'
+
+
+def random_payload(rng: random.Random, depth: int):
+    """A payload mixing every JSON kind, domain values and containers to depth 6."""
+    pick = rng.randrange(14 if depth < 6 else 8)
+    if pick == 0:
+        return rng.choice([None, True, False])
+    if pick == 1:
+        return rng.choice([0, -1, 7, -(10**30), 10**40, 2**63, -(2**63) - 1])
+    if pick == 2:
+        return OUT
+    if pick == 3:
+        return rng.choice([0.0, -0.0, 1.5, -2.25e-300, 1e300, 5e-324, rng.uniform(-1e6, 1e6)])
+    if pick == 4:
+        text = "".join(rng.choice(ODD_CHARACTERS) for _ in range(rng.randrange(6)))
+        return Text(text) if rng.random() < 0.2 else text
+    if pick == 5:
+        return [rng.randrange(-3, 100) for _ in range(rng.randrange(4))]
+    if pick == 6:
+        return rng.choice(SMALL_ALGEBRAS)
+    if pick == 7:
+        return rng.choice(enumerate_maximal_chains(3))
+    if pick == 8:
+        return {}
+    if pick == 9:
+        return rng.choice([[], ()])
+    children = [random_payload(rng, depth + 1) for _ in range(rng.randrange(1, 4))]
+    if pick == 10:
+        return children
+    if pick == 11:
+        return tuple(children)
+    if pick == 12:
+        return Pair(children[0], children[-1]) if rng.random() < 0.2 else children
+    keys = ["".join(rng.choice(ODD_CHARACTERS) for _ in range(3)) for _ in children]
+    mapping = dict(zip(keys, children))
+    return OrderedDict(mapping) if rng.random() < 0.2 else mapping
+
+
+def test_format_io_matches_json_dumps_on_generated_payloads():
+    rng = random.Random(20121)
+    for _ in range(400):
+        payload = random_payload(rng, 0)
+        assert format_io(payload) == reference_text(payload), payload
+
+
+def test_format_io_matches_json_dumps_on_domain_values():
+    c, a = make_algebra([0, 0, OUT], 1), make_algebra([0, OUT], 1)
+    base = make_algebra([OUT], 1)
+    f = Embedding(base, a, (0, 0), ordered=True)
+    payloads = [
+        arrows(c, c, a, 2),  # fails, with its bad coloring
+        arrows(c, a, a, 2),  # holds
+        arrows(a, c, a, 2),  # vacuous
+        amalgamate(ClassKind.BJ, base, a, a, f, f),
+    ]
+    for t in range(3):
+        algebras = list(enumerate_algebras(4, t))
+        payloads.append(algebras)
+        payloads.extend(algebras)
+        for small in enumerate_algebras(2, t):
+            for big in enumerate_algebras(4, t):
+                for mode in ("plain", "ordered"):
+                    payloads.append(enumerate_embeddings(small, big, mode=mode))
+    for n in range(1, 7):
+        chains = enumerate_maximal_chains(n)
+        payloads.append({"chains": chains, "nested": [{"chains": chains}]})
+    for payload in payloads:
+        assert format_io(payload) == reference_text(payload), payload
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), {1, 2}, {1: "x"}, {"a": 0, (0, 1): 1}],
+    ids=["nan", "inf", "-inf", "set", "int-key", "tuple-key"],
+)
+def test_format_io_refuses_values_without_a_json_form(bad):
+    for payload in (bad, [0, bad], {"deep": [[bad]]}):
+        with pytest.raises(SerializationError):
+            format_io(payload)
