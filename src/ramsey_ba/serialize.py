@@ -242,5 +242,7 @@ def load_json_file(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {bad}") from bad
     except json.JSONDecodeError as bad:
         raise ParseError(f"{path} is not valid JSON: {bad}") from bad
+    except RecursionError:  # the C scanner recurses once per nested array or object
+        raise ParseError(f"{path} nests arrays or objects too deeply") from None
     except ParseError as bad:  # from _unique_keys, which does not know the path
         raise ParseError(f"{path} {bad}") from None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ramsey_ba import (
     BoundExceeded,
     ClassKind,
+    MaximalChain,
     OUT,
     SizeMismatch,
     atoms_above,
@@ -151,12 +153,33 @@ def test_extending_chains_map_onto_proper_orders():
 
 
 def test_chains_extending_matches_brute_force():
-    for t, max_atoms in ((0, 6), (1, 6), (2, 6), (3, 4)):
-        for a in enumerate_algebras(max_atoms, t):
-            extending, report = chains_extending(a)
-            brute_sets, brute_report = brute_chains_extending(a)
-            assert [chain.sets for chain in extending] == brute_sets, report
-            assert report == brute_report
+    algebras = [a for t, n in ((0, 6), (1, 6), (2, 6), (3, 5)) for a in enumerate_algebras(n, t)]
+    # the two 8-atom algebras of the order-sweep benchmark
+    algebras.append(make_algebra([0] * 4 + [OUT] * 4, 1))
+    algebras.append(make_algebra([0, 0, 1, 1, 1, OUT, OUT, OUT], 2))
+    for a in algebras:
+        extending, report = chains_extending(a)
+        brute_sets, brute_report = brute_chains_extending(a)
+        assert [chain.sets for chain in extending] == brute_sets, report
+        assert report == brute_report
+
+
+def test_chains_extending_draws_output_proportional_permutations(monkeypatch):
+    # one proper order among 9! = 362,880 addition sequences: the chains are
+    # built run by run from the nested upper sets, not filtered from all n!
+    drawn = 0
+
+    def counting_permutations(points):
+        nonlocal drawn
+        for seq in permutations(points):
+            drawn += 1
+            yield seq
+
+    monkeypatch.setattr(chains, "permutations", counting_permutations)
+    algebra = make_algebra([*range(8), OUT], 8)
+    extending, report = chains_extending(algebra)
+    assert report["matched"] and extending == [MaximalChain(tuple(range(8, -1, -1)))]
+    assert drawn <= algebra.n_atoms * len(extending)
 
 
 def test_chain_stores_its_additions():

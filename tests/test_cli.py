@@ -326,6 +326,18 @@ def test_parse_error_exit_code(capsys, tmp_path, algebras):
     assert code == 2 and report["error"]["type"] == "ParseError"
 
 
+def test_deeply_nested_input_is_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["validate", "--kind", "bj", "--algebra", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "type": "ParseError",
+        "detail": f"{deep} nests arrays or objects too deeply",
+    }
+
+
 def test_missing_input_is_parse_error(tmp_path, algebras):
     def error(config):
         code, text = run(config)

@@ -194,6 +194,10 @@ def test_load_json_file(tmp_path):
         load_json_file(str(bad))
     with pytest.raises(ParseError, match="cannot read"):
         load_json_file(str(tmp_path / "missing.json"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match=r"deep\.json nests arrays or objects too deeply"):
+        load_json_file(str(deep))
 
 
 def reference_text(payload) -> str:
