@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .core import LabeledAlgebra, signature_json
 from .errors import BoundExceeded, SizeMismatch
-from .order import AtomOrder, count_proper_orders, enumerate_proper_orders
+from .order import AtomOrder, count_proper_orders, enumerate_proper_orders, level_blocks
 
 MAX_CHAIN_POINTS = 9  # chains_extending takes at most 9 atoms
 MAX_CHAIN_OUTPUT = 40_320  # and lists at most 8! extending chains
@@ -96,12 +96,12 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     """Chains containing every upper set, with the correspondence report.
 
     A chain contains a set of size k iff its first k additions are that set.
-    The upper sets at occupied levels are nested, so a chain contains them
-    all exactly when it adds the smallest first, then each difference of
-    consecutive members as one run of steps, ending at the full set.  The
-    chains are the product of the runs' permutations, lexicographic in
-    additions, so the cost follows the output rather than n!.  Each chain is
-    still tested against every upper set.
+    The upper sets at occupied levels are nested, and consecutive ones
+    differ by the atoms of one level, so a chain contains them all exactly
+    when it adds the level runs one by one, highest level first.  The runs
+    are the reversed level_blocks, and the chains are the product of their
+    permutations, lexicographic in additions, so the cost follows the output
+    rather than n!.  Each chain is still tested against every upper set.
 
     The report checks phi against the proper orders, enumerated on their
     own: it maps the chains into and onto them, injectively.  Every other
@@ -119,10 +119,8 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     # filter_family is the full set, which every chain contains
     occupied = [j for j in dict.fromkeys(algebra.levels) if j < algebra.chain_length]
     family = [(len(e), e) for e in (atoms_above(algebra, j) for j in occupied)]
-    members = [frozenset(), *(e for _, e in reversed(family)), frozenset(algebra.atoms)]
-    runs = [sorted(big - small) for small, big in zip(members, members[1:])]
     extending: list[MaximalChain] = []
-    for parts in product(*map(permutations, runs)):
+    for parts in product(*map(permutations, reversed(level_blocks(algebra)))):
         seq = sum(parts, ())
         if all(frozenset(seq[:k]) == e for k, e in family):
             extending.append(MaximalChain(seq))

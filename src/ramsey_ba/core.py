@@ -296,22 +296,17 @@ def enumerate_algebras(
 
 
 def atom_partitions(n: int) -> Iterator[list[list[int]]]:
-    """Partitions of range(n) as block lists, in restricted-growth order."""
-    if n == 0:
-        yield []
-        return
+    """Partitions of range(n) as block lists, in restricted-growth order:
+    each partition of n - 1 atoms, the last atom joining each block in turn,
+    then alone.  Partitions share the blocks they did not grow; read only."""
 
-    def grow(code: list[int], used: int):
-        pos = len(code)
-        if pos == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for a, b in enumerate(code):
-                blocks[b].append(a)
-            yield blocks
+    def grow(m: int) -> Iterator[list[list[int]]]:
+        if m == 0:
+            yield []
             return
-        for b in range(used + 1):
-            code.append(b)
-            yield from grow(code, max(used, b + 1))
-            code.pop()
+        for blocks in grow(m - 1):
+            for i in range(len(blocks)):
+                yield blocks[:i] + [blocks[i] + [m - 1]] + blocks[i + 1:]
+            yield blocks + [[m - 1]]
 
-    yield from grow([0], 1)
+    return grow(n)

@@ -2,14 +2,14 @@
 
 Given ordered embeddings f of A into B and g of A into C, an amalgam is
 built on the disjoint union of the atom sets of B and C with the block
-maxima of f and g identified pairwise.  Its atom order is one linear merge
-of the two canonical atom sequences: B's head is placed when it is loose or
-is the merged atom that also heads C, and its level is at most the level of
-C's head (or C is used up); otherwise C's head is placed when it is loose.
-Both sequences are level-sorted and carry the merged atoms in block order,
-so a partial order can be completed exactly when its last level is at most
-both heads' levels.  The rule keeps that invariant and tries B before C, so
-it yields the first completion of the walk that branches on B's head first.
+maxima of f and g identified pairwise.  Its atom order is one sort of B's
+atoms and C's loose atoms by the key (the A-block of the nearest block
+maximum at or after the atom, its level, 0 if loose in B / 1 if loose in C
+/ 2 if a block maximum, the atom).  Segment j's atoms on both sides have
+levels at most A-atom j's level and segment j + 1's at least that, so levels
+never decrease; within a segment B goes before C at equal levels and the
+identified maximum last, the first completion of the walk that places B's
+head before C's.  A completion always exists, so ordering never fails.
 Absorption then makes the square commute: a loose atom of one side joins
 the block of the nearest image atom of the other side above it that maps
 into the same A-block.  One right-to-left pass finds these, keeping per
@@ -18,7 +18,7 @@ block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks each copy of
-A once and reuses each copy's merge data for every pair.
+A once and reuses each copy's merge keys for every pair.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
@@ -74,13 +74,11 @@ def amalgamate(
 ) -> AmalgamationResult:
     """Amalgamate B and C over A along ordered embeddings f and g.
 
-    The merged order takes B's head while it is loose or heads C too, and
-    its level is at most C's head's; otherwise C's loose head.  That is the
-    first completion of the walk that tries B's head before C's: both
-    streams are level-sorted with the merged atoms in block order, so a
-    prefix completes exactly when its last level is at most both heads'.
-    One right-to-left pass, keeping the nearest image atom of each A-block
-    per side, then absorbs every loose atom.
+    D's atom order sorts the _side keys of B's atoms and C's loose atoms.
+    Both canonical sequences are level-sorted with the block maxima in
+    A-block order, so the sort is proper, and it is the first completion of
+    the walk that tries B's head before C's.  One right-to-left pass, keeping
+    the nearest image atom of each A-block per side, absorbs the loose atoms.
     """
     for algebra, name in ((a, "A"), (b, "B"), (c, "C")):
         _require_member(algebra, kind, name)
@@ -89,55 +87,43 @@ def amalgamate(
     return _amalgamate_sides(kind, _side(f), _side(g))
 
 
-def _side(e: Embedding) -> tuple[Embedding, list[int], list[int]]:
-    """Per-copy data: the copy, its block maxima, and each host atom's A-block
-    if it is a block maximum (-1 if loose)."""
+def _side(e: Embedding) -> tuple[Embedding, list[int], list[tuple], list[tuple]]:
+    """Per-copy data: the copy, its block maxima, and its merge keys, for all
+    atoms as the B side and for loose atoms as the C side.  A key is (the
+    A-block of the nearest block maximum at or after the atom, its level, 0
+    if loose in B / 1 if loose in C / 2 if a block maximum, the atom)."""
     maxima = _block_maxima(e.block_of, e.small.n_atoms)
-    merged = [-1] * e.big.n_atoms
-    for i, m in enumerate(maxima):
-        merged[m] = i
-    return e, maxima, merged
+    keys_b: list[tuple] = []
+    loose_c: list[tuple] = []
+    j = 0  # maxima increase, so the nearest one at or after x is maxima[j]
+    for x, level in enumerate(e.big.levels):
+        if x == maxima[j]:
+            keys_b.append((j, level, 2, x))
+            j += 1
+        else:
+            keys_b.append((j, level, 0, x))
+            loose_c.append((j, level, 1, x))
+    return e, maxima, keys_b, loose_c
 
 
 def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> AmalgamationResult:
     """Amalgamate two checked copies of one A, given as _side data."""
-    f, f_max, merged_b = side_b
-    g, g_max, merged_c = side_c
+    f, f_max, keys_b, _ = side_b
+    g, g_max, _, loose_c = side_c
     a, b, c = f.small, f.big, g.big
-    nb, nc = b.n_atoms, c.n_atoms
 
-    # Merge: order[pos] = (B atom, C atom), -1 on the side an atom is not from.
-    order: list[tuple[int, int]] = []
-    pb = pc = 0
-    while pb < nb or pc < nc:
-        if (
-            pb < nb
-            and (merged_b[pb] < 0 or (pc < nc and merged_c[pc] == merged_b[pb]))
-            and (pc == nc or b.levels[pb] <= c.levels[pc])
-        ):
-            if merged_b[pb] < 0:
-                order.append((pb, -1))
-            else:
-                order.append((pb, pc))
-                pc += 1
-            pb += 1
-        elif pc < nc and merged_c[pc] < 0:
-            order.append((-1, pc))
-            pc += 1
-        else:
-            raise AmalgamationFailed(
-                f"no proper interleaving for A={signature_json(a)},"
-                f" B={signature_json(b)}, C={signature_json(c)},"
-                f" f={list(f.block_of)}, g={list(g.block_of)}"
-            )
+    # order[pos] = (B atom, C atom), -1 on the side an atom is not from
+    keys = sorted(keys_b + loose_c)
+    order = [
+        (x, -1) if tag == 0 else (-1, x) if tag == 1 else (x, g_max[j])
+        for j, _, tag, x in keys
+    ]
 
     # Absorption: image atoms anchor their own positions; a loose atom joins
     # the nearest later image atom of the other side in the same A-block,
     # which a right-to-left pass holds in near_b and near_c.
     n = len(order)
-    d = make_algebra(
-        [b.levels[x] if x >= 0 else c.levels[y] for x, y in order], a.chain_length
-    )
+    d = make_algebra([level for _, level, _, _ in keys], a.chain_length)
     r_block = [0] * n
     s_block = [0] * n
     near_b = [-1] * a.n_atoms
@@ -159,7 +145,7 @@ def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> Amalgama
     # postconditions, never trusted
     validate_embedding(r)
     validate_embedding(s)
-    if d.n_atoms != nb + nc - a.n_atoms:
+    if d.n_atoms != b.n_atoms + c.n_atoms - a.n_atoms:
         raise AmalgamationFailed("amalgam has the wrong atom count")
     if compose(r, f) != compose(s, g):
         raise AmalgamationFailed("amalgamation square does not commute")

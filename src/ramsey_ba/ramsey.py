@@ -22,8 +22,9 @@ last unassigned vertex is read off directly.
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, solve the level-free problem by brute-force ascent, solve
 the remainder recursively with the color count inflated by the number of
-level-free B-copies in the base witness, then reassemble with lift and
-star.  Constructions are always re-verified, never trusted.
+level-free B-copies in the base witness, read off the ascent's holding
+certificate, then reassemble with lift and star.  Constructions are always
+re-verified, never trusted.
 """
 from __future__ import annotations
 
@@ -296,12 +297,13 @@ def _split_above(algebra: LabeledAlgebra, j: int) -> LabeledAlgebra:
 def _assemble_witness(
     a: LabeledAlgebra, b: LabeledAlgebra, k: int, max_atoms: int
 ) -> LabeledAlgebra:
-    occupied = [lv for lv in b.levels if lv is not OUT]
-    c0 = dual_ramsey_oracle(reduct(a), reduct(b), k, max_atoms)
-    if not occupied:
+    ar, br = reduct(a), reduct(b)
+    c0 = dual_ramsey_oracle(ar, br, k, max_atoms)
+    j0 = b.levels[0]  # levels are sorted, so OUT means none is occupied
+    if j0 is OUT:
         return make_algebra([OUT] * c0.n_atoms, b.chain_length)
-    j0 = min(occupied)
-    inflation = len(enumerate_embeddings(reduct(b), c0, mode="ordered"))
+    # the oracle's holding certificate, cached, counted the B-copies in c0
+    inflation = arrows(c0, br, ar, k).stats.b_copies
     c1 = _assemble_witness(
         _split_above(a, j0), _split_above(b, j0), k * inflation, max_atoms
     )

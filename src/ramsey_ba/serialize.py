@@ -242,6 +242,10 @@ def load_json_file(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {bad}") from bad
     except json.JSONDecodeError as bad:
         raise ParseError(f"{path} is not valid JSON: {bad}") from bad
+    except UnicodeDecodeError as bad:
+        raise ParseError(f"{path} is not UTF-8 text: {bad}") from bad
+    except ValueError:  # int() refuses literals past sys.get_int_max_str_digits()
+        raise ParseError(f"{path} holds an integer literal too long to read") from None
     except RecursionError:  # the C scanner recurses once per nested array or object
         raise ParseError(f"{path} nests arrays or objects too deeply") from None
     except ParseError as bad:  # from _unique_keys, which does not know the path

@@ -338,6 +338,26 @@ def test_deeply_nested_input_is_parse_error(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'{"chain_length": 1, "levels": [0, "\xff"]}', "is not UTF-8 text"),
+        (b'{"chain_length": ' + b"1" * 5000 + b', "levels": ["out"]}',
+         "holds an integer literal too long to read"),
+    ],
+    ids=["not-utf8", "long-integer"],
+)
+def test_undecodable_input_is_parse_error(capsys, tmp_path, content, detail):
+    path = tmp_path / "algebra.json"
+    path.write_bytes(content)
+    code = main(["validate", "--kind", "bj", "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["detail"].startswith(f"{path} {detail}")
+
+
 def test_missing_input_is_parse_error(tmp_path, algebras):
     def error(config):
         code, text = run(config)

@@ -15,6 +15,7 @@ from ramsey_ba import (
     MixedAlgebras,
     OUT,
     atom_element,
+    atom_partitions,
     class_membership,
     complement,
     element,
@@ -246,3 +247,23 @@ def test_enumerate_algebras_builds_what_the_filter_keeps():
         for max_atoms in range(1, 7):
             with pytest.raises(LevelOutOfRange):
                 list(enumerate_algebras(max_atoms, -1, kind))
+
+
+def test_atom_partitions_match_restricted_growth_codes():
+    def by_codes(n):
+        # code[a] names atom a's block; each code is at most one above the
+        # largest before it, and the codes are listed lexicographically
+        codes = [()]
+        for _ in range(n):
+            codes = [code + (b,) for code in codes for b in range(max(code, default=-1) + 2)]
+        return [
+            [[a for a in range(n) if code[a] == b] for b in range(max(code, default=-1) + 1)]
+            for code in codes
+        ]
+
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    for n in range(9):
+        listed = list(atom_partitions(n))
+        assert listed == by_codes(n)
+        assert len(listed) == bell[n]
+

@@ -1,6 +1,7 @@
 """Arrow relation, base oracle, and witness construction."""
 from __future__ import annotations
 
+import sys
 import time
 from itertools import product
 
@@ -27,6 +28,7 @@ from ramsey_ba import (
     signature_json,
     star,
 )
+from ramsey_ba import ramsey
 from ramsey_ba.embed import compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
@@ -300,3 +302,35 @@ def test_min_witness_never_beats_construction():
         constructed, _ = construct_witness(kind, a, b, k, 10)
         found = min_witness(kind, a, b, k, constructed.n_atoms)
         assert found is not None and found[1] <= constructed.n_atoms
+
+
+def test_oracle_certificate_counts_the_b_copies():
+    # _assemble_witness reads its color inflation off this count
+    for nb in (1, 2, 3):
+        for na in range(1, nb + 1):
+            ar = make_algebra([OUT] * na, 0)
+            br = make_algebra([OUT] * nb, 0)
+            for k in (1, 2, 3) if na == 1 else (1, 2):
+                c0 = dual_ramsey_oracle(ar, br, k, 8)
+                copies = enumerate_embeddings(br, c0, mode="ordered")
+                assert arrows(c0, br, ar, k).stats.b_copies == len(copies)
+
+
+def test_witness_enumerates_the_base_copies_once(monkeypatch):
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    real = ramsey.enumerate_embeddings
+    calls = []
+
+    def spy(small, big, mode="plain"):
+        calls.append((small, big, mode, sys._getframe(1).f_code.co_name))
+        return real(small, big, mode=mode)
+
+    _arrows.cache_clear()
+    monkeypatch.setattr(ramsey, "enumerate_embeddings", spy)
+    construct_witness(ClassKind.BU, a, b, 2, 8)
+    monkeypatch.undo()
+    c0 = dual_ramsey_oracle(reduct(a), reduct(b), 2, 8)
+    base_copies = [call for call in calls if call[:3] == (reduct(b), c0, "ordered")]
+    assert [caller for *_, caller in base_copies] == ["_arrows"]
+

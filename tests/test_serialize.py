@@ -198,6 +198,14 @@ def test_load_json_file(tmp_path):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ParseError, match=r"deep\.json nests arrays or objects too deeply"):
         load_json_file(str(deep))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"chain_length": 1, "levels": [0, "\xff"]}')
+    with pytest.raises(ParseError, match=r"binary\.json is not UTF-8 text"):
+        load_json_file(str(binary))
+    long = tmp_path / "long.json"
+    long.write_text('{"chain_length": ' + "1" * 5000 + ', "levels": ["out"]}')
+    with pytest.raises(ParseError, match=r"long\.json holds an integer literal too long"):
+        load_json_file(str(long))
 
 
 def reference_text(payload) -> str:
