@@ -128,6 +128,7 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     mapped = [chain.additions[::-1] for chain in extending]
     into = all(o in proper for o in mapped)
     onto = set(mapped) >= proper
+    injective = len(set(mapped)) == len(mapped)
     report = {
         "signature": signature_json(algebra),
         "chain_length": algebra.chain_length,
@@ -136,17 +137,9 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
         "extending_chains": len(extending),
         "proper_orders": len(proper),
         "extending_map_to_proper": into,
-        "map_is_injective": len(set(mapped)) == len(mapped),
+        "map_is_injective": injective,
         "map_is_onto": onto,
         "non_extending_map_to_improper": into and onto,
+        "matched": into and injective and onto,
     }
-    report["matched"] = all(
-        report[key]
-        for key in (
-            "extending_map_to_proper",
-            "map_is_injective",
-            "map_is_onto",
-            "non_extending_map_to_improper",
-        )
-    )
     return extending, report

@@ -6,18 +6,19 @@ direct scan re-validates, a held relation means the backtracking search
 exhausted every coloring.  The search works on the hypergraph whose
 vertices are the ordered copies of A in C and whose edges collect the
 copies lying inside each ordered copy of B; a bad coloring is one leaving
-every edge non-monochromatic.  An edge is read off block_of tuples: the
-composite of a B-copy and an A-copy of B is index arithmetic, looked up
-among the A-copies by block map, with no Embedding built.  Vertices are
-numbered in enumeration order, the first vertex is pinned to color 0, and
-branching is DSATUR first-fail (most forbidden colors, lowest index breaking
-ties, colors in increasing order), so certificates and node counts are
-deterministic.  The depth-first search keeps an explicit stack of frames
-and undoes a color from its trail, so depth is not bounded by Python's
-recursion limit.  Uncolored vertices sit in one bitmask per saturation
-level, so choosing the next vertex takes the lowest bit of the highest
-non-empty level; each edge tracks its unassigned count and id-sum, so its
-last unassigned vertex is read off directly.
+every edge non-monochromatic.  It is kept as its colors, one per A-copy in
+enumeration order; its (copy, color) entries are derived.  An edge is read
+off block_of tuples: the composite of a B-copy and an A-copy of B is index
+arithmetic, looked up among the A-copies by block map, with no Embedding
+built.  Vertices are numbered in enumeration order, the first vertex is
+pinned to color 0, and branching is DSATUR first-fail (most forbidden
+colors, lowest index breaking ties, colors in increasing order), so
+certificates and node counts are deterministic.  The depth-first search
+keeps an explicit stack of frames and undoes a color from its trail, so
+depth is not bounded by Python's recursion limit.  Uncolored vertices sit
+in one bitmask per saturation level, so choosing the next vertex takes the
+lowest bit of the highest non-empty level; each edge tracks its unassigned
+count and id-sum, so its last unassigned vertex is read off directly.
 
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, solve the level-free problem by brute-force ascent, solve
@@ -49,15 +50,23 @@ from .errors import (
     VerificationFailed,
 )
 
-# Arrow certificates kept per process; a failing one holds every A-copy.
+# Arrow certificates kept per process; a failing one holds one int per A-copy.
 ARROWS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total assignment of colors to the ordered copies of A in C."""
+    """Colors of the ordered copies of A in C, one per copy in enumeration order."""
 
-    entries: tuple[tuple[Embedding, int], ...]
+    a: LabeledAlgebra
+    c: LabeledAlgebra
+    colors: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Embedding, int], ...]:
+        """(copy, color) pairs; the copies are enumerated again, not kept."""
+        copies = enumerate_embeddings(self.a, self.c, mode="ordered")
+        return tuple(zip(copies, self.colors, strict=True))
 
 
 @dataclass(frozen=True)
@@ -212,12 +221,14 @@ def recheck_bad_coloring(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int, coloring: Coloring
 ) -> bool:
     """Validate a bad coloring by direct scan, independent of the search."""
+    if (coloring.a, coloring.c) != (a, c):
+        return False
     copies_a = enumerate_embeddings(a, c, mode="ordered")
-    assigned = dict(coloring.entries)
-    if len(coloring.entries) != len(copies_a) or set(assigned) != set(copies_a):
+    if len(coloring.colors) != len(copies_a):
         return False
-    if any(not 0 <= col < k for col in assigned.values()):
+    if any(not (isinstance(col, int) and 0 <= col < k) for col in coloring.colors):
         return False
+    assigned = dict(zip(copies_a, coloring.colors))
     inner = enumerate_embeddings(a, b, mode="ordered")
     for outer in enumerate_embeddings(b, c, mode="ordered"):
         seen = {assigned[compose(outer, h)] for h in inner}
@@ -234,7 +245,7 @@ def _arrows(
     copies_b = enumerate_embeddings(b, c, mode="ordered")
     inner = enumerate_embeddings(a, b, mode="ordered")
     if not copies_b:
-        bad = Coloring(tuple((e, 0) for e in copies_a))
+        bad = Coloring(a, c, (0,) * len(copies_a))
         return ArrowCertificate(
             "fails", bad, SearchStats(0, len(copies_a), 0), vacuous=True
         )
@@ -248,7 +259,7 @@ def _arrows(
     stats = SearchStats(nodes, len(copies_a), len(copies_b))
     if assignment is None:
         return ArrowCertificate("holds", None, stats)
-    bad = Coloring(tuple((e, assignment[i]) for i, e in enumerate(copies_a)))
+    bad = Coloring(a, c, tuple(assignment))
     certificate = ArrowCertificate("fails", bad, stats)
     if not recheck_bad_coloring(c, b, a, k, bad):
         raise VerificationFailed(

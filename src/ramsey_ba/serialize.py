@@ -2,10 +2,11 @@
 
 Reports carry domain values (algebras, embeddings, chains, certificates,
 amalgams); format_io alone turns them into JSON, writing the canonical text
-directly from each value's fields.  Formatting is byte-stable: sorted keys,
-two-space indent, ASCII escapes, a trailing newline, arrays in each module's
-deterministic enumeration order; the text is what json.dumps(sort_keys=True,
-indent=2) would print.  format_io refuses what that refuses (NaN, infinities,
+itself.  Embeddings and chains have their own writers; an algebra becomes its
+chain length and signature, and a coloring its rows, for the generic writer.
+Formatting is byte-stable: sorted keys, two-space indent, ASCII escapes, a
+trailing newline, arrays in each module's deterministic enumeration order; the
+text is what json.dumps(sort_keys=True, indent=2) would print.  format_io refuses what that refuses (NaN, infinities,
 types with no JSON form) and also any dict key that is not a string.
 Parsers name the offending field, and a key repeated within one object, instead
 of echoing tracebacks.
@@ -18,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .chains import MaximalChain, make_chain
-from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra
+from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
 from .embed import Embedding, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
@@ -95,33 +96,6 @@ def _embedding(e: Embedding, pad: str) -> str:
     )
 
 
-def _algebra(a: LabeledAlgebra, pad: str) -> str:
-    inner = pad + "  "
-    item = inner + "  "
-    levels = ("," + item).join(
-        f'"{OUTSIDE_TOKEN}"' if level is OUT else int.__repr__(level) for level in a.levels
-    )
-    return (
-        "{" + inner + '"chain_length": ' + int.__repr__(a.chain_length)
-        + "," + inner + '"levels": ' + ("[" + item + levels + inner + "]" if levels else "[]")
-        + pad + "}"
-    )
-
-
-def _coloring(coloring: Coloring, pad: str) -> str:
-    """Rows {"color", "embedding": block_of} in enumeration order."""
-    if not coloring.entries:
-        return "[]"
-    row = pad + "  "
-    inner = row + "  "
-    rows = [
-        "{" + inner + '"color": ' + int.__repr__(color)
-        + "," + inner + '"embedding": ' + _ints(e.block_of, inner) + row + "}"
-        for e, color in coloring.entries
-    ]
-    return "[" + row + ("," + row).join(rows) + pad + "]"
-
-
 def _chain(chain: MaximalChain, pad: str, memo: dict) -> str:
     """The chain's sets, each the sorted prefix of its additions.
 
@@ -186,11 +160,13 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
     elif kind is Embedding:
         out.append(_embedding(value, pad))
     elif kind is LabeledAlgebra:
-        out.append(_algebra(value, pad))
+        levels = signature_json(value)
+        _write({"chain_length": value.chain_length, "levels": levels}, pad, out, memo)
     elif kind is MaximalChain:
         out.append(_chain(value, pad, memo))
     elif kind is Coloring:
-        out.append(_coloring(value, pad))
+        rows = [{"color": col, "embedding": e.block_of} for e, col in value.entries]
+        _write(rows, pad, out, memo)
     elif value is None:
         out.append("null")
     elif value is True:

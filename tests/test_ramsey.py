@@ -1,6 +1,7 @@
 """Arrow relation, base oracle, and witness construction."""
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from itertools import product
@@ -29,9 +30,10 @@ from ramsey_ba import (
     star,
 )
 from ramsey_ba import ramsey
-from ramsey_ba.embed import compose
+from ramsey_ba.embed import Embedding, compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
+    Coloring,
     _arrows,
     _copy_edges,
     _search_bad_coloring,
@@ -149,6 +151,48 @@ def test_deep_search_has_no_recursion_limit():
     assert cert.verdict == "fails" and not cert.vacuous
     assert cert.stats.a_copies == 1023
     assert recheck_bad_coloring(c, b, a, 40, cert.bad_coloring)
+
+
+def test_recheck_rejects_tampered_colorings():
+    c = make_algebra([0, 0, OUT], 1)
+    a = make_algebra([0, OUT], 1)
+    genuine = arrows(c, c, a, 2).bad_coloring
+    assert genuine.colors == (0, 0, 1)
+    assert recheck_bad_coloring(c, c, a, 2, genuine)
+    tampered = [
+        (0, 0, 0),  # the one B-copy, C itself, is monochromatic
+        (0, 0, 2),  # a color equal to k
+        (0, 0, -1),
+        (0, 0, 0.5),  # not an integer, though between 0 and k
+        (0, 0),  # one color too few
+        (0, 0, 1, 1),  # one too many
+    ]
+    for colors in tampered:
+        assert not recheck_bad_coloring(c, c, a, 2, Coloring(a, c, colors)), colors
+    # also 3 copies of A, so only the coloring's own (a, c) tells it apart
+    other = make_algebra([0, 0, OUT, OUT], 1)
+    assert len(enumerate_embeddings(a, other, "ordered")) == 3
+    assert not recheck_bad_coloring(c, c, a, 2, Coloring(a, other, genuine.colors))
+    with pytest.raises(ValueError):
+        Coloring(a, c, (0, 0)).entries
+
+
+def test_failing_certificate_holds_its_colors_not_its_copies():
+    # the 1,023-copy certificate of the deep search, as the arrows cache keeps it
+    c = make_algebra([0] * 10 + [OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    a = make_algebra([0, OUT], 1)
+    cert = arrows(c, b, a, 40)
+    assert len(cert.bad_coloring.colors) == cert.stats.a_copies == 1023
+    seen, todo, copies = set(), [cert], 0
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        copies += isinstance(obj, Embedding)
+        todo.extend(gc.get_referents(obj))
+    assert copies == 0
 
 
 def test_colors_above_the_vertex_count_change_nothing():
