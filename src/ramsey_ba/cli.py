@@ -9,16 +9,15 @@ invocation or its inputs were unusable, including an option value out of
 range (a "ValueError" report) and search bounds running out, or that the
 run crashed (an "internal-error" report).  A command line argparse cannot
 parse (an unknown flag, a count that is not an integer) gets its usage
-message on stderr and exit 2 instead.  --workers is checked on every
-subcommand, but only fraisse fans out; RAMSEY_BA_WORKERS overrides it, and
-results are byte-identical for any worker count.
+message on stderr and exit 2 instead.  Only fraisse fans out, so only it
+takes --workers; its report is byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .chains import chains_extending
 from .core import ClassKind, class_membership
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .fraisse import amalgamate, check_ap, check_hp
 from .order import forgetfulness_report
-from .parallel import resolve_workers
 from .ramsey import arrows, construct_witness, min_witness
 from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
 
@@ -42,7 +40,7 @@ SUITES = ("hp", "ap", "both")  # what fraisse --suite accepts
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One invocation; run() checks the option values."""
+    """One invocation; run() checks every option value, read or not."""
 
     subcommand: str
     inputs: dict[str, str] = field(default_factory=dict)
@@ -192,9 +190,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             raise ValueError("max_a_atoms must be at least 1")
         if config.suite not in SUITES:
             raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {config.suite!r}")
-        workers = resolve_workers(config.workers)
-        if workers != config.workers:  # replace() rebuilds the whole config
-            config = replace(config, workers=workers)
+        if config.workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {config.workers}")
         code = handler(config, report)
         text = format_io(report)
     except SerializationError as unwritable:  # the handler built a report JSON cannot hold
@@ -219,7 +216,7 @@ def _internal_error(crash: Exception) -> tuple[int, str]:
 def _subcommand(
     sub, name: str, help: str, *roles: str, **described: str
 ) -> argparse.ArgumentParser:
-    """Add a subcommand: a required --<role> file per input, then the common options.
+    """Add a subcommand: a required --<role> file per input, then --output.
 
     Roles given by keyword carry their help text.  The roles are recorded on
     the parsed arguments, where config_from_args reads them.
@@ -228,13 +225,6 @@ def _subcommand(
     parser = sub.add_parser(name, help=help)
     for role in roles:
         parser.add_argument(f"--{role}", required=True, help=described.get(role))
-    parser.add_argument("--workers", type=int, default=1, help="worker count; only fraisse fans out")
-    parser.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reserved; all code paths are deterministic regardless",
-    )
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.set_defaults(roles=roles)
     return parser
@@ -283,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-atoms", type=int, default=4)
     p.add_argument("--chain-length", type=int, default=1)
     p.add_argument("--max-a-atoms", type=int)
+    p.add_argument("--workers", type=int, default=1, help="worker processes for the suites")
 
     _subcommand(sub, "chains", "chain versus proper-order correspondence", "algebra")
 

@@ -1,34 +1,17 @@
 """Deterministic work sharding.
 
 Suites split their instance space into shards and merge results in shard
-order, so reports are byte-identical for any worker count.  The environment
-variable RAMSEY_BA_WORKERS overrides a requested worker count.  A pool never
-starts more processes than there are shards or CPUs this process may run on.
+order, so reports are byte-identical for any worker count.  The caller
+names the worker count, and a pool never starts more processes than there
+are shards or CPUs this process may run on.
 """
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-WORKERS_ENV = "RAMSEY_BA_WORKERS"
-
-
-def resolve_workers(requested: int | None) -> int:
-    """Worker count from the environment override or the request; at least 1."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is not None:
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if requested is None:
-        return 1
-    if requested < 1:
-        raise ValueError(f"worker count must be at least 1, got {requested}")
-    return requested
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:

@@ -42,7 +42,7 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, compose, enumerate_embeddings, lift, reduct, star
+from .embed import Embedding, _ordered_block_maps, compose, enumerate_embeddings, lift, reduct, star
 from .errors import (
     BoundExceeded,
     ChainMismatch,
@@ -328,7 +328,7 @@ def _check_witness_inputs(
         _require_member(algebra, kind, name)
     if a.chain_length != b.chain_length:
         raise ChainMismatch("witness operands must share the chain length")
-    if not enumerate_embeddings(a, b, mode="ordered"):
+    if next(_ordered_block_maps(a, b), None) is None:
         raise NotAnEmbedding("A must embed into B")
     if k < 1:
         raise ValueError("at least one color is required")

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, canonical reports."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -15,9 +16,9 @@ import ramsey_ba
 from ramsey_ba import OUT, ClassKind, arrows, cli, recheck_bad_coloring
 from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
-from ramsey_ba.parallel import WORKERS_ENV
-from ramsey_ba.ramsey import _arrows
 from ramsey_ba.serialize import format_io, parse_algebra
+
+from .test_parallel import RecordingPool
 
 
 def write(tmp_path, name, payload) -> str:
@@ -288,8 +289,7 @@ BAD_OPTIONS = (
        for name in ("witness", "fraisse", "forgetful")]
     + [("fraisse", ["--suite", "ap", "--max-a-atoms", value], "max_a_atoms must be at least 1")
        for value in ("0", "-2")]
-    + [(name, ["--workers", "-3"], "worker count must be at least 1, got -3")
-       for name in INPUT_ROLES]
+    + [("fraisse", ["--workers", "-3"], "worker count must be at least 1, got -3")]
 )
 
 
@@ -304,15 +304,30 @@ def test_bad_option_value_gets_a_json_report(capsys, minimal_argv, name, flags, 
     assert captured.err == ""
 
 
-def test_bad_workers_env_gets_a_json_report(capsys, monkeypatch, minimal_argv):
-    monkeypatch.setenv(WORKERS_ENV, "x")
-    code = main(minimal_argv["validate"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert json.loads(captured.out) == {
-        "error": {"type": "ValueError", "detail": f"{WORKERS_ENV} must be an integer, got 'x'"}
-    }
-    assert captured.err == ""
+@pytest.mark.parametrize("name", INPUT_ROLES)
+def test_flags_that_change_nothing_are_refused(capsys, minimal_argv, name):
+    removed = [["--deterministic"], ["--no-deterministic"]]
+    if name != "fraisse":  # the only subcommand that fans out
+        removed.append(["--workers", "2"])
+    for flags in removed:
+        with pytest.raises(SystemExit) as exit_:
+            main(minimal_argv[name] + flags)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2, flags
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
+
+def test_worker_count_comes_only_from_the_command_line(capsys, monkeypatch, minimal_argv):
+    monkeypatch.setenv("RAMSEY_BA_WORKERS", "0")
+    code, report = run_cli(capsys, minimal_argv["validate"])
+    assert code == 0 and report["member"] is True
+    RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, _ = run_cli(capsys, ["fraisse", "--kind", "bj", "--max-atoms", "3", "--workers", "2"])
+    assert code == 0
+    assert RecordingPool.sizes == [2, 2]  # one pool for HP, one for AP
 
 
 def test_parse_error_exit_code(capsys, tmp_path, algebras):
@@ -450,34 +465,6 @@ def test_reports_identical_across_worker_counts(capsys, algebras):
     assert text_one == text_four
 
 
-def test_workers_env_override(capsys, monkeypatch, algebras):
-    args = ["fraisse", "--kind", "bj", "--suite", "hp", "--max-atoms", "3"]
-    code = main(args)
-    baseline = capsys.readouterr().out
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    code_env = main(args)
-    with_env = capsys.readouterr().out
-    assert code == code_env == 0
-    assert baseline == with_env
-
-
-def test_deterministic_flag_is_accepted(capsys, algebras):
-    _arrows.cache_clear()
-    code, report = run_cli(
-        capsys,
-        ["arrow", "--c", algebras["mid"], "--b", algebras["mid"],
-         "--a", algebras["small"], "-k", "2", "--deterministic"],
-    )
-    assert code == 1
-    _arrows.cache_clear()
-    code2, report2 = run_cli(
-        capsys,
-        ["arrow", "--c", algebras["mid"], "--b", algebras["mid"],
-         "--a", algebras["small"], "-k", "2", "--no-deterministic"],
-    )
-    assert code2 == 1 and report2 == report
-
-
 CODE_BUILT_CONFIGS = (
     ({"suite": "ap", "max_a_atoms": 0}, "max_a_atoms must be at least 1"),
     ({"suite": "hq"}, "suite must be one of hp, ap, both, got 'hq'"),
@@ -489,6 +476,16 @@ def test_config_built_in_code_is_checked(options, detail):
     code, text = run(RunConfig("fraisse", kind=ClassKind.BJ, max_atoms=3, **options))
     assert code == 2
     assert json.loads(text) == {"error": {"type": "ValueError", "detail": detail}}
+
+
+def test_worker_count_is_checked_where_no_flag_sets_it(algebras):
+    # validate takes no --workers, but a RunConfig built in code is still checked
+    config = RunConfig("validate", {"algebra": algebras["small"]}, kind=ClassKind.BJ, workers=0)
+    code, text = run(config)
+    assert code == 2
+    assert json.loads(text) == {
+        "error": {"type": "ValueError", "detail": "worker count must be at least 1, got 0"}
+    }
 
 
 def test_ap_bases_never_exceed_the_hosts():

@@ -378,3 +378,20 @@ def test_witness_enumerates_the_base_copies_once(monkeypatch):
     base_copies = [call for call in calls if call[:3] == (reduct(b), c0, "ordered")]
     assert [caller for *_, caller in base_copies] == ["_arrows"]
 
+
+def test_witness_input_check_enumerates_no_copies(monkeypatch):
+    # whether A embeds into B is an existence question: one ordered block map settles it
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    real = ramsey.enumerate_embeddings
+    callers = []
+
+    def spy(small, big, mode="plain"):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(small, big, mode=mode)
+
+    _arrows.cache_clear()
+    monkeypatch.setattr(ramsey, "enumerate_embeddings", spy)
+    construct_witness(ClassKind.BU, a, b, 2, 8)
+    min_witness(ClassKind.BU, a, b, 2, 8)
+    assert callers and "_check_witness_inputs" not in callers
