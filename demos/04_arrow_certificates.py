@@ -3,7 +3,14 @@ Arrow relations with machine-checkable certificates
 ===================================================
 """
 
-from ramsey_ba import OUT, arrows, make_algebra, recheck_bad_coloring, signature_json
+from ramsey_ba import (
+    OUT,
+    arrows,
+    enumerate_embeddings,
+    make_algebra,
+    recheck_bad_coloring,
+    signature_json,
+)
 from ramsey_ba.serialize import format_io
 
 a = make_algebra([0, OUT], 1)
@@ -17,7 +24,9 @@ print(
     "search stats:", cert.stats.nodes, "nodes,",
     cert.stats.a_copies, "copies of A,", cert.stats.b_copies, "copies of B",
 )
-for embedding, color in cert.bad_coloring.entries:
+# The coloring keeps one color per ordered copy, in enumeration order.
+copies = enumerate_embeddings(a, c, "ordered")
+for embedding, color in zip(copies, cert.bad_coloring.colors):
     print("  copy", embedding.block_of, "-> color", color)
 print("independent recheck:", recheck_bad_coloring(c, c, a, 2, cert.bad_coloring))
 

@@ -18,10 +18,11 @@ import argparse
 import sys
 import traceback
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 from .chains import chains_extending
-from .core import ClassKind, class_membership
-from .embed import enumerate_embeddings
+from .core import ClassKind, _require_same_chain, class_membership
+from .embed import _ordered_block_maps, enumerate_embeddings
 from .errors import (
     AmalgamationFailed,
     BoundExceeded,
@@ -31,11 +32,12 @@ from .errors import (
     WorkbenchError,
 )
 from .fraisse import amalgamate, check_ap, check_hp
-from .order import forgetfulness_report
+from .order import count_proper_orders, forgetfulness_report
 from .ramsey import arrows, construct_witness, min_witness
 from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
 
 SUITES = ("hp", "ap", "both")  # what fraisse --suite accepts
+MAX_COPIES_OUTPUT = 40_320  # copies lists at most 8! embeddings, as chains lists chains
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,13 @@ def _run_validate(config: RunConfig, report: dict) -> int:
 
 def _run_copies(config: RunConfig, report: dict) -> int:
     small, big = _algebras(config, report, "small", "big")
+    _require_same_chain(small, big)
+    # counted before any Embedding is built; plain mode relabels each ordered copy
+    count = sum(1 for _ in islice(_ordered_block_maps(small, big), MAX_COPIES_OUTPUT + 1))
+    if config.mode == "plain":
+        count *= count_proper_orders(small)
+    if count > MAX_COPIES_OUTPUT:
+        raise BoundExceeded(f"copies lists at most {MAX_COPIES_OUTPUT} embeddings; there are more")
     found = enumerate_embeddings(small, big, mode=config.mode)
     report.update(mode=config.mode, count=len(found), embeddings=found)
     return 0

@@ -16,6 +16,11 @@ at small atom i's level, plus any block i with m_i > b for each other big
 atom b.  Ordered embeddings are rigid, so they are in bijection with copies.
 Sorting a plain embedding's blocks by their maxima leaves a unique ordered
 one and a level-preserving relabelling of the small atoms: a proper order.
+
+Block maps are the internal currency: the arrow check, the amalgamation
+suite and the coloring writer read the tuples of _ordered_block_maps, sorted,
+and check them with _check_block_map.  Embedding records are built only by
+the public functions.
 """
 from __future__ import annotations
 
@@ -73,15 +78,21 @@ def _block_maxima(block_of: tuple[int, ...], k: int) -> list[int]:
 
 def validate_embedding(e: Embedding) -> None:
     """Raise NotAnEmbedding unless all conditions hold (ordered only if flagged)."""
-    small, big = e.small, e.big
+    _check_block_map(e.block_of, e.small, e.big, e.ordered)
+
+
+def _check_block_map(
+    block_of: tuple[int, ...], small: LabeledAlgebra, big: LabeledAlgebra, ordered: bool
+) -> None:
+    """validate_embedding on a bare block map, ChainMismatch included."""
     _require_same_chain(small, big)
-    if len(e.block_of) != big.n_atoms:
+    if len(block_of) != big.n_atoms:
         raise NotAnEmbedding(
-            f"block map has {len(e.block_of)} entries for {big.n_atoms} atoms"
+            f"block map has {len(block_of)} entries for {big.n_atoms} atoms"
         )
-    if min(e.block_of) < 0 or max(e.block_of) >= small.n_atoms:
+    if min(block_of) < 0 or max(block_of) >= small.n_atoms:
         raise NotAnEmbedding("block map names a nonexistent small atom")
-    maxima = _block_maxima(e.block_of, small.n_atoms)
+    maxima = _block_maxima(block_of, small.n_atoms)
     for i, m in enumerate(maxima):
         if m < 0:
             raise NotAnEmbedding(f"block {i} is empty")
@@ -92,7 +103,7 @@ def validate_embedding(e: Embedding) -> None:
                 f" atom needs {small.levels[i]!r}"
             )
     # nonempty blocks have distinct maxima, so sorted means increasing
-    if e.ordered and maxima != sorted(maxima):
+    if ordered and maxima != sorted(maxima):
         raise NotAnEmbedding("block maxima not increasing for an ordered embedding")
 
 

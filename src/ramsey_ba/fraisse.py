@@ -18,7 +18,9 @@ block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks each copy of
-A once and reuses each copy's merge keys for every pair.
+A once and reuses each copy's merge keys for every pair.  Copies travel as
+bare block maps, the square commutes by index arithmetic, and only amalgamate
+wraps its result into Embedding records.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, _block_maxima, compose, enumerate_embeddings, validate_embedding
+from .embed import Embedding, _block_maxima, _check_block_map, _ordered_block_maps
+from .embed import enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, NotAnEmbedding
 from .parallel import ordered_map
 
@@ -84,33 +87,35 @@ def amalgamate(
         _require_member(algebra, kind, name)
     _require_ordered_embedding(f, a, b, "f")
     _require_ordered_embedding(g, a, c, "g")
-    return _amalgamate_sides(kind, _side(f), _side(g))
+    sides = _side(f.block_of, a, b), _side(g.block_of, a, c)
+    d, r, s, identified = _amalgamate_sides(kind, a, *sides)
+    return AmalgamationResult(d, Embedding(b, d, r, True), Embedding(c, d, s, True), identified)
 
 
-def _side(e: Embedding) -> tuple[Embedding, list[int], list[tuple], list[tuple]]:
-    """Per-copy data: the copy, its block maxima, and its merge keys, for all
-    atoms as the B side and for loose atoms as the C side.  A key is (the
-    A-block of the nearest block maximum at or after the atom, its level, 0
-    if loose in B / 1 if loose in C / 2 if a block maximum, the atom)."""
-    maxima = _block_maxima(e.block_of, e.small.n_atoms)
+def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) -> tuple:
+    """Per-copy data: the host, the block map, its block maxima, and its merge
+    keys, for all atoms as the B side and for loose atoms as the C side.  A
+    key is (the A-block of the nearest block maximum at or after the atom, its
+    level, 0 if loose in B / 1 if loose in C / 2 if a block maximum, the atom)."""
+    maxima = _block_maxima(block_of, a.n_atoms)
     keys_b: list[tuple] = []
     loose_c: list[tuple] = []
     j = 0  # maxima increase, so the nearest one at or after x is maxima[j]
-    for x, level in enumerate(e.big.levels):
+    for x, level in enumerate(host.levels):
         if x == maxima[j]:
             keys_b.append((j, level, 2, x))
             j += 1
         else:
             keys_b.append((j, level, 0, x))
             loose_c.append((j, level, 1, x))
-    return e, maxima, keys_b, loose_c
+    return host, block_of, maxima, keys_b, loose_c
 
 
-def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> AmalgamationResult:
-    """Amalgamate two checked copies of one A, given as _side data."""
-    f, f_max, keys_b, _ = side_b
-    g, g_max, _, loose_c = side_c
-    a, b, c = f.small, f.big, g.big
+def _amalgamate_sides(kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple) -> tuple:
+    """Amalgamate two checked copies of A, given as _side data, into
+    (d, r's block map, s's block map, the identified atom pairs)."""
+    b, f, f_max, keys_b, _ = side_b
+    c, g, g_max, _, loose_c = side_c
 
     # order[pos] = (B atom, C atom), -1 on the side an atom is not from
     keys = sorted(keys_b + loose_c)
@@ -131,29 +136,24 @@ def _amalgamate_sides(kind: ClassKind, side_b: tuple, side_c: tuple) -> Amalgama
     for pos in range(n - 1, -1, -1):
         x, y = order[pos]
         if x >= 0:
-            r_block[pos] = near_b[f.block_of[x]] = x
+            r_block[pos] = near_b[f[x]] = x
         else:
-            r_block[pos] = near_b[g.block_of[y]]
+            r_block[pos] = near_b[g[y]]
         if y >= 0:
-            s_block[pos] = near_c[g.block_of[y]] = y
+            s_block[pos] = near_c[g[y]] = y
         else:
-            s_block[pos] = near_c[f.block_of[x]]
-
-    r = Embedding(small=b, big=d, block_of=tuple(r_block), ordered=True)
-    s = Embedding(small=c, big=d, block_of=tuple(s_block), ordered=True)
+            s_block[pos] = near_c[f[x]]
 
     # postconditions, never trusted
-    validate_embedding(r)
-    validate_embedding(s)
+    _check_block_map(r_block, b, d, True)
+    _check_block_map(s_block, c, d, True)
     if d.n_atoms != b.n_atoms + c.n_atoms - a.n_atoms:
         raise AmalgamationFailed("amalgam has the wrong atom count")
-    if compose(r, f) != compose(s, g):
+    if any(f[x] != g[y] for x, y in zip(r_block, s_block)):
         raise AmalgamationFailed("amalgamation square does not commute")
     if not class_membership(d, kind):
         raise AmalgamationFailed(f"amalgam left the class {kind.value}")
-    return AmalgamationResult(
-        d=d, r=r, s=s, identified=tuple(zip(f_max, g_max))
-    )
+    return d, tuple(r_block), tuple(s_block), tuple(zip(f_max, g_max))
 
 
 def joint_embed(
@@ -218,22 +218,21 @@ def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[di
     kind, a, max_atoms = args
     sides = []  # the _side data of every ordered copy of A, over all hosts
     for host in enumerate_algebras(max_atoms, a.chain_length, kind):
-        for e in enumerate_embeddings(a, host, mode="ordered"):
-            _require_ordered_embedding(e, a, host, "copy")
-            sides.append(_side(e))
+        for block_of in sorted(_ordered_block_maps(a, host)):
+            _check_block_map(block_of, a, host, True)
+            sides.append(_side(block_of, a, host))
     violations: list[dict] = []
     for side_b, side_c in itertools.product(sides, repeat=2):
         try:
-            _amalgamate_sides(kind, side_b, side_c)
+            _amalgamate_sides(kind, a, side_b, side_c)
         except AmalgamationFailed as failure:
-            f, g = side_b[0], side_c[0]
             violations.append(
                 {
                     "a": signature_json(a),
-                    "b": signature_json(f.big),
-                    "c": signature_json(g.big),
-                    "f": list(f.block_of),
-                    "g": list(g.block_of),
+                    "b": signature_json(side_b[0]),
+                    "c": signature_json(side_c[0]),
+                    "f": list(side_b[1]),
+                    "g": list(side_c[1]),
                     "error": str(failure),
                 }
             )

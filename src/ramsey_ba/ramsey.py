@@ -7,18 +7,19 @@ exhausted every coloring.  The search works on the hypergraph whose
 vertices are the ordered copies of A in C and whose edges collect the
 copies lying inside each ordered copy of B; a bad coloring is one leaving
 every edge non-monochromatic.  It is kept as its colors, one per A-copy in
-enumeration order; its (copy, color) entries are derived.  An edge is read
-off block_of tuples: the composite of a B-copy and an A-copy of B is index
-arithmetic, looked up among the A-copies by block map, with no Embedding
-built.  Vertices are numbered in enumeration order, the first vertex is
-pinned to color 0, and branching is DSATUR first-fail (most forbidden
-colors, lowest index breaking ties, colors in increasing order), so
-certificates and node counts are deterministic.  The depth-first search
-keeps an explicit stack of frames and undoes a color from its trail, so
-depth is not bounded by Python's recursion limit.  Uncolored vertices sit
-in one bitmask per saturation level, so choosing the next vertex takes the
-lowest bit of the highest non-empty level; each edge tracks its unassigned
-count and id-sum, so its last unassigned vertex is read off directly.
+enumeration order.  Block maps are the internal currency: copies are
+block_of tuples sorted into enumeration order, and no Embedding is built.
+The composite of a B-copy and an A-copy of B is index arithmetic, looked up
+among the A-copies by block map.  Vertices are numbered in enumeration
+order, the first vertex is pinned to color 0, and branching is DSATUR
+first-fail (most forbidden colors, lowest index breaking ties, colors in
+increasing order), so certificates and node counts are deterministic.  The
+depth-first search keeps an explicit stack of frames and undoes a color
+from its trail, so depth is not bounded by Python's recursion limit.
+Uncolored vertices sit in one bitmask per saturation level, so choosing the
+next vertex takes the lowest bit of the highest non-empty level; each edge
+tracks its unassigned count and id-sum, so its last unassigned vertex is
+read off directly.
 
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, solve the level-free problem by brute-force ascent, solve
@@ -37,12 +38,13 @@ from .core import (
     LabeledAlgebra,
     OUT,
     _require_member,
+    _require_same_chain,
     class_membership,
     enumerate_algebras,
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, _ordered_block_maps, compose, enumerate_embeddings, lift, reduct, star
+from .embed import _ordered_block_maps, lift, reduct, star
 from .errors import (
     BoundExceeded,
     ChainMismatch,
@@ -61,12 +63,6 @@ class Coloring:
     a: LabeledAlgebra
     c: LabeledAlgebra
     colors: tuple[int, ...]
-
-    @property
-    def entries(self) -> tuple[tuple[Embedding, int], ...]:
-        """(copy, color) pairs; the copies are enumerated again, not kept."""
-        copies = enumerate_embeddings(self.a, self.c, mode="ordered")
-        return tuple(zip(copies, self.colors, strict=True))
 
 
 @dataclass(frozen=True)
@@ -202,17 +198,15 @@ def _search_bad_coloring(
 
 
 def _copy_edges(
-    copies_a: list[Embedding], copies_b: list[Embedding], inner: list[Embedding]
+    copies_a: list[tuple], copies_b: list[tuple], inner: list[tuple]
 ) -> list[tuple[int, ...]]:
     """Per B-copy, the sorted indices of the A-copies inside it.
 
-    The composite of outer and h maps C-atom x to h.block_of[outer.block_of[x]],
-    so each edge is read off block_of tuples with no Embedding built.
+    The composite of outer and h maps C-atom x to h[outer[x]].
     """
-    index = {e.block_of: i for i, e in enumerate(copies_a)}
-    maps = [h.block_of for h in inner]
+    index = {block_of: i for i, block_of in enumerate(copies_a)}
     return [
-        tuple(sorted(index[tuple(map(h.__getitem__, outer.block_of))] for h in maps))
+        tuple(sorted(index[tuple(map(h.__getitem__, outer))] for h in inner))
         for outer in copies_b
     ]
 
@@ -223,15 +217,17 @@ def recheck_bad_coloring(
     """Validate a bad coloring by direct scan, independent of the search."""
     if (coloring.a, coloring.c) != (a, c):
         return False
-    copies_a = enumerate_embeddings(a, c, mode="ordered")
+    _require_same_chain(a, c)
+    copies_a = sorted(_ordered_block_maps(a, c))
     if len(coloring.colors) != len(copies_a):
         return False
     if any(not (isinstance(col, int) and 0 <= col < k) for col in coloring.colors):
         return False
+    _require_same_chain(a, b)
     assigned = dict(zip(copies_a, coloring.colors))
-    inner = enumerate_embeddings(a, b, mode="ordered")
-    for outer in enumerate_embeddings(b, c, mode="ordered"):
-        seen = {assigned[compose(outer, h)] for h in inner}
+    inner = list(_ordered_block_maps(a, b))
+    for outer in _ordered_block_maps(b, c):
+        seen = {assigned[tuple(h[x] for x in outer)] for h in inner}
         if len(seen) <= 1:
             return False
     return True
@@ -241,9 +237,9 @@ def recheck_bad_coloring(
 def _arrows(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int
 ) -> ArrowCertificate:
-    copies_a = enumerate_embeddings(a, c, mode="ordered")
-    copies_b = enumerate_embeddings(b, c, mode="ordered")
-    inner = enumerate_embeddings(a, b, mode="ordered")
+    copies_a = sorted(_ordered_block_maps(a, c))
+    copies_b = sorted(_ordered_block_maps(b, c))
+    inner = sorted(_ordered_block_maps(a, b))
     if not copies_b:
         bad = Coloring(a, c, (0,) * len(copies_a))
         return ArrowCertificate(

@@ -20,7 +20,7 @@ from typing import Any
 
 from .chains import MaximalChain, make_chain
 from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
-from .embed import Embedding, validate_embedding
+from .embed import Embedding, _ordered_block_maps, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
 from .ramsey import ArrowCertificate, Coloring, SearchStats
@@ -165,8 +165,8 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
     elif kind is MaximalChain:
         out.append(_chain(value, pad, memo))
     elif kind is Coloring:
-        rows = [{"color": col, "embedding": e.block_of} for e, col in value.entries]
-        _write(rows, pad, out, memo)
+        rows = zip(sorted(_ordered_block_maps(value.a, value.c)), value.colors, strict=True)
+        _write([{"color": col, "embedding": bo} for bo, col in rows], pad, out, memo)
     elif value is None:
         out.append("null")
     elif value is True:

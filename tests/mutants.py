@@ -1,0 +1,147 @@
+"""Mutation gate: every listed re-check has a test that fails without it.
+
+Each mutant deletes one check as an exact piece of source text.  For each
+one in turn, the script copies src/ and tests/ to a temporary directory,
+applies that one deletion there, and runs the mutant's test files in one
+pytest process; the repository itself is never changed.  A mutant is killed
+when its tests fail and survives when they pass.  Before the mutants, the
+unchanged copy must pass all the named test files, so that a test already
+failing cannot pass for a kill.
+
+Run from anywhere, standard library and pytest only:
+
+    python tests/mutants.py
+
+Exits 1 when a mutant survives, when a deletion text no longer occurs
+exactly once in its file, or when a run neither passes nor fails its tests.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FRAISSE = "src/ramsey_ba/fraisse.py"
+RAMSEY = "src/ramsey_ba/ramsey.py"
+
+# (name, file, deleted text, test files that must kill it)
+MUTANTS = [
+    (
+        "amalgam: r is a checked block map",
+        FRAISSE,
+        "    _check_block_map(r_block, b, d, True)\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "amalgam: s is a checked block map",
+        FRAISSE,
+        "    _check_block_map(s_block, c, d, True)\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "amalgam: atom count",
+        FRAISSE,
+        "    if d.n_atoms != b.n_atoms + c.n_atoms - a.n_atoms:\n"
+        '        raise AmalgamationFailed("amalgam has the wrong atom count")\n',
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "amalgam: the square commutes",
+        FRAISSE,
+        "    if any(f[x] != g[y] for x, y in zip(r_block, s_block)):\n"
+        '        raise AmalgamationFailed("amalgamation square does not commute")\n',
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "amalgam: D stays in the class",
+        FRAISSE,
+        "    if not class_membership(d, kind):\n"
+        '        raise AmalgamationFailed(f"amalgam left the class {kind.value}")\n',
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "AP suite: each copy is a checked block map",
+        FRAISSE,
+        "            _check_block_map(block_of, a, host, True)\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "arrow: the search's coloring is rechecked",
+        RAMSEY,
+        "    if not recheck_bad_coloring(c, b, a, k, bad):\n"
+        "        raise VerificationFailed(\n"
+        '            "search returned a coloring the direct scan rejects",\n'
+        "            certificate=certificate,\n"
+        "        )\n",
+        ["tests/test_ramsey.py", "tests/test_cli.py"],
+    ),
+    (
+        "recheck: B shares the chain length",
+        RAMSEY,
+        "    _require_same_chain(a, b)\n",
+        ["tests/test_ramsey.py"],
+    ),
+]
+
+
+def run_tests(source_root: Path, tests: list[str], deletion: tuple[str, str] | None) -> int:
+    """pytest's exit code on a copy of the repository, with one deletion applied."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(
+                source_root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(source_root / "pyproject.toml", copy / "pyproject.toml")
+        if deletion is not None:
+            rel, text = deletion
+            target = copy / rel
+            target.write_text(target.read_text().replace(text, "", 1))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        return done.returncode
+
+
+def main() -> int:
+    bad = 0
+    stale = []
+    for name, rel, text, _ in MUTANTS:
+        found = (ROOT / rel).read_text().count(text)
+        if found != 1:
+            print(f"stale     {name}: the deletion occurs {found} times in {rel}")
+            stale.append(name)
+    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
+    baseline = run_tests(ROOT, every_test, None)
+    if baseline != 0:
+        print(f"baseline  the unchanged tests exit {baseline}; no mutant can be judged")
+        return 1
+    for name, rel, text, tests in MUTANTS:
+        if name in stale:
+            bad += 1
+            continue
+        code = run_tests(ROOT, tests, (rel, text))
+        if code == 1:
+            print(f"killed    {name}")
+        elif code == 0:
+            print(f"SURVIVED  {name}: {' '.join(tests)} pass without it")
+            bad += 1
+        else:
+            print(f"error     {name}: pytest exited {code}")
+            bad += 1
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

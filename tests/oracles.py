@@ -4,7 +4,9 @@ Everything here recomputes results from definitions: block maps are filtered
 by direct condition checks, colorings are enumerated in full, subalgebra
 closures iterate the Boolean operations to a fixed point, and report values
 map to JSON values by the wire format's definition.  Nothing imports the
-search, enumeration or formatting code under test beyond the value types.
+search, enumeration or formatting code under test beyond the value types,
+except reference_recheck_bad_coloring: it is the Embedding-level scan the
+tuple recheck replaced, kept as it was, so it composes public Embeddings.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from itertools import permutations, product
 
 from ramsey_ba.chains import MaximalChain
 from ramsey_ba.core import OUT, LabeledAlgebra, make_algebra, signature_json
-from ramsey_ba.embed import Embedding
+from ramsey_ba.embed import Embedding, compose, enumerate_embeddings
 from ramsey_ba.errors import AmalgamationFailed
 from ramsey_ba.fraisse import AmalgamationResult
 from ramsey_ba.ramsey import ArrowCertificate, Coloring, SearchStats
@@ -254,6 +256,27 @@ def reference_search_bad_coloring(
     return None, nodes
 
 
+def reference_recheck_bad_coloring(
+    c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int, coloring: Coloring
+) -> bool:
+    """The recheck as it was before it read block maps: every copy an
+    Embedding, every composite built by compose."""
+    if (coloring.a, coloring.c) != (a, c):
+        return False
+    copies_a = enumerate_embeddings(a, c, mode="ordered")
+    if len(coloring.colors) != len(copies_a):
+        return False
+    if any(not (isinstance(col, int) and 0 <= col < k) for col in coloring.colors):
+        return False
+    assigned = dict(zip(copies_a, coloring.colors))
+    inner = enumerate_embeddings(a, b, mode="ordered")
+    for outer in enumerate_embeddings(b, c, mode="ordered"):
+        seen = {assigned[compose(outer, h)] for h in inner}
+        if len(seen) <= 1:
+            return False
+    return True
+
+
 def reference_amalgamate(a: LabeledAlgebra, b: LabeledAlgebra, c: LabeledAlgebra, f, g):
     """The recursive interleaving and scan absorption the merge replaced, verbatim.
 
@@ -350,9 +373,10 @@ def wire_reference(value):
     A level is its ideal index or "out"; an algebra is its chain length and
     levels; an embedding is its block map and ordered flag; a chain lists its
     member sets, each sorted; a coloring lists {"embedding": block map,
-    "color"} rows in enumeration order; a certificate, search stats and an
-    amalgamation result are objects of their fields.  Containers are walked,
-    and everything else is left for json to write or refuse.
+    "color"} rows, the ordered block maps in lexicographic order, which is
+    enumeration order; a certificate, search stats and an amalgamation
+    result are objects of their fields.  Containers are walked, and
+    everything else is left for json to write or refuse.
     """
     if isinstance(value, LabeledAlgebra):
         levels = ["out" if level is OUT else level for level in value.levels]
@@ -362,7 +386,8 @@ def wire_reference(value):
     if isinstance(value, MaximalChain):
         return [sorted(member) for member in value.sets]
     if isinstance(value, Coloring):
-        return [{"embedding": list(e.block_of), "color": color} for e, color in value.entries]
+        rows = zip(brute_embeddings(value.a, value.c, ordered=True), value.colors)
+        return [{"embedding": list(block_of), "color": color} for block_of, color in rows]
     if isinstance(value, (ArrowCertificate, SearchStats, AmalgamationResult)):
         return {f.name: wire_reference(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ramsey_ba
-from ramsey_ba import OUT, ClassKind, arrows, cli, recheck_bad_coloring
+from ramsey_ba import OUT, ClassKind, arrows, cli, ramsey, recheck_bad_coloring
 from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.serialize import format_io, parse_algebra
@@ -184,6 +184,21 @@ def test_chains_refuses_past_output_budget(capsys, tmp_path):
     assert time.perf_counter() - start < 1  # refused before any chain is walked
     assert code == 2
     assert report["error"]["type"] == "bound-exceeded"
+
+
+def test_copies_refuses_past_output_budget(tmp_path):
+    # [out, out] has 2^(n-1) - 1 ordered copies in n level-free atoms
+    free = {n: {"chain_length": 0, "levels": ["out"] * n} for n in (2, 16, 17)}
+    small = write(tmp_path, "small.json", free[2])
+    inputs = {n: {"small": small, "big": write(tmp_path, f"{n}.json", free[n])} for n in (16, 17)}
+    code, text = run(RunConfig(subcommand="copies", inputs=inputs[16]))
+    assert code == 0 and json.loads(text)["count"] == 32767
+    # 65,535 ordered copies in 17 atoms; in plain mode, 16 atoms give 2 x 32,767
+    for n, mode in ((17, "ordered"), (16, "plain")):
+        start = time.perf_counter()
+        code, text = run(RunConfig(subcommand="copies", inputs=inputs[n], mode=mode))
+        assert time.perf_counter() - start < 1  # refused before any copy is built
+        assert (code, json.loads(text)["error"]["type"]) == (2, "bound-exceeded")
 
 
 def test_forgetful_sweep(capsys):
@@ -408,6 +423,16 @@ def test_deep_arrow_search_exits_1_with_its_certificate(tmp_path):
     assert certificate.stats.a_copies == 1023
     assert recheck_bad_coloring(c, b, a, 40, certificate.bad_coloring)
     assert json.loads(text)["certificate"] == json.loads(format_io(certificate))
+
+
+def test_rejected_search_coloring_exits_2_not_1(monkeypatch, algebras):
+    # the search's coloring closes an edge monochromatic; the recheck refuses it
+    monkeypatch.setattr(ramsey, "_search_bad_coloring", lambda n, edges, k: ([0] * n, 1))
+    ramsey._arrows.cache_clear()
+    inputs = {"c": algebras["mid"], "b": algebras["mid"], "a": algebras["small"]}
+    code, text = run(RunConfig(subcommand="arrow", inputs=inputs))
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "VerificationFailed"
 
 
 def test_crash_in_handler_exits_2_not_1(capsys, monkeypatch, algebras):

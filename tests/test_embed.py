@@ -16,8 +16,11 @@ from ramsey_ba import (
     NotAnEmbedding,
     OUT,
     SizeMismatch,
+    amalgamate,
     antilex_compare,
+    arrows,
     canonical_order,
+    check_ap,
     class_membership,
     compose,
     count_proper_orders,
@@ -36,6 +39,8 @@ from ramsey_ba import (
     circ,
     validate_embedding,
 )
+from ramsey_ba import ramsey
+from ramsey_ba.serialize import format_io
 from .oracles import brute_embeddings, stirling2
 
 
@@ -242,3 +247,26 @@ def test_reduct_examples():
     # pure embedding counts agree with the ordered-surjection count
     small, big = reduct(make_algebra([0, OUT], 1)), reduct(b)
     assert len(list(enumerate_embeddings(small, big, "ordered"))) == stirling2(3, 2)
+
+
+def test_only_public_functions_build_embeddings(monkeypatch):
+    built = []
+    init = Embedding.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Embedding, "__init__", counting)
+    check_ap(ClassKind.BJ, 4, 1)
+    c, a = make_algebra([0, 0, OUT], 1), make_algebra([0, OUT], 1)
+    ramsey._arrows.cache_clear()
+    text = format_io(arrows(c, c, a, 2))
+    assert '"verdict": "fails"' in text and text.count('"embedding"') == 3
+    assert built == []
+    copies = enumerate_embeddings(a, c, "ordered")
+    assert len(copies) == 3 and built == copies
+    base = make_algebra([OUT], 1)
+    [f] = enumerate_embeddings(base, a, "ordered")
+    result = amalgamate(ClassKind.BJ, base, a, a, f, f)
+    assert built[-2:] == [result.r, result.s]

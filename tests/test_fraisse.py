@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from ramsey_ba import (
+    AmalgamationFailed,
     ClassKind,
     Embedding,
     NotAnEmbedding,
@@ -274,3 +275,75 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
     got = [(v["a"], v["b"], v["c"], v["f"], v["g"]) for v in report["violations"]]
     assert got == expected
     assert (len(got), report["instances"]) == (53, 100)
+
+
+def _shifted(side: tuple, k: int) -> tuple:
+    """The _side data with every block of its block map moved up one, mod k."""
+    host, block_of, *keys = side
+    return (host, tuple((i + 1) % k for i in block_of), *keys)
+
+
+def _doubled(side: tuple) -> tuple:
+    """The _side data with its first loose atom listed twice on the C side."""
+    *data, loose_c = side
+    return (*data, sorted(loose_c + loose_c[:1]))
+
+
+FREE = {n: make_algebra([OUT] * n, 0) for n in (1, 2, 3)}
+POSTCONDITION_FAULTS = {
+    # r is checked first; the shifted B map sends a C atom to no B atom
+    "r": (
+        ClassKind.BJ, FREE[2],
+        _shifted(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
+        fraisse._side((0, 1, 1), FREE[2], FREE[3]),
+        NotAnEmbedding, "nonexistent small atom",
+    ),
+    # r is sound here, s is not
+    "s": (
+        ClassKind.BJ, FREE[2],
+        _shifted(fraisse._side((0, 1, 1), FREE[2], FREE[3]), 2),
+        fraisse._side((0, 1), FREE[2], FREE[2]),
+        NotAnEmbedding, "nonexistent small atom",
+    ),
+    # r and s are embeddings onto an amalgam with one atom too many
+    "atom count": (
+        ClassKind.BJ, FREE[1],
+        fraisse._side((0,), FREE[1], FREE[1]),
+        _doubled(fraisse._side((0, 0), FREE[1], FREE[2])),
+        AmalgamationFailed, "wrong atom count",
+    ),
+    # r and s are embeddings, but r after f and s after g swap the A-atoms
+    "commute": (
+        ClassKind.BJ, FREE[2],
+        _shifted(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
+        fraisse._side((0, 1), FREE[2], FREE[2]),
+        AmalgamationFailed, "does not commute",
+    ),
+    # two-outside-atom sides amalgamated as if they were in BU
+    "class": (
+        ClassKind.BU, make_algebra([OUT], 1),
+        fraisse._side((0, 0), make_algebra([OUT], 1), make_algebra([OUT, OUT], 1)),
+        fraisse._side((0, 0), make_algebra([OUT], 1), make_algebra([OUT, OUT], 1)),
+        AmalgamationFailed, "left the class bu",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(POSTCONDITION_FAULTS))
+def test_amalgamation_postconditions_refuse_wrong_constructions(fault):
+    kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
+    with pytest.raises(refusal, match=detail):
+        fraisse._amalgamate_sides(kind, a, side_b, side_c)
+
+
+def test_ap_suite_checks_each_copy(monkeypatch):
+    # a copy one entry longer than its host: only the per-copy check sees it,
+    # since r and s always have one entry per amalgam atom
+    real = fraisse._ordered_block_maps
+    monkeypatch.setattr(
+        fraisse,
+        "_ordered_block_maps",
+        lambda a, host: [*real(a, host), (0,) * (host.n_atoms + 1)],
+    )
+    with pytest.raises(NotAnEmbedding, match="block map has 2 entries for 1 atoms"):
+        check_ap(ClassKind.BJ, 2, 0, workers=1)

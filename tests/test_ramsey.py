@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -15,6 +17,7 @@ from ramsey_ba import (
     NotAnEmbedding,
     NotInClass,
     OUT,
+    VerificationFailed,
     arrows,
     class_membership,
     construct_witness,
@@ -38,7 +41,8 @@ from ramsey_ba.ramsey import (
     _copy_edges,
     _search_bad_coloring,
 )
-from .oracles import brute_arrows, reference_search_bad_coloring
+from ramsey_ba.serialize import format_io
+from .oracles import brute_arrows, reference_recheck_bad_coloring, reference_search_bad_coloring
 
 
 def test_single_copy_always_holds():
@@ -57,9 +61,15 @@ def test_failing_example_with_certificate():
     assert cert.verdict == "fails" and not cert.vacuous
     assert cert.stats.a_copies == 3 and cert.stats.b_copies == 1
     assert cert.stats.nodes == 3
-    entries = cert.bad_coloring.entries
-    assert [e.block_of for e, _ in entries] == [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
-    assert [col for _, col in entries] == [0, 0, 1]
+    copies = enumerate_embeddings(a, c, "ordered")
+    assert [e.block_of for e in copies] == [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
+    assert cert.bad_coloring.colors == (0, 0, 1)
+    # the writer pairs each copy's block map with its color, in that order
+    assert json.loads(format_io(cert.bad_coloring)) == [
+        {"color": 0, "embedding": [0, 0, 1]},
+        {"color": 0, "embedding": [0, 1, 1]},
+        {"color": 1, "embedding": [1, 0, 1]},
+    ]
     assert recheck_bad_coloring(c, c, a, 2, cert.bad_coloring)
 
 
@@ -70,7 +80,7 @@ def test_vacuous_failure_flagged():
     cert = arrows(c, b, a, 2)
     assert cert.verdict == "fails" and cert.vacuous
     assert cert.stats.b_copies == 0
-    assert [col for _, col in cert.bad_coloring.entries] == [0]
+    assert cert.bad_coloring.colors == (0,)
 
 
 def test_arrows_input_errors():
@@ -112,6 +122,7 @@ def test_arrows_matches_brute_force():
 def test_search_matches_reference_search():
     # every (C, B, A) with C <= 6 atoms, B <= 4 atoms, t <= 2, A in B in C
     instances = 0
+    verdicts = Counter()  # (genuine certificate?, recheck verdict)
     for t in (0, 1, 2):
         algebras = list(enumerate_algebras(6, t))
         for c, b in product(algebras, algebras):
@@ -124,22 +135,37 @@ def test_search_matches_reference_search():
                     continue
                 copies_a = enumerate_embeddings(a, c, "ordered")
                 index = {e: i for i, e in enumerate(copies_a)}
-                edges = _copy_edges(copies_a, copies_b, inner)
+                maps = [[e.block_of for e in es] for es in (copies_a, copies_b, inner)]
+                edges = _copy_edges(*maps)
                 assert edges == [
                     tuple(sorted(index[compose(outer, h)] for h in inner))
                     for outer in copies_b
                 ]
                 for k in (2, 3, 4):
                     instances += 1
-                    assert _search_bad_coloring(
-                        len(copies_a), edges, k
-                    ) == reference_search_bad_coloring(len(copies_a), edges, k), (
+                    found = _search_bad_coloring(len(copies_a), edges, k)
+                    assert found == reference_search_bad_coloring(len(copies_a), edges, k), (
                         signature_json(c),
                         signature_json(b),
                         signature_json(a),
                         k,
                     )
+                    if found[0] is None:
+                        continue
+                    # the tuple recheck agrees with the Embedding-level one on
+                    # the certificate and on it with one color changed
+                    colors = tuple(found[0])
+                    v = instances % len(colors)
+                    changed = colors[:v] + ((colors[v] + 1) % k,) + colors[v + 1:]
+                    for tried in (colors, changed):
+                        coloring = Coloring(a, c, tried)
+                        verdict = recheck_bad_coloring(c, b, a, k, coloring)
+                        assert verdict == reference_recheck_bad_coloring(c, b, a, k, coloring)
+                        verdicts[tried is colors, verdict] += 1
     assert instances == 5904
+    # every certificate passes, and changing one color sometimes breaks it
+    assert verdicts[True, False] == 0
+    assert verdicts[False, True] > 0 and verdicts[False, False] > 0
 
 
 def test_deep_search_has_no_recursion_limit():
@@ -173,8 +199,37 @@ def test_recheck_rejects_tampered_colorings():
     other = make_algebra([0, 0, OUT, OUT], 1)
     assert len(enumerate_embeddings(a, other, "ordered")) == 3
     assert not recheck_bad_coloring(c, c, a, 2, Coloring(a, other, genuine.colors))
-    with pytest.raises(ValueError):
-        Coloring(a, c, (0, 0)).entries
+    with pytest.raises(ValueError):  # the writer pairs copies and colors strictly
+        format_io(Coloring(a, c, (0, 0)))
+
+
+def test_recheck_refuses_a_b_of_another_chain_length():
+    c = make_algebra([0, 0, OUT], 1)
+    a = make_algebra([0, OUT], 1)
+    coloring = arrows(c, c, a, 2).bad_coloring
+    with pytest.raises(ChainMismatch):
+        recheck_bad_coloring(c, make_algebra([0, 0, OUT], 2), a, 2, coloring)
+
+
+def test_search_coloring_is_rechecked(monkeypatch):
+    # a search that closes its first edge monochromatic must not be trusted
+    real = ramsey._search_bad_coloring
+
+    def one_edge_monochromatic(n_vertices, edges, k):
+        assignment, nodes = real(n_vertices, edges, k)
+        for v in edges[0]:
+            assignment[v] = assignment[edges[0][0]]
+        return assignment, nodes
+
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (5, 3, 2))
+    _arrows.cache_clear()
+    assert arrows(c, b, a, 2).verdict == "fails"
+    _arrows.cache_clear()
+    monkeypatch.setattr(ramsey, "_search_bad_coloring", one_edge_monochromatic)
+    with pytest.raises(VerificationFailed) as refused:
+        arrows(c, b, a, 2)
+    rejected = refused.value.certificate.bad_coloring
+    assert not recheck_bad_coloring(c, b, a, 2, rejected)
 
 
 def test_failing_certificate_holds_its_colors_not_its_copies():
@@ -363,19 +418,19 @@ def test_oracle_certificate_counts_the_b_copies():
 def test_witness_enumerates_the_base_copies_once(monkeypatch):
     a = make_algebra([0, OUT], 1)
     b = make_algebra([0, 0, OUT], 1)
-    real = ramsey.enumerate_embeddings
+    real = ramsey._ordered_block_maps
     calls = []
 
-    def spy(small, big, mode="plain"):
-        calls.append((small, big, mode, sys._getframe(1).f_code.co_name))
-        return real(small, big, mode=mode)
+    def spy(small, big):
+        calls.append((small, big, sys._getframe(1).f_code.co_name))
+        return real(small, big)
 
     _arrows.cache_clear()
-    monkeypatch.setattr(ramsey, "enumerate_embeddings", spy)
+    monkeypatch.setattr(ramsey, "_ordered_block_maps", spy)
     construct_witness(ClassKind.BU, a, b, 2, 8)
     monkeypatch.undo()
     c0 = dual_ramsey_oracle(reduct(a), reduct(b), 2, 8)
-    base_copies = [call for call in calls if call[:3] == (reduct(b), c0, "ordered")]
+    base_copies = [call for call in calls if call[:2] == (reduct(b), c0)]
     assert [caller for *_, caller in base_copies] == ["_arrows"]
 
 
@@ -383,15 +438,24 @@ def test_witness_input_check_enumerates_no_copies(monkeypatch):
     # whether A embeds into B is an existence question: one ordered block map settles it
     a = make_algebra([0, OUT], 1)
     b = make_algebra([0, 0, OUT], 1)
-    real = ramsey.enumerate_embeddings
-    callers = []
+    real = ramsey._ordered_block_maps
+    drawn = []  # per call: its caller and the block maps it took
 
-    def spy(small, big, mode="plain"):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(small, big, mode=mode)
+    def spy(small, big):
+        record = [sys._getframe(1).f_code.co_name, 0]
+        drawn.append(record)
+
+        def counted():
+            for block_of in real(small, big):
+                record[1] += 1
+                yield block_of
+
+        return counted()
 
     _arrows.cache_clear()
-    monkeypatch.setattr(ramsey, "enumerate_embeddings", spy)
+    monkeypatch.setattr(ramsey, "_ordered_block_maps", spy)
     construct_witness(ClassKind.BU, a, b, 2, 8)
     min_witness(ClassKind.BU, a, b, 2, 8)
-    assert callers and "_check_witness_inputs" not in callers
+    checks = [taken for caller, taken in drawn if caller == "_check_witness_inputs"]
+    assert checks and max(checks) == 1
+    assert any(caller == "_arrows" and taken > 1 for caller, taken in drawn)
