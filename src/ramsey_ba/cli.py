@@ -19,10 +19,11 @@ import sys
 import traceback
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from typing import get_args
 
 from .chains import chains_extending
 from .core import ClassKind, _require_same_chain, class_membership
-from .embed import _ordered_block_maps, enumerate_embeddings
+from .embed import Mode, _ordered_block_maps, enumerate_embeddings
 from .errors import (
     AmalgamationFailed,
     BoundExceeded,
@@ -199,6 +200,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             raise ValueError("max_a_atoms must be at least 1")
         if config.suite not in SUITES:
             raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {config.suite!r}")
+        if config.mode not in get_args(Mode):
+            raise ValueError(f"mode must be one of {', '.join(get_args(Mode))}, got {config.mode!r}")
         if config.workers < 1:
             raise ValueError(f"worker count must be at least 1, got {config.workers}")
         code = handler(config, report)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _kind_argument(p)
 
     p = _subcommand(sub, "copies", "enumerate embeddings", "small", "big")
-    p.add_argument("--mode", choices=["plain", "ordered"], default="ordered")
+    p.add_argument("--mode", choices=get_args(Mode), default="ordered")
 
     p = _subcommand(sub, "arrow", "decide an arrow relation", "c", "b", "a")
     p.add_argument("-k", type=int, default=2)

@@ -18,9 +18,11 @@ block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks each copy of
-A once and reuses each copy's merge keys for every pair.  Copies travel as
-bare block maps, the square commutes by index arithmetic, and only amalgamate
-wraps its result into Embedding records.
+A once and reuses each copy's merge keys for every pair.  Within a shard it
+builds each amalgam D once per level tuple and checks D's class membership
+once per tuple, a function of the levels; every other postcondition runs on
+every pair.  Copies travel as bare block maps, the square commutes by index
+arithmetic, and only amalgamate wraps its result into Embedding records.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
@@ -111,47 +113,58 @@ def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) ->
     return host, block_of, maxima, keys_b, loose_c
 
 
-def _amalgamate_sides(kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple) -> tuple:
+def _amalgamate_sides(
+    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple, amalgams: dict | None = None
+) -> tuple:
     """Amalgamate two checked copies of A, given as _side data, into
-    (d, r's block map, s's block map, the identified atom pairs)."""
+    (d, r's block map, s's block map, the identified atom pairs).
+
+    amalgams interns D by its level tuple, with D's class membership, within
+    one suite shard (one kind and chain length).  Membership is a function of
+    the levels, so checking it once per tuple is the same check; a failure is
+    still raised on every pair whose amalgam has that tuple.  r and s are
+    checked on every pair.
+    """
     b, f, f_max, keys_b, _ = side_b
     c, g, g_max, _, loose_c = side_c
-
-    # order[pos] = (B atom, C atom), -1 on the side an atom is not from
     keys = sorted(keys_b + loose_c)
-    order = [
-        (x, -1) if tag == 0 else (-1, x) if tag == 1 else (x, g_max[j])
-        for j, _, tag, x in keys
-    ]
+    if amalgams is None:
+        amalgams = {}
+    levels = tuple([key[1] for key in keys])
+    if levels not in amalgams:
+        d = make_algebra(levels, a.chain_length)
+        amalgams[levels] = d, class_membership(d, kind)
+    d, member = amalgams[levels]
 
     # Absorption: image atoms anchor their own positions; a loose atom joins
     # the nearest later image atom of the other side in the same A-block,
-    # which a right-to-left pass holds in near_b and near_c.
-    n = len(order)
-    d = make_algebra([level for _, level, _, _ in keys], a.chain_length)
+    # which a right-to-left pass over the keys holds in near_b and near_c.
+    n = len(keys)
     r_block = [0] * n
     s_block = [0] * n
-    near_b = [-1] * a.n_atoms
-    near_c = [-1] * a.n_atoms
+    near_b = [-1] * len(a.levels)
+    near_c = [-1] * len(a.levels)
     for pos in range(n - 1, -1, -1):
-        x, y = order[pos]
-        if x >= 0:
+        j, _, tag, x = keys[pos]
+        if tag == 0:  # loose in B
             r_block[pos] = near_b[f[x]] = x
-        else:
-            r_block[pos] = near_b[g[y]]
-        if y >= 0:
-            s_block[pos] = near_c[g[y]] = y
-        else:
             s_block[pos] = near_c[f[x]]
+        elif tag == 1:  # loose in C
+            r_block[pos] = near_b[g[x]]
+            s_block[pos] = near_c[g[x]] = x
+        else:  # B's block maximum j, identified with C's
+            y = g_max[j]
+            r_block[pos] = near_b[f[x]] = x
+            s_block[pos] = near_c[g[y]] = y
 
     # postconditions, never trusted
     _check_block_map(r_block, b, d, True)
     _check_block_map(s_block, c, d, True)
-    if d.n_atoms != b.n_atoms + c.n_atoms - a.n_atoms:
+    if len(d.levels) != len(b.levels) + len(c.levels) - len(a.levels):
         raise AmalgamationFailed("amalgam has the wrong atom count")
-    if any(f[x] != g[y] for x, y in zip(r_block, s_block)):
+    if [f[x] for x in r_block] != [g[y] for y in s_block]:
         raise AmalgamationFailed("amalgamation square does not commute")
-    if not class_membership(d, kind):
+    if not member:
         raise AmalgamationFailed(f"amalgam left the class {kind.value}")
     return d, tuple(r_block), tuple(s_block), tuple(zip(f_max, g_max))
 
@@ -222,9 +235,10 @@ def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[di
             _check_block_map(block_of, a, host, True)
             sides.append(_side(block_of, a, host))
     violations: list[dict] = []
+    amalgams: dict = {}  # level tuple -> (D, D in the class), for this shard only
     for side_b, side_c in itertools.product(sides, repeat=2):
         try:
-            _amalgamate_sides(kind, a, side_b, side_c)
+            _amalgamate_sides(kind, a, side_b, side_c, amalgams)
         except AmalgamationFailed as failure:
             violations.append(
                 {

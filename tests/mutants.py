@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 FRAISSE = "src/ramsey_ba/fraisse.py"
 RAMSEY = "src/ramsey_ba/ramsey.py"
+CHAINS = "src/ramsey_ba/chains.py"
 
 # (name, file, deleted text, test files that must kill it)
 MUTANTS = [
@@ -46,21 +47,21 @@ MUTANTS = [
     (
         "amalgam: atom count",
         FRAISSE,
-        "    if d.n_atoms != b.n_atoms + c.n_atoms - a.n_atoms:\n"
+        "    if len(d.levels) != len(b.levels) + len(c.levels) - len(a.levels):\n"
         '        raise AmalgamationFailed("amalgam has the wrong atom count")\n',
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: the square commutes",
         FRAISSE,
-        "    if any(f[x] != g[y] for x, y in zip(r_block, s_block)):\n"
+        "    if [f[x] for x in r_block] != [g[y] for y in s_block]:\n"
         '        raise AmalgamationFailed("amalgamation square does not commute")\n',
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: D stays in the class",
         FRAISSE,
-        "    if not class_membership(d, kind):\n"
+        "    if not member:\n"
         '        raise AmalgamationFailed(f"amalgam left the class {kind.value}")\n',
         ["tests/test_fraisse.py"],
     ),
@@ -85,6 +86,33 @@ MUTANTS = [
         RAMSEY,
         "    _require_same_chain(a, b)\n",
         ["tests/test_ramsey.py"],
+    ),
+    (
+        "witness: C stays in the class",
+        RAMSEY,
+        "    if not class_membership(c, kind):\n"
+        "        raise VerificationFailed(\n"
+        '            f"constructed witness {signature_json(c)} left the class {kind.value}",\n'
+        "            certificate=certificate,\n"
+        "        )\n",
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "witness: the final certificate holds",
+        RAMSEY,
+        '    if certificate.verdict != "holds":\n'
+        "        raise VerificationFailed(\n"
+        '            f"constructed witness {signature_json(c)} fails its arrow check",\n'
+        "            certificate=certificate,\n"
+        "        )\n",
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "chains: each chain passes through every upper set",
+        CHAINS,
+        # the appended chain moves up into the loop body
+        "if all(frozenset(seq[:k]) == e for k, e in family):\n            ",
+        ["tests/test_chains.py"],
     ),
 ]
 

@@ -182,6 +182,18 @@ def test_chains_extending_draws_output_proportional_permutations(monkeypatch):
     assert drawn <= algebra.n_atoms * len(extending)
 
 
+def test_chains_extending_tests_each_chain_against_the_upper_sets(monkeypatch):
+    # with every atom in one run the product draws all n! addition
+    # sequences, and the per-chain test alone must leave the extending ones
+    monkeypatch.setattr(chains, "level_blocks", lambda algebra: [tuple(algebra.atoms)])
+    for t in (0, 1, 2):
+        for a in enumerate_algebras(5, t):
+            extending, report = chains_extending(a)
+            brute_sets, brute_report = brute_chains_extending(a)
+            assert [chain.sets for chain in extending] == brute_sets
+            assert report == brute_report
+
+
 def test_chain_stores_its_additions():
     chain = make_chain([set(), {2}, {0, 2}, {0, 1, 2}])
     assert chain.additions == (2, 0, 1)

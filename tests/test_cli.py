@@ -513,6 +513,26 @@ def test_worker_count_is_checked_where_no_flag_sets_it(algebras):
     }
 
 
+@pytest.mark.parametrize("name", INPUT_ROLES)
+def test_unknown_mode_is_refused_on_every_subcommand(name, minimal_argv):
+    # only copies reads the mode, but a RunConfig built in code is checked in full
+    config = config_from_args(build_parser().parse_args(minimal_argv[name]))
+    code, text = run(dataclasses.replace(config, mode="bogus"))
+    assert code == 2
+    assert json.loads(text) == {
+        "error": {"type": "ValueError", "detail": "mode must be one of plain, ordered, got 'bogus'"}
+    }
+
+
+def test_unknown_mode_is_refused_before_copies_are_counted(tmp_path):
+    # 2^17 - 1 ordered copies of two level-free atoms in 18, past the copies limit
+    small = write(tmp_path, "small.json", {"chain_length": 0, "levels": ["out"] * 2})
+    big = write(tmp_path, "big.json", {"chain_length": 0, "levels": ["out"] * 18})
+    code, text = run(RunConfig("copies", {"small": small, "big": big}, mode="bogus"))
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "ValueError"
+
+
 def test_ap_bases_never_exceed_the_hosts():
     # a base with more atoms than every host has no copy, so the sweep skips it
     reports = [

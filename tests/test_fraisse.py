@@ -212,17 +212,18 @@ def ap_instances(kind, max_atoms, t):
                         yield kind, a, b, c, f, g
 
 
-@pytest.mark.parametrize(
-    "suites, expected",
-    [
-        (
-            [(kind, 4, t) for kind in (ClassKind.BJ, ClassKind.BJU) for t in (0, 1, 2)]
-            + [(ClassKind.BU, 4, 1)],
-            6881,
-        ),
-        ([(ClassKind.BJ, 5, 1)], 15856),
-    ],
-)
+# the check_ap suites of the differential tests, with their instance counts
+REFERENCE_SUITES = [
+    (
+        [(kind, 4, t) for kind in (ClassKind.BJ, ClassKind.BJU) for t in (0, 1, 2)]
+        + [(ClassKind.BU, 4, 1)],
+        6881,
+    ),
+    ([(ClassKind.BJ, 5, 1)], 15856),
+]
+
+
+@pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
 def test_amalgamate_matches_reference(suites, expected):
     instances = reported = 0
     for suite in suites:
@@ -235,6 +236,48 @@ def test_amalgamate_matches_reference(suites, expected):
             d, r, s, identified = reference_amalgamate(a, b, c, f, g)
             assert (res.d, res.r, res.s, res.identified) == (d, r, s, identified)
     assert instances == reported == expected
+
+
+@pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
+def test_interned_amalgams_match_reference(suites, expected):
+    # the suite's path: _side data and one interning dict shared by every
+    # pair of a suite, as a shard shares one over its pairs
+    instances = 0
+    for suite in suites:
+        amalgams: dict = {}
+        for kind, a, b, c, f, g in ap_instances(*suite):
+            instances += 1
+            sides = fraisse._side(f.block_of, a, b), fraisse._side(g.block_of, a, c)
+            got = fraisse._amalgamate_sides(kind, a, *sides, amalgams)
+            d, r, s, identified = reference_amalgamate(a, b, c, f, g)
+            assert got == (d, r.block_of, s.block_of, identified)
+        assert len(amalgams) < instances
+    assert instances == expected
+
+
+def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
+    # D's levels are B's levels and C's loose ones, sorted; make_algebra
+    # runs once per distinct such tuple within each base's shard
+    built = []
+    real = fraisse.make_algebra
+    monkeypatch.setattr(
+        fraisse, "make_algebra", lambda levels, t: built.append(tuple(levels)) or real(levels, t)
+    )
+    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
+    expected = []
+    for a in enumerate_algebras(5, 1, ClassKind.BJ):
+        copies = [
+            f for host in enumerate_algebras(5, 1, ClassKind.BJ)
+            for f in enumerate_embeddings(a, host, "ordered")
+        ]
+        tuples = set()
+        for f, g in product(copies, repeat=2):
+            maxima = {max(block) for block in g.blocks()}
+            loose = [level for x, level in enumerate(g.big.levels) if x not in maxima]
+            tuples.add(tuple(sorted(f.big.levels + tuple(loose))))
+        expected += sorted(tuples)
+    assert sorted(built) == sorted(expected)
+    assert len(built) == len(expected) < report["instances"] == 15856
 
 
 def test_check_ap_long_chain_within_budget():

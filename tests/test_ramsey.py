@@ -380,6 +380,28 @@ def test_witness_input_errors():
         construct_witness(ClassKind.BU, a, b, 2, 4)
 
 
+def test_witness_outside_the_class_is_refused(monkeypatch):
+    # the genuine BU witness plus a second outside atom: the arrow still
+    # holds, so only the class check can refuse it
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    outside = make_algebra([0] * 6 + [OUT, OUT], 1)
+    monkeypatch.setattr(ramsey, "_assemble_witness", lambda a, b, k, max_atoms: outside)
+    with pytest.raises(VerificationFailed, match="left the class bu") as refused:
+        construct_witness(ClassKind.BU, a, b, 2, 8)
+    assert refused.value.certificate.verdict == "holds"
+
+
+def test_witness_whose_arrow_fails_is_refused(monkeypatch):
+    # B itself is in the class, but 2 colors split its 3 copies of A
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    monkeypatch.setattr(ramsey, "_assemble_witness", lambda a, b, k, max_atoms: b)
+    with pytest.raises(VerificationFailed, match="fails its arrow check") as refused:
+        construct_witness(ClassKind.BU, a, b, 2, 8)
+    assert refused.value.certificate.verdict == "fails"
+
+
 def test_min_witness_examples():
     a = make_algebra([0, OUT], 1)
     b = make_algebra([0, 0, OUT], 1)
