@@ -191,8 +191,7 @@ def circ(x: LabeledAlgebra, y: LabeledAlgebra) -> LabeledAlgebra:
     """Absorb y into the top of x: keep the first n-m levels of x, then y's.
 
     Defined for n >= m with every level of x strictly below every level of y.
-    With n = m the result is just y's signature; the witness recursion needs
-    that degenerate case.
+    With n = m the result is just y's signature.
     """
     _require_same_chain(x, y)
     n, m = x.n_atoms, y.n_atoms

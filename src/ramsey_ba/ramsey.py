@@ -17,9 +17,11 @@ increasing order), so certificates and node counts are deterministic.  The
 depth-first search keeps an explicit stack of frames and undoes a color
 from its trail, so depth is not bounded by Python's recursion limit.
 Uncolored vertices sit in one bitmask per saturation level, so choosing the
-next vertex takes the lowest bit of the highest non-empty level; each edge
-tracks its unassigned count and id-sum, so its last unassigned vertex is
-read off directly.
+next vertex takes the lowest bit of the highest non-empty level.  An edge is
+the bitmask of its vertices; one bitmask per color and one of all colored
+vertices tell whether an edge can still close monochromatic and which of its
+vertices is last uncolored, so no edge keeps state, and neither the order of
+the edges, nor the order within one, nor a repeated edge changes the search.
 
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, solve the level-free problem by brute-force ascent, solve
@@ -94,11 +96,13 @@ def _search_bad_coloring(
     # exact: a color no colored vertex uses lies below the vertex count and
     # always completes, so no color at or above the vertex count is tried
     k = min(k, n_vertices)
-    edges = sorted(set(edges))
+    bits = [1 << v for v in range(n_vertices)]
+    # an edge is the bitmask of its vertices, listed at each of them
     touching: list[list[int]] = [[] for _ in range(n_vertices)]
-    for ei, edge in enumerate(edges):
+    for edge in set(edges):
+        mask = sum(map(bits.__getitem__, edge))
         for v in edge:
-            touching[v].append(ei)
+            touching[v].append(mask)
 
     color = [-1] * n_vertices
     forbid = [0] * n_vertices
@@ -106,18 +110,11 @@ def _search_bad_coloring(
     # uncolored vertices per saturation, as bitmasks; level k means a dead end
     buckets = [0] * (k + 1)
     buckets[0] = (1 << n_vertices) - 1
-    # per edge while its assigned vertices share one color: that color, the
-    # count of unassigned vertices and their id-sum, which names the last one
-    e_size = [len(edge) for edge in edges]
-    e_free = list(e_size)
-    e_sum = [sum(edge) for edge in edges]
-    e_color = [-1] * len(edges)
-    e_open = [True] * len(edges)
-    # undo trails: edges a vertex was counted on, edges it closed, vertices
-    # it forbade its color to; a frame holds its vertex, next color, color
-    # limit and the three trail lengths from before its vertex was colored
-    counted: list[int] = []
-    closed: list[int] = []
+    # the vertices of each color, and all colored vertices, as bitmasks
+    in_color = [0] * k
+    colored = 0
+    # undo trail: vertices a coloring forbade its color to; a frame holds its
+    # vertex, next color, color limit and the trail length before its color
     forbidden: list[int] = []
     nodes = 0
 
@@ -134,79 +131,74 @@ def _search_bad_coloring(
     v = select()
     if v < 0:
         return color, nodes
-    stack = [[v, 0, 1, 0, 0, 0]]  # color names are symmetric; pin the first vertex
+    stack = [[v, 0, 1, 0]]  # color names are symmetric; pin the first vertex
     while stack:
         frame = stack[-1]
-        v, col, limit, c_mark, x_mark, f_mark = frame
+        v, col, limit, mark = frame
         if color[v] >= 0:
-            for ei in counted[c_mark:]:
-                e_free[ei] += 1
-                e_sum[ei] += v
-            del counted[c_mark:]
-            for ei in closed[x_mark:]:
-                e_open[ei] = True
-            del closed[x_mark:]
+            in_color[color[v]] ^= bits[v]
+            colored ^= bits[v]
             bit = 1 << color[v]
-            for u in forbidden[f_mark:]:
+            for u in forbidden[mark:]:
                 forbid[u] ^= bit
                 level = saturation[u]
                 saturation[u] = level - 1
-                buckets[level] ^= 1 << u
-                buckets[level - 1] |= 1 << u
-            del forbidden[f_mark:]
+                buckets[level] ^= bits[u]
+                buckets[level - 1] |= bits[u]
+            del forbidden[mark:]
             color[v] = -1
         while col < limit and forbid[v] >> col & 1:
             col += 1
         if col == limit:
             stack.pop()
-            buckets[saturation[v]] |= 1 << v
+            buckets[saturation[v]] |= bits[v]
             continue
         frame[1] = col + 1
         nodes += 1
         color[v] = col
+        in_color[col] |= bits[v]
+        colored |= bits[v]
+        # an edge meeting another color never closes; otherwise its
+        # uncolored rest is empty (monochromatic) or names its last vertex
+        other = colored ^ in_color[col]
+        uncolored = ~colored
         bit = 1 << col
-        for ei in touching[v]:
-            if not e_open[ei]:
+        for mask in touching[v]:
+            if mask & other:
                 continue
-            if e_color[ei] != col and e_free[ei] != e_size[ei]:
-                e_open[ei] = False
-                closed.append(ei)
-                continue
-            e_color[ei] = col
-            e_free[ei] -= 1
-            e_sum[ei] -= v
-            counted.append(ei)
-            if e_free[ei] == 0:
+            rest = mask & uncolored
+            if not rest:
                 break  # monochromatic
-            if e_free[ei] == 1:
-                u = e_sum[ei]
-                if not forbid[u] & bit:
-                    forbid[u] |= bit
-                    level = saturation[u]
-                    saturation[u] = level + 1
-                    buckets[level] ^= 1 << u
-                    buckets[level + 1] |= 1 << u
-                    forbidden.append(u)
-                    if level + 1 == k:
-                        break  # u has no color left
+            if rest & (rest - 1):
+                continue
+            u = rest.bit_length() - 1
+            if not forbid[u] & bit:
+                forbid[u] |= bit
+                level = saturation[u]
+                saturation[u] = level + 1
+                buckets[level] ^= rest
+                buckets[level + 1] |= rest
+                forbidden.append(u)
+                if level + 1 == k:
+                    break  # u has no color left
         else:
             u = select()
             if u < 0:
                 return color, nodes
-            stack.append([u, 0, k, len(counted), len(closed), len(forbidden)])
+            stack.append([u, 0, k, len(forbidden)])
     return None, nodes
 
 
 def _copy_edges(
     copies_a: list[tuple], copies_b: list[tuple], inner: list[tuple]
 ) -> list[tuple[int, ...]]:
-    """Per B-copy, the sorted indices of the A-copies inside it.
+    """Per B-copy, the indices of the A-copies inside it.
 
     The composite of outer and h maps C-atom x to h[outer[x]].
     """
     index = {block_of: i for i, block_of in enumerate(copies_a)}
     return [
-        tuple(sorted(index[tuple(map(h.__getitem__, outer))] for h in inner))
+        tuple([index[tuple(map(h.__getitem__, outer))] for h in inner])
         for outer in copies_b
     ]
 
@@ -221,7 +213,10 @@ def recheck_bad_coloring(
     copies_a = sorted(_ordered_block_maps(a, c))
     if len(coloring.colors) != len(copies_a):
         return False
-    if any(not (isinstance(col, int) and 0 <= col < k) for col in coloring.colors):
+    if any(
+        not (isinstance(col, int) and not isinstance(col, bool) and 0 <= col < k)
+        for col in coloring.colors
+    ):
         return False
     _require_same_chain(a, b)
     assigned = dict(zip(copies_a, coloring.colors))

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FRAISSE = "src/ramsey_ba/fraisse.py"
 RAMSEY = "src/ramsey_ba/ramsey.py"
 CHAINS = "src/ramsey_ba/chains.py"
+EMBED = "src/ramsey_ba/embed.py"
 
 # (name, file, deleted text, test files that must kill it)
 MUTANTS = [
@@ -88,6 +89,23 @@ MUTANTS = [
         ["tests/test_ramsey.py"],
     ),
     (
+        "recheck: every color is an int in range",
+        RAMSEY,
+        "    if any(\n"
+        "        not (isinstance(col, int) and not isinstance(col, bool) and 0 <= col < k)\n"
+        "        for col in coloring.colors\n"
+        "    ):\n"
+        "        return False\n",
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "recheck: no B-copy is monochromatic",
+        RAMSEY,
+        "        if len(seen) <= 1:\n"
+        "            return False\n",
+        ["tests/test_ramsey.py"],
+    ),
+    (
         "witness: C stays in the class",
         RAMSEY,
         "    if not class_membership(c, kind):\n"
@@ -106,6 +124,13 @@ MUTANTS = [
         "            certificate=certificate,\n"
         "        )\n",
         ["tests/test_ramsey.py"],
+    ),
+    (
+        "block map: an ordered map has increasing maxima",
+        EMBED,
+        "    if ordered and maxima != sorted(maxima):\n"
+        '        raise NotAnEmbedding("block maxima not increasing for an ordered embedding")\n',
+        ["tests/test_embed.py"],
     ),
     (
         "chains: each chain passes through every upper set",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -33,7 +34,7 @@ from ramsey_ba import (
     star,
 )
 from ramsey_ba import ramsey
-from ramsey_ba.embed import Embedding, compose
+from ramsey_ba.embed import Embedding, _ordered_block_maps, compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
     Coloring,
@@ -137,8 +138,8 @@ def test_search_matches_reference_search():
                 index = {e: i for i, e in enumerate(copies_a)}
                 maps = [[e.block_of for e in es] for es in (copies_a, copies_b, inner)]
                 edges = _copy_edges(*maps)
-                assert edges == [
-                    tuple(sorted(index[compose(outer, h)] for h in inner))
+                assert [sorted(edge) for edge in edges] == [
+                    sorted(index[compose(outer, h)] for h in inner)
                     for outer in copies_b
                 ]
                 for k in (2, 3, 4):
@@ -168,6 +169,41 @@ def test_search_matches_reference_search():
     assert verdicts[False, True] > 0 and verdicts[False, False] > 0
 
 
+def test_search_does_not_depend_on_edge_order():
+    # the instances of test_search_matches_reference_search, plus level-free
+    # A2 -> B3 in C7 at k = 3: shuffling the edges, permuting each edge and
+    # repeating some edges keep the certificate and the node count
+    rng = random.Random(18)
+
+    def scrambled(edges):
+        out = [tuple(rng.sample(edge, len(edge))) for edge in edges]
+        out += rng.sample(out, len(out) // 3)
+        rng.shuffle(out)
+        return out
+
+    instances = []
+    for t in (0, 1, 2):
+        algebras = list(enumerate_algebras(6, t))
+        for c, b in product(algebras, algebras):
+            copies_b = sorted(_ordered_block_maps(b, c)) if b.n_atoms <= 4 else []
+            if not copies_b:
+                continue
+            for a in algebras:
+                inner = sorted(_ordered_block_maps(a, b))
+                if inner:
+                    copies_a = sorted(_ordered_block_maps(a, c))
+                    edges = _copy_edges(copies_a, copies_b, inner)
+                    instances += [(len(copies_a), edges, k) for k in (2, 3, 4)]
+    assert len(instances) == 5904
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (7, 3, 2))
+    maps = [sorted(_ordered_block_maps(x, y)) for x, y in ((a, c), (b, c), (a, b))]
+    instances.append((len(maps[0]), _copy_edges(*maps), 3))
+    for n_vertices, edges, k in instances:
+        found = _search_bad_coloring(n_vertices, edges, k)
+        assert _search_bad_coloring(n_vertices, scrambled(edges), k) == found
+    assert found[1] == 12463
+
+
 def test_deep_search_has_no_recursion_limit():
     # 1,023 A-copies colored one per stack frame: deeper than the recursion limit
     c = make_algebra([0] * 10 + [OUT], 1)
@@ -190,6 +226,7 @@ def test_recheck_rejects_tampered_colorings():
         (0, 0, 2),  # a color equal to k
         (0, 0, -1),
         (0, 0, 0.5),  # not an integer, though between 0 and k
+        (0, 0, True),  # a bool, though equal to 1
         (0, 0),  # one color too few
         (0, 0, 1, 1),  # one too many
     ]
