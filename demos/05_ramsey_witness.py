@@ -17,7 +17,8 @@ from ramsey_ba import (
 a = make_algebra([0, OUT], 1)
 b = make_algebra([0, 0, OUT], 1)
 
-# The level-free base case is solved by brute-force ascent over atom counts.
+# The level-free base is the minimal witness of the level-free class: the
+# ascent over atom counts that min_witness runs, at chain length 0.
 base = dual_ramsey_oracle(reduct(a), reduct(b), 2, 8)
 print("level-free base witness:", signature_json(base))
 

@@ -8,7 +8,7 @@ vertices are the ordered copies of A in C and whose edges collect the
 copies lying inside each ordered copy of B; a bad coloring is one leaving
 every edge non-monochromatic.  It is kept as its colors, one per A-copy in
 enumeration order.  Block maps are the internal currency: copies are
-block_of tuples sorted into enumeration order, and no Embedding is built.
+block_of tuples, A's sorted into enumeration order; no Embedding is built.
 The composite of a B-copy and an A-copy of B is index arithmetic, looked up
 among the A-copies by block map.  Vertices are numbered in enumeration
 order, the first vertex is pinned to color 0, and branching is DSATUR
@@ -24,11 +24,11 @@ vertices is last uncolored, so no edge keeps state, and neither the order of
 the edges, nor the order within one, nor a repeated edge changes the search.
 
 The witness builders follow the recursive scheme: split B at its minimal
-occupied level, solve the level-free problem by brute-force ascent, solve
-the remainder recursively with the color count inflated by the number of
-level-free B-copies in the base witness, read off the ascent's holding
-certificate, then reassemble with lift and star.  Constructions are always
-re-verified, never trusted.
+occupied level, take the minimal witness of the level-free class (the Dual
+Ramsey Theorem's case) as the base, solve the remainder recursively with
+the color count inflated by the number of level-free B-copies in the base,
+read off its holding certificate, then reassemble with lift and star.
+Constructions are always re-verified, never trusted.
 """
 from __future__ import annotations
 
@@ -233,8 +233,8 @@ def _arrows(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int
 ) -> ArrowCertificate:
     copies_a = sorted(_ordered_block_maps(a, c))
-    copies_b = sorted(_ordered_block_maps(b, c))
-    inner = sorted(_ordered_block_maps(a, b))
+    copies_b = list(_ordered_block_maps(b, c))
+    inner = list(_ordered_block_maps(a, b))
     if not copies_b:
         bad = Coloring(a, c, (0,) * len(copies_a))
         return ArrowCertificate(
@@ -274,21 +274,17 @@ def arrows(
 def dual_ramsey_oracle(
     ar: LabeledAlgebra, br: LabeledAlgebra, k: int, max_atoms: int
 ) -> LabeledAlgebra:
-    """Smallest level-free algebra C0 with arrows(C0, br, ar, k), by ascent."""
+    """Smallest level-free algebra C0 with arrows(C0, br, ar, k): the minimal
+    witness of the level-free class, the bj members at chain length 0."""
     if ar.chain_length != 0 or br.chain_length != 0:
         raise ChainMismatch("oracle operands must be level-free")
-    if ar.n_atoms > br.n_atoms:
-        raise NotAnEmbedding("first operand must embed into the second")
-    if k < 1:
-        raise ValueError("at least one color is required")
-    for n in range(br.n_atoms, max_atoms + 1):
-        candidate = make_algebra([OUT] * n, 0)
-        if arrows(candidate, br, ar, k).verdict == "holds":
-            return candidate
-    raise BoundExceeded(
-        f"no level-free witness for ({ar.n_atoms} -> {br.n_atoms} atoms,"
-        f" {k} colors) within {max_atoms} atoms"
-    )
+    found = min_witness(ClassKind.BJ, ar, br, k, max_atoms)
+    if found is None:
+        raise BoundExceeded(
+            f"no level-free witness for ({ar.n_atoms} -> {br.n_atoms} atoms,"
+            f" {k} colors) within {max_atoms} atoms"
+        )
+    return found[0]
 
 
 def _split_above(algebra: LabeledAlgebra, j: int) -> LabeledAlgebra:

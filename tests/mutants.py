@@ -30,6 +30,7 @@ FRAISSE = "src/ramsey_ba/fraisse.py"
 RAMSEY = "src/ramsey_ba/ramsey.py"
 CHAINS = "src/ramsey_ba/chains.py"
 EMBED = "src/ramsey_ba/embed.py"
+ORDER = "src/ramsey_ba/order.py"
 
 # (name, file, deleted text, test files that must kill it)
 MUTANTS = [
@@ -131,6 +132,64 @@ MUTANTS = [
         "    if ordered and maxima != sorted(maxima):\n"
         '        raise NotAnEmbedding("block maxima not increasing for an ordered embedding")\n',
         ["tests/test_embed.py"],
+    ),
+    (
+        "block map: no block is empty",
+        EMBED,
+        "        if m < 0:\n"
+        '            raise NotAnEmbedding(f"block {i} is empty")\n',
+        ["tests/test_embed.py"],
+    ),
+    (
+        "block map: both algebras share the chain length",
+        EMBED,
+        # enumerate_embeddings makes the same call; the docstring above is unique
+        '    """validate_embedding on a bare block map, ChainMismatch included."""\n'
+        "    _require_same_chain(small, big)\n",
+        ["tests/test_embed.py"],
+    ),
+    (
+        "HP suite: each subalgebra's embedding is checked",
+        FRAISSE,
+        "        validate_embedding(emb)\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "forgetfulness: enumerated order count matches the product",
+        ORDER,
+        "        if len(proper) != count_proper_orders(algebra):\n"
+        "            violations.append(\n"
+        "                {\n"
+        '                    "levels": signature_json(algebra),\n'
+        '                    "reason": "count mismatch",\n'
+        '                    "enumerated": len(proper),\n'
+        '                    "expected": count_proper_orders(algebra),\n'
+        "                }\n"
+        "            )\n",
+        ["tests/test_order.py"],
+    ),
+    (
+        "forgetfulness: every proper order is ordered-isomorphic to the canonical one",
+        ORDER,
+        # the loop goes with its one if block, so the mutant still compiles
+        "        for ord_b in proper:\n"
+        "            if not ordered_isomorphic(algebra, canonical, algebra, ord_b):\n"
+        "                violations.append(\n"
+        "                    {\n"
+        '                        "levels": signature_json(algebra),\n'
+        '                        "reason": "orders not isomorphic",\n'
+        '                        "ord_a": list(canonical),\n'
+        '                        "ord_b": list(ord_b),\n'
+        "                    }\n"
+        "                )\n",
+        ["tests/test_order.py"],
+    ),
+    (
+        "witness: A and B share the chain length",
+        RAMSEY,
+        "    if a.chain_length != b.chain_length:\n"
+        '        raise ChainMismatch("witness operands must share the chain length")\n',
+        ["tests/test_ramsey.py"],
     ),
     (
         "chains: each chain passes through every upper set",

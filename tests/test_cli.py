@@ -13,7 +13,16 @@ from pathlib import Path
 import pytest
 
 import ramsey_ba
-from ramsey_ba import OUT, ClassKind, arrows, cli, ramsey, recheck_bad_coloring
+from ramsey_ba import (
+    OUT,
+    ClassKind,
+    arrows,
+    cli,
+    fraisse,
+    make_algebra,
+    ramsey,
+    recheck_bad_coloring,
+)
 from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.serialize import format_io, parse_algebra
@@ -127,6 +136,69 @@ def test_witness_bound_exceeded_is_usage_error(capsys, algebras):
     )
     assert code == 2
     assert report["error"]["type"] == "bound-exceeded"
+
+
+def test_witness_that_fails_its_verification_exits_1_with_the_finding(
+    capsys, monkeypatch, algebras
+):
+    # B itself is in the class, but 2 colors split its 3 copies of A
+    monkeypatch.setattr(ramsey, "_assemble_witness", lambda a, b, k, max_atoms: b)
+    code, report = run_cli(
+        capsys,
+        ["witness", "--kind", "bu", "--a", algebras["small"], "--b", algebras["mid"], "--minimal"],
+    )
+    assert code == 1
+    assert report["constructed"] is None and "minimal" not in report
+    assert report["finding"]["detail"] == (
+        "constructed witness [0, 0, 'out'] fails its arrow check"
+    )
+    a, b = make_algebra([0, OUT], 1), make_algebra([0, 0, OUT], 1)
+    assert report["finding"]["certificate"] == json.loads(format_io(arrows(b, b, a, 2)))
+    assert report["finding"]["certificate"]["verdict"] == "fails"
+
+
+def test_amalgam_that_fails_its_postcondition_exits_1_with_the_failure(
+    capsys, monkeypatch, tmp_path, algebras
+):
+    monkeypatch.setattr(fraisse, "class_membership", lambda algebra, kind: False)
+    f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})
+    code, report = run_cli(
+        capsys,
+        ["amalgamate", "--kind", "bj", "--a", algebras["one_out"],
+         "--b", algebras["small"], "--c", algebras["pure2"], "--f", f, "--g", f],
+    )
+    assert code == 1
+    assert report["result"] is None
+    assert report["failure"] == "amalgam left the class bj"
+
+
+def test_fraisse_lists_hp_violations_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(fraisse, "class_membership", lambda algebra, kind: False)
+    code, report = run_cli(
+        capsys,
+        ["fraisse", "--kind", "bj", "--suite", "hp", "--max-atoms", "2", "--chain-length", "1"],
+    )
+    assert code == 1
+    assert report["hp"]["instances"] == 5
+    assert report["hp"]["violations"][:2] == [
+        {"algebra": ["out"], "partition": [[0]], "subalgebra": ["out"]},
+        {"algebra": [0, "out"], "partition": [[0, 1]], "subalgebra": ["out"]},
+    ]
+    assert len(report["hp"]["violations"]) == 5
+
+
+def test_unknown_subcommand_exits_2():
+    code, text = run(RunConfig("bogus"))
+    assert code == 2
+    assert json.loads(text) == {"error": {"type": "unknown-subcommand", "detail": "bogus"}}
+
+
+def test_unwritable_output_path_exits_2_on_stderr_only(capsys, tmp_path, algebras):
+    code = main(["validate", "--kind", "bj", "--algebra", algebras["small"], "--output", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_amalgamate_success(capsys, tmp_path, algebras):

@@ -40,7 +40,7 @@ from ramsey_ba import (
     validate_embedding,
 )
 from ramsey_ba import ramsey
-from ramsey_ba.serialize import format_io
+from ramsey_ba.serialize import format_io, parse_embedding
 from .oracles import brute_embeddings, stirling2
 
 
@@ -110,6 +110,12 @@ def test_chain_mismatch_rejected():
                 make_algebra([OUT], 1), make_algebra([OUT, OUT], 2), "plain"
             )
         )
+    # one outside atom has the same level at every chain length
+    small, big = make_algebra([OUT], 0), make_algebra([OUT], 1)
+    with pytest.raises(ChainMismatch):
+        validate_embedding(Embedding(small=small, big=big, block_of=(0,), ordered=True))
+    with pytest.raises(ChainMismatch):
+        parse_embedding({"block_of": [0]}, small, big)
 
 
 def test_validate_embedding_rejects_level_violation():
@@ -124,6 +130,15 @@ def test_validate_embedding_rejects_level_violation():
             Embedding(small=two, big=two, block_of=(1, 0), ordered=True)
         )  # block maxima 1, 0 not increasing
     validate_embedding(Embedding(small=two, big=two, block_of=(1, 0), ordered=False))
+
+
+def test_block_map_with_an_empty_block_is_refused():
+    # block 0 takes no atom; its maximum, -1, would read the last atom's level
+    two = make_algebra([OUT, OUT], 0)
+    with pytest.raises(NotAnEmbedding, match="block 0 is empty"):
+        validate_embedding(Embedding(small=two, big=two, block_of=(1, 1), ordered=True))
+    with pytest.raises(NotAnEmbedding, match="block 0 is empty"):
+        parse_embedding({"block_of": [1, 1], "ordered": True}, two, two)
 
 
 def test_image_copy_identity_is_power_set():

@@ -149,6 +149,20 @@ def test_check_hp_no_violations():
     assert report["instances"] == 23
 
 
+def test_hp_suite_checks_each_subalgebra_embedding(monkeypatch):
+    # a block map naming a small atom the subalgebra lacks: the subalgebra
+    # itself stays in the class, so only the per-instance check sees it
+    real = fraisse.generated_subalgebra
+
+    def wrong(algebra, gens):
+        sub, _ = real(algebra, gens)
+        return sub, Embedding(sub, algebra, (sub.n_atoms,) * algebra.n_atoms, True)
+
+    monkeypatch.setattr(fraisse, "generated_subalgebra", wrong)
+    with pytest.raises(NotAnEmbedding, match="nonexistent small atom"):
+        check_hp(ClassKind.BJ, 2, 0, workers=1)
+
+
 def test_hp_subalgebras_of_bu_members_keep_one_outside_atom():
     for algebra in enumerate_algebras(4, 1, ClassKind.BU):
         for blocks in atom_partitions(algebra.n_atoms):

@@ -156,6 +156,25 @@ def test_forgetfulness_report_clean():
     assert report["algebras_checked"] == len(list(enumerate_algebras(4, 2)))
 
 
+def test_forgetfulness_report_lists_a_count_mismatch(monkeypatch):
+    monkeypatch.setattr(order, "count_proper_orders", lambda algebra: 7)
+    assert forgetfulness_report(1, 0)["violations"] == [
+        {"levels": ["out"], "reason": "count mismatch", "enumerated": 1, "expected": 7}
+    ]
+
+
+def test_forgetfulness_report_lists_orders_not_isomorphic(monkeypatch):
+    monkeypatch.setattr(order, "ordered_isomorphic", lambda a, ord_a, b, ord_b: ord_a == ord_b)
+    assert forgetfulness_report(2, 0)["violations"] == [
+        {
+            "levels": ["out", "out"],
+            "reason": "orders not isomorphic",
+            "ord_a": [0, 1],
+            "ord_b": [1, 0],
+        }
+    ]
+
+
 def test_forgetfulness_sweep_budget(monkeypatch):
     # 3 atoms at t = 1 bound C(2,1)*1! + C(3,2)*2! + C(4,3)*3! = 32 orders
     monkeypatch.setattr(order, "MAX_SWEEP_ORDERS", 32)

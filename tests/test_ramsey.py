@@ -360,6 +360,51 @@ def test_oracle_input_errors():
         dual_ramsey_oracle(pure, pure, 0, 6)
 
 
+@pytest.fixture
+def asked(monkeypatch):
+    """The (c, b, a, k) of every ramsey.arrows call, in order."""
+    calls = []
+
+    def spy(c, b, a, k):
+        calls.append((c, b, a, k))
+        return arrows(c, b, a, k)
+
+    monkeypatch.setattr(ramsey, "arrows", spy)
+    return calls
+
+
+def test_oracle_is_the_first_holding_level_free_size(asked):
+    # the per-size definition: the first C_n, n = |br| .. max_atoms, with
+    # C_n -> (br)^ar_k; the oracle asks arrows of exactly those sizes, in order
+    answers = set()
+    for nb in (1, 2, 3):
+        br = make_algebra([OUT] * nb, 0)
+        for na in range(1, nb + 1):
+            ar = make_algebra([OUT] * na, 0)
+            for k in (1, 2, 3):
+                sizes, answer = [], None
+                for n in range(nb, 8):
+                    sizes.append(n)
+                    if arrows(make_algebra([OUT] * n, 0), br, ar, k).verdict == "holds":
+                        answer = n
+                        break
+                answers.add(answer)
+                asked.clear()
+                if answer is None:
+                    with pytest.raises(BoundExceeded, match="within 7 atoms"):
+                        dual_ramsey_oracle(ar, br, k, 7)
+                else:
+                    assert dual_ramsey_oracle(ar, br, k, 7) == make_algebra([OUT] * answer, 0)
+                assert asked == [(make_algebra([OUT] * n, 0), br, ar, k) for n in sizes]
+    assert {None, 6} <= answers  # A2 -> B3: 6 atoms at k = 2, past 7 at k = 3
+
+
+def test_oracle_refuses_leveled_operands_of_one_chain_length():
+    one, two = make_algebra([OUT], 1), make_algebra([OUT, OUT], 1)
+    with pytest.raises(ChainMismatch, match="level-free"):
+        dual_ramsey_oracle(one, two, 2, 6)
+
+
 def test_witness_bu_example():
     a = make_algebra([0, OUT], 1)
     b = make_algebra([0, 0, OUT], 1)
@@ -437,6 +482,18 @@ def test_witness_whose_arrow_fails_is_refused(monkeypatch):
     with pytest.raises(VerificationFailed, match="fails its arrow check") as refused:
         construct_witness(ClassKind.BU, a, b, 2, 8)
     assert refused.value.certificate.verdict == "fails"
+
+
+def test_witness_operands_of_two_chain_lengths_are_refused_before_any_arrow(asked):
+    # one outside atom embeds into two at any chain length, so only the
+    # chain check stops the construction before it asks an arrow relation
+    a = make_algebra([OUT], 0)
+    b = make_algebra([OUT, OUT], 1)
+    with pytest.raises(ChainMismatch, match="witness operands must share the chain length"):
+        construct_witness(ClassKind.BJ, a, b, 2, 8)
+    with pytest.raises(ChainMismatch, match="witness operands must share the chain length"):
+        min_witness(ClassKind.BJ, a, b, 2, 8)
+    assert asked == []
 
 
 def test_min_witness_examples():
