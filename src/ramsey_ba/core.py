@@ -280,17 +280,19 @@ def enumerate_algebras(
     Members are built, not filtered: sorted levels put the OUT atom every
     class needs last, after any levels for BJ and ideal indices for BJU and
     BU.  The one-atom [OUT] is a member whenever the class has any, so
-    testing it finds where a class is empty (BU at every t but 1).
+    testing it once finds where a class is empty (BU at every t but 1).
     """
+    if max_atoms < 1:
+        return
+    if kind is not None and not class_membership(make_algebra((OUT,), chain_length), kind):
+        return
+    lead = level_alphabet(chain_length) if kind is ClassKind.BJ else range(chain_length)
     for n in range(1, max_atoms + 1):
         if kind is None:
             signatures = enumerate_signatures(n, chain_length)
-        elif class_membership(make_algebra((OUT,), chain_length), kind):
-            lead = level_alphabet(chain_length) if kind is ClassKind.BJ else range(chain_length)
+        else:
             heads = itertools.combinations_with_replacement(lead, n - 1)
             signatures = (head + (OUT,) for head in heads)
-        else:
-            return
         for signature in signatures:
             yield make_algebra(signature, chain_length)
 

@@ -19,8 +19,8 @@ one and a level-preserving relabelling of the small atoms: a proper order.
 
 Block maps are the internal currency: the arrow check, the amalgamation
 suite and the coloring writer read the tuples of _ordered_block_maps, sorted,
-and check them with _check_block_map; the suite does so for r and s on every
-pair, though it builds each amalgam once per level tuple.  Embedding records
+and check them with _check_block_map; the suite checks each distinct r and s
+once per amalgam, which it builds once per level tuple.  Embedding records
 are built only by the public functions.
 """
 from __future__ import annotations

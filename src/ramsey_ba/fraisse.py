@@ -20,9 +20,11 @@ ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks each copy of
 A once and reuses each copy's merge keys for every pair.  Within a shard it
 builds each amalgam D once per level tuple and checks D's class membership
-once per tuple, a function of the levels; every other postcondition runs on
-every pair.  Copies travel as bare block maps, the square commutes by index
-arithmetic, and only amalgamate wraps its result into Embedding records.
+once per tuple, a function of the levels.  It checks each distinct block map
+r or s once per interned D, a function of the map and its host's levels; the
+atom count and the commuting square run on every pair.  Copies travel as
+bare block maps, the square commutes by index arithmetic, and only
+amalgamate wraps its result into Embedding records.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
@@ -119,11 +121,12 @@ def _amalgamate_sides(
     """Amalgamate two checked copies of A, given as _side data, into
     (d, r's block map, s's block map, the identified atom pairs).
 
-    amalgams interns D by its level tuple, with D's class membership, within
-    one suite shard (one kind and chain length).  Membership is a function of
-    the levels, so checking it once per tuple is the same check; a failure is
-    still raised on every pair whose amalgam has that tuple.  r and s are
-    checked on every pair.
+    amalgams interns D by its level tuple, with D's class membership and the
+    set of (host levels, block map) keys already checked into D, within one
+    suite shard (one kind and chain length).  Membership is a function of the
+    levels, and the check of r or s a function of its key, so each is checked
+    once per D; a key enters the set only after its check passes, so every
+    failure is still raised on every pair that has it.
     """
     b, f, f_max, keys_b, _ = side_b
     c, g, g_max, _, loose_c = side_c
@@ -133,8 +136,8 @@ def _amalgamate_sides(
     levels = tuple([key[1] for key in keys])
     if levels not in amalgams:
         d = make_algebra(levels, a.chain_length)
-        amalgams[levels] = d, class_membership(d, kind)
-    d, member = amalgams[levels]
+        amalgams[levels] = d, class_membership(d, kind), set()
+    d, member, checked = amalgams[levels]
 
     # Absorption: image atoms anchor their own positions; a loose atom joins
     # the nearest later image atom of the other side in the same A-block,
@@ -158,15 +161,20 @@ def _amalgamate_sides(
             s_block[pos] = near_c[g[y]] = y
 
     # postconditions, never trusted
-    _check_block_map(r_block, b, d, True)
-    _check_block_map(s_block, c, d, True)
+    r, s = tuple(r_block), tuple(s_block)
+    if (b.levels, r) not in checked:
+        _check_block_map(r, b, d, True)
+        checked.add((b.levels, r))
+    if (c.levels, s) not in checked:
+        _check_block_map(s, c, d, True)
+        checked.add((c.levels, s))
     if len(d.levels) != len(b.levels) + len(c.levels) - len(a.levels):
         raise AmalgamationFailed("amalgam has the wrong atom count")
     if [f[x] for x in r_block] != [g[y] for y in s_block]:
         raise AmalgamationFailed("amalgamation square does not commute")
     if not member:
         raise AmalgamationFailed(f"amalgam left the class {kind.value}")
-    return d, tuple(r_block), tuple(s_block), tuple(zip(f_max, g_max))
+    return d, r, s, tuple(zip(f_max, g_max))
 
 
 def joint_embed(
@@ -235,7 +243,7 @@ def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[di
             _check_block_map(block_of, a, host, True)
             sides.append(_side(block_of, a, host))
     violations: list[dict] = []
-    amalgams: dict = {}  # level tuple -> (D, D in the class), for this shard only
+    amalgams: dict = {}  # level tuple -> (D, D in the class, keys checked into D)
     for side_b, side_c in itertools.product(sides, repeat=2):
         try:
             _amalgamate_sides(kind, a, side_b, side_c, amalgams)

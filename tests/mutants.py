@@ -37,13 +37,15 @@ MUTANTS = [
     (
         "amalgam: r is a checked block map",
         FRAISSE,
-        "    _check_block_map(r_block, b, d, True)\n",
+        # only the check goes; checked.add keeps the if compiling
+        "        _check_block_map(r, b, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: s is a checked block map",
         FRAISSE,
-        "    _check_block_map(s_block, c, d, True)\n",
+        # only the check goes; checked.add keeps the if compiling
+        "        _check_block_map(s, c, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
     (

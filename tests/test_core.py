@@ -34,6 +34,8 @@ from ramsey_ba import (
     validate_embedding,
     zero,
 )
+from ramsey_ba import core
+
 from .oracles import closure_blocks
 
 
@@ -247,6 +249,24 @@ def test_enumerate_algebras_builds_what_the_filter_keeps():
         for max_atoms in range(1, 7):
             with pytest.raises(LevelOutOfRange):
                 list(enumerate_algebras(max_atoms, -1, kind))
+
+
+def test_enumerate_algebras_tests_the_class_once(monkeypatch):
+    # one make_algebra for the [OUT] membership test, then one per algebra;
+    # an empty range builds nothing, even at a chain length make_algebra refuses
+    built = []
+    real = core.make_algebra
+    monkeypatch.setattr(
+        core, "make_algebra", lambda levels, t: built.append(tuple(levels)) or real(levels, t)
+    )
+    for kind in ClassKind:
+        for t in range(3):
+            built.clear()
+            got = list(enumerate_algebras(5, t, kind))
+            assert built == [(OUT,)] + [algebra.levels for algebra in got]
+        for t in (-1, 1):
+            built.clear()
+            assert list(enumerate_algebras(0, t, kind)) == built == []
 
 
 def test_atom_partitions_match_restricted_growth_codes():

@@ -391,6 +391,36 @@ def test_amalgamation_postconditions_refuse_wrong_constructions(fault):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
     with pytest.raises(refusal, match=detail):
         fraisse._amalgamate_sides(kind, a, side_b, side_c)
+    # a failing map never enters D's set of checked maps, so a shard's
+    # shared dict refuses the same pair again
+    amalgams: dict = {}
+    for _ in range(2):
+        with pytest.raises(refusal, match=detail):
+            fraisse._amalgamate_sides(kind, a, side_b, side_c, amalgams)
+
+
+def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
+    # each copy of A is checked once, and r and s once per distinct
+    # (D's levels, host levels, block map) within a base's shard
+    calls = []
+    real = fraisse._check_block_map
+    monkeypatch.setattr(
+        fraisse, "_check_block_map", lambda *args: calls.append(args) or real(*args)
+    )
+    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
+    algebras = list(enumerate_algebras(5, 1, ClassKind.BJ))
+    copies = sum(
+        len(enumerate_embeddings(a, host, "ordered")) for a in algebras for host in algebras
+    )
+    triples: dict = {}
+    for kind, a, b, c, f, g in ap_instances(ClassKind.BJ, 5, 1):
+        d, r, s, _ = reference_amalgamate(a, b, c, f, g)
+        triples.setdefault(a, set()).update(
+            {(d.levels, b.levels, r.block_of), (d.levels, c.levels, s.block_of)}
+        )
+    distinct = sum(map(len, triples.values()))
+    assert (copies, report["instances"]) == (340, 15856)
+    assert len(calls) == copies + distinct == 7076 < copies + 2 * report["instances"]
 
 
 def test_ap_suite_checks_each_copy(monkeypatch):
