@@ -92,7 +92,7 @@ def amalgamate(
     _require_ordered_embedding(f, a, b, "f")
     _require_ordered_embedding(g, a, c, "g")
     sides = _side(f.block_of, a, b), _side(g.block_of, a, c)
-    d, r, s, identified = _amalgamate_sides(kind, a, *sides)
+    d, r, s, identified = _amalgamate_sides(kind, a, *sides, {})
     return AmalgamationResult(d, Embedding(b, d, r, True), Embedding(c, d, s, True), identified)
 
 
@@ -116,23 +116,21 @@ def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) ->
 
 
 def _amalgamate_sides(
-    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple, amalgams: dict | None = None
+    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple, amalgams: dict
 ) -> tuple:
     """Amalgamate two checked copies of A, given as _side data, into
     (d, r's block map, s's block map, the identified atom pairs).
 
     amalgams interns D by its level tuple, with D's class membership and the
     set of (host levels, block map) keys already checked into D, within one
-    suite shard (one kind and chain length).  Membership is a function of the
-    levels, and the check of r or s a function of its key, so each is checked
-    once per D; a key enters the set only after its check passes, so every
-    failure is still raised on every pair that has it.
+    suite shard (one kind and chain length); amalgamate passes a fresh dict.
+    Membership is a function of the levels, and the check of r or s a function
+    of its key, so each is checked once per D; a key enters the set only after
+    its check passes, so every failure is still raised on every pair that has it.
     """
     b, f, f_max, keys_b, _ = side_b
     c, g, g_max, _, loose_c = side_c
     keys = sorted(keys_b + loose_c)
-    if amalgams is None:
-        amalgams = {}
     levels = tuple([key[1] for key in keys])
     if levels not in amalgams:
         d = make_algebra(levels, a.chain_length)

@@ -39,9 +39,8 @@ def _check_permutation(algebra: LabeledAlgebra, ord: Sequence[int]) -> AtomOrder
 
 def is_proper(algebra: LabeledAlgebra, ord: Sequence[int]) -> bool:
     """True iff levels are nondecreasing along ord."""
-    ord = _check_permutation(algebra, ord)
-    levels = [algebra.levels[a] for a in ord]
-    return all(levels[i] <= levels[i + 1] for i in range(len(levels) - 1))
+    levels = [algebra.levels[a] for a in _check_permutation(algebra, ord)]
+    return levels == sorted(levels)
 
 
 def canonical_order(algebra: LabeledAlgebra) -> AtomOrder:
@@ -93,11 +92,13 @@ def ordered_isomorphic(
     _require_same_chain(a, b)
     ord_a = _check_permutation(a, ord_a)
     ord_b = _check_permutation(b, ord_b)
-    if not is_proper(a, ord_a):
+    levels_a = [a.levels[i] for i in ord_a]
+    levels_b = [b.levels[i] for i in ord_b]
+    if levels_a != sorted(levels_a):
         raise ImproperOrder(f"not a proper order: {ord_a}")
-    if not is_proper(b, ord_b):
+    if levels_b != sorted(levels_b):
         raise ImproperOrder(f"not a proper order: {ord_b}")
-    return [a.levels[i] for i in ord_a] == [b.levels[i] for i in ord_b]
+    return levels_a == levels_b
 
 
 def forgetfulness_report(max_atoms: int, chain_length: int) -> dict:

@@ -16,12 +16,13 @@ first-fail (most forbidden colors, lowest index breaking ties, colors in
 increasing order), so certificates and node counts are deterministic.  The
 depth-first search keeps an explicit stack of frames and undoes a color
 from its trail, so depth is not bounded by Python's recursion limit.
-Uncolored vertices sit in one bitmask per saturation level, so choosing the
-next vertex takes the lowest bit of the highest non-empty level.  An edge is
-the bitmask of its vertices; one bitmask per color and one of all colored
-vertices tell whether an edge can still close monochromatic and which of its
-vertices is last uncolored, so no edge keeps state, and neither the order of
-the edges, nor the order within one, nor a repeated edge changes the search.
+Uncolored vertices sit in one bitmask per level, the popcount of a vertex's
+forbidden-color mask, so the next vertex is the lowest bit of the highest
+non-empty level.  An edge is the bitmask of its vertices; one bitmask per
+color and one of all colored vertices tell whether an edge can still close
+monochromatic and which of its vertices is last uncolored, so no edge keeps
+state, and neither the order of the edges, nor the order within one, nor a
+repeated edge changes the search.
 
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, take the minimal witness of the level-free class (the Dual
@@ -105,9 +106,8 @@ def _search_bad_coloring(
             touching[v].append(mask)
 
     color = [-1] * n_vertices
-    forbid = [0] * n_vertices
-    saturation = [0] * n_vertices  # forbidden color count
-    # uncolored vertices per saturation, as bitmasks; level k means a dead end
+    forbid = [0] * n_vertices  # a vertex's forbidden colors; its popcount is its level
+    # uncolored vertices per level, as bitmasks; level k means a dead end
     buckets = [0] * (k + 1)
     buckets[0] = (1 << n_vertices) - 1
     # the vertices of each color, and all colored vertices, as bitmasks
@@ -141,17 +141,16 @@ def _search_bad_coloring(
             bit = 1 << color[v]
             for u in forbidden[mark:]:
                 forbid[u] ^= bit
-                level = saturation[u]
-                saturation[u] = level - 1
-                buckets[level] ^= bits[u]
-                buckets[level - 1] |= bits[u]
+                level = forbid[u].bit_count()
+                buckets[level + 1] ^= bits[u]
+                buckets[level] |= bits[u]
             del forbidden[mark:]
             color[v] = -1
         while col < limit and forbid[v] >> col & 1:
             col += 1
         if col == limit:
             stack.pop()
-            buckets[saturation[v]] |= bits[v]
+            buckets[forbid[v].bit_count()] |= bits[v]
             continue
         frame[1] = col + 1
         nodes += 1
@@ -173,9 +172,8 @@ def _search_bad_coloring(
                 continue
             u = rest.bit_length() - 1
             if not forbid[u] & bit:
+                level = forbid[u].bit_count()
                 forbid[u] |= bit
-                level = saturation[u]
-                saturation[u] = level + 1
                 buckets[level] ^= rest
                 buckets[level + 1] |= rest
                 forbidden.append(u)

@@ -6,8 +6,10 @@ itself.  Embeddings and chains have their own writers; an algebra becomes its
 chain length and signature, and a coloring its rows, for the generic writer.
 Formatting is byte-stable: sorted keys, two-space indent, ASCII escapes, a
 trailing newline, arrays in each module's deterministic enumeration order; the
-text is what json.dumps(sort_keys=True, indent=2) would print.  format_io refuses what that refuses (NaN, infinities,
-types with no JSON form) and also any dict key that is not a string.
+text is what json.dumps(sort_keys=True, indent=2) would print.  A subclass of
+int, str, list, tuple or dict is written as the JSON type it extends.
+format_io refuses what json.dumps refuses (NaN, infinities, types with no JSON
+form) and also any dict key that is not a string.
 Parsers name the offending field, and a key repeated within one object, instead
 of echoing tracebacks.
 """
@@ -173,19 +175,17 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, int):  # OUT outside an algebra is its integer value
-        out.append(int.__repr__(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise SerializationError(f"payload holds the out-of-range float {value!r}")
         out.append(float.__repr__(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, (list, tuple)):
-        _write(list(value), pad, out, memo)
-    elif isinstance(value, dict):
-        _write(dict(value), pad, out, memo)
-    else:
+    else:  # a subclass (OUT outside an algebra, say) is written as the JSON type it extends
+        for base, plain in (
+            (int, int.__int__), (str, str.__str__), ((list, tuple), list), (dict, dict)
+        ):
+            if isinstance(value, base):
+                _write(plain(value), pad, out, memo)
+                return
         raise SerializationError(f"payload holds a {kind.__name__}, which has no JSON form")
 
 

@@ -187,6 +187,20 @@ MUTANTS = [
         ["tests/test_order.py"],
     ),
     (
+        "ordered isomorphism: the left-hand order is proper",
+        ORDER,
+        "    if levels_a != sorted(levels_a):\n"
+        '        raise ImproperOrder(f"not a proper order: {ord_a}")\n',
+        ["tests/test_order.py"],
+    ),
+    (
+        "ordered isomorphism: the right-hand order is proper",
+        ORDER,
+        "    if levels_b != sorted(levels_b):\n"
+        '        raise ImproperOrder(f"not a proper order: {ord_b}")\n',
+        ["tests/test_order.py"],
+    ),
+    (
         "witness: A and B share the chain length",
         RAMSEY,
         "    if a.chain_length != b.chain_length:\n"

@@ -390,7 +390,7 @@ POSTCONDITION_FAULTS = {
 def test_amalgamation_postconditions_refuse_wrong_constructions(fault):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
     with pytest.raises(refusal, match=detail):
-        fraisse._amalgamate_sides(kind, a, side_b, side_c)
+        fraisse._amalgamate_sides(kind, a, side_b, side_c, {})
     # a failing map never enters D's set of checked maps, so a shard's
     # shared dict refuses the same pair again
     amalgams: dict = {}

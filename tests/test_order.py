@@ -115,6 +115,22 @@ def test_ordered_isomorphic_examples():
         ordered_isomorphic(a, (0, 1), make_algebra([0, OUT], 2), (0, 1))
 
 
+def test_ordered_isomorphic_checks_both_orders():
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    with pytest.raises(ImproperOrder, match=r"not a proper order: \(2, 0, 1\)"):
+        ordered_isomorphic(a, (0, 1), b, (2, 0, 1))
+    # both permutations are checked before either order's properness
+    for ord_a, ord_b in (((0, 0), (2, 0, 1)), ((1, 0), (0, 1)), ((1, 0), (0, 1, 1, 2))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ordered_isomorphic(a, ord_a, b, ord_b)
+    # an order given as a one-shot iterator is read once
+    assert ordered_isomorphic(a, iter((0, 1)), a, iter([0, 1]))
+    assert not ordered_isomorphic(a, iter((0, 1)), b, iter((1, 0, 2)))
+    with pytest.raises(ImproperOrder, match=r"not a proper order: \(1, 0\)"):
+        ordered_isomorphic(a, (0, 1), a, iter((1, 0)))
+
+
 def test_order_forgetfulness_within_algebras():
     for t in (0, 1, 2):
         for a in enumerate_algebras(5, t):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 from collections import OrderedDict, namedtuple
+from enum import IntEnum
 
 import pytest
 
@@ -287,6 +288,46 @@ def test_format_io_matches_json_dumps_on_domain_values():
         payloads.append({"chains": chains, "nested": [{"chains": chains}]})
     for payload in payloads:
         assert format_io(payload) == reference_text(payload), payload
+
+
+class Shade(IntEnum):
+    DARK = 3
+
+
+class Loud(int):
+    """An int subclass whose own __int__ and __repr__ json never calls."""
+
+    def __int__(self):
+        return 99
+
+    def __repr__(self):
+        return "Loud()"
+
+
+class Quiet(str):
+    """A str subclass whose own __str__ json never calls."""
+
+    def __str__(self):
+        return "quiet"
+
+
+class Ints(tuple):
+    """A tuple subclass, which json writes as an array."""
+
+
+def test_format_io_writes_a_subclass_as_the_json_type_it_extends():
+    for payload in (
+        Shade.DARK,
+        Loud(-7),
+        Quiet('a"\u00e9'),
+        Ints((1, 2)),
+        Ints(()),
+        {"k": [Shade.DARK, Loud(5), Quiet("x"), Ints((0, Loud(1)))]},
+    ):
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert format_io(payload) == want, payload
+    with pytest.raises(SerializationError, match="non-string key 1"):
+        format_io(OrderedDict([(1, "x")]))
 
 
 @pytest.mark.parametrize(
