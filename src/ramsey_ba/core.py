@@ -272,10 +272,10 @@ def enumerate_signatures(
 
 
 def enumerate_algebras(
-    max_atoms: int, chain_length: int, kind: ClassKind | None = None
+    max_atoms: int, chain_length: int, kind: ClassKind | None = None, min_atoms: int = 1
 ) -> Iterator[LabeledAlgebra]:
-    """All algebras with 1 .. max_atoms atoms, or the members of one class,
-    by atom count and then lexicographically.
+    """All algebras with min_atoms .. max_atoms atoms, or the members of one
+    class, by atom count and then lexicographically.
 
     Members are built, not filtered: sorted levels put the OUT atom every
     class needs last, after any levels for BJ and ideal indices for BJU and
@@ -287,7 +287,7 @@ def enumerate_algebras(
     if kind is not None and not class_membership(make_algebra((OUT,), chain_length), kind):
         return
     lead = level_alphabet(chain_length) if kind is ClassKind.BJ else range(chain_length)
-    for n in range(1, max_atoms + 1):
+    for n in range(min_atoms, max_atoms + 1):
         if kind is None:
             signatures = enumerate_signatures(n, chain_length)
         else:

@@ -18,13 +18,13 @@ block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
 re-checked rather than trusted.  The amalgamation suite checks each copy of
-A once and reuses each copy's merge keys for every pair.  Within a shard it
-builds each amalgam D once per level tuple and checks D's class membership
-once per tuple, a function of the levels.  It checks each distinct block map
-r or s once per interned D, a function of the map and its host's levels; the
-atom count and the commuting square run on every pair.  Copies travel as
-bare block maps, the square commutes by index arithmetic, and only
-amalgamate wraps its result into Embedding records.
+A once and reuses each copy's merge keys for every pair.  Within a base's
+run of a shard it builds each amalgam D once per level tuple and checks D's
+class membership once per tuple, a function of the levels.  It checks each
+distinct block map r or s once per interned D, a function of the map and its
+host's levels; the atom count and the commuting square run on every pair.
+Copies travel as bare block maps, the square commutes by index arithmetic,
+and only amalgamate wraps its result into Embedding records.
 Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
 """
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .core import (
 from .embed import Embedding, _block_maxima, _check_block_map, _ordered_block_maps
 from .embed import enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, NotAnEmbedding
-from .parallel import ordered_map
+from .parallel import ordered_map, usable_workers
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _amalgamate_sides(
 
     amalgams interns D by its level tuple, with D's class membership and the
     set of (host levels, block map) keys already checked into D, within one
-    suite shard (one kind and chain length); amalgamate passes a fresh dict.
+    base's run of a suite shard; amalgamate passes a fresh dict.
     Membership is a function of the levels, and the check of r or s a function
     of its key, so each is checked once per D; a key enters the set only after
     its check passes, so every failure is still raised on every pair that has it.
@@ -233,30 +233,56 @@ def check_hp(
     }
 
 
-def _ap_shard(args: tuple[ClassKind, LabeledAlgebra, int]) -> tuple[int, list[dict]]:
-    kind, a, max_atoms = args
-    sides = []  # the _side data of every ordered copy of A, over all hosts
-    for host in enumerate_algebras(max_atoms, a.chain_length, kind):
-        for block_of in sorted(_ordered_block_maps(a, host)):
-            _check_block_map(block_of, a, host, True)
-            sides.append(_side(block_of, a, host))
+def _ap_shard(args: tuple[ClassKind, int, list]) -> tuple[int, list[dict]]:
+    kind, max_atoms, runs = args
+    instances = 0
     violations: list[dict] = []
-    amalgams: dict = {}  # level tuple -> (D, D in the class, keys checked into D)
-    for side_b, side_c in itertools.product(sides, repeat=2):
-        try:
-            _amalgamate_sides(kind, a, side_b, side_c, amalgams)
-        except AmalgamationFailed as failure:
-            violations.append(
-                {
-                    "a": signature_json(a),
-                    "b": signature_json(side_b[0]),
-                    "c": signature_json(side_c[0]),
-                    "f": list(side_b[1]),
-                    "g": list(side_c[1]),
-                    "error": str(failure),
-                }
-            )
-    return len(sides) ** 2, violations
+    for a, start, stop in runs:
+        # one per base: a shard holds one base's amalgams at a time
+        amalgams: dict = {}  # level tuple -> (D, D in the class, keys checked into D)
+        sides = []  # the _side data of every ordered copy of A, over all hosts
+        for host in enumerate_algebras(max_atoms, a.chain_length, kind):
+            for block_of in sorted(_ordered_block_maps(a, host)):
+                _check_block_map(block_of, a, host, True)
+                sides.append(_side(block_of, a, host))
+        instances += len(sides[start:stop]) * len(sides)
+        for side_b, side_c in itertools.product(sides[start:stop], sides):
+            try:
+                _amalgamate_sides(kind, a, side_b, side_c, amalgams)
+            except AmalgamationFailed as failure:
+                violations.append(
+                    {
+                        "a": signature_json(a),
+                        "b": signature_json(side_b[0]),
+                        "c": signature_json(side_c[0]),
+                        "f": list(side_b[1]),
+                        "g": list(side_c[1]),
+                        "error": str(failure),
+                    }
+                )
+    return instances, violations
+
+
+def _cut_pairs(
+    kind: ClassKind, bases: list[LabeledAlgebra], max_atoms: int, workers: int
+) -> list[list]:
+    """Cut the (base A, B-side index) list, in order, into workers contiguous
+    runs of near-equal pair counts; a B-side of A pairs with A's m_A copies.
+    A run is [A, first B-side index, end index]."""
+    hosts = list(enumerate_algebras(max_atoms, bases[0].chain_length, kind))
+    copies = [sum(1 for host in hosts for _ in _ordered_block_maps(a, host)) for a in bases]
+    total = sum(m * m for m in copies)
+    cuts: list[list] = [[] for _ in range(workers)]
+    done = 0
+    for a, m in zip(bases, copies):
+        for i in range(m):
+            runs = cuts[done * workers // total]
+            if runs and runs[-1][0] is a:
+                runs[-1][2] = i + 1
+            else:
+                runs.append([a, i, i + 1])
+            done += m
+    return cuts
 
 
 def check_ap(
@@ -269,19 +295,28 @@ def check_ap(
     """Amalgamation sweep over every ordered embedding pair in the bounds.
 
     A base A contributes every pair of its ordered copies over all hosts:
-    the square of its copy count.  Violations list pairs by base, then by
-    (B, f), then by (C, g), the same for any worker count.
+    the square of its copy count m_A.  With one usable worker a shard is one
+    base; with more, the (A, B-side) list is cut into one contiguous run of
+    near-equal pair counts per worker, and a shard re-enumerates the copies
+    of its bases and pairs its B-sides with all of them.  Violations list
+    pairs by base, then by (B, f), then by (C, g), the same for any worker
+    count.
     """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
-    shards = [(kind, a, max_atoms) for a in enumerate_algebras(cap, chain_length, kind)]
-    results = ordered_map(_ap_shard, shards, workers)
+    bases = list(enumerate_algebras(cap, chain_length, kind))
+    workers = usable_workers(workers)
+    if workers > 1 and bases:
+        cuts = _cut_pairs(kind, bases, max_atoms, workers)
+    else:
+        cuts = [[(a, 0, None)] for a in bases]
+    results = ordered_map(_ap_shard, [(kind, max_atoms, runs) for runs in cuts], workers)
     return {
         "kind": kind.value,
         "chain_length": chain_length,
         "max_atoms": max_atoms,
         "max_a_atoms": cap,
-        "base_algebras": len(shards),
+        "base_algebras": len(bases),
         "instances": sum(r[0] for r in results),
         "violations": [v for r in results for v in r[1]],
     }

@@ -344,9 +344,7 @@ def min_witness(
 ) -> tuple[LabeledAlgebra, int] | None:
     """Smallest class member C with arrows(C, b, a, k), ties by signature."""
     _check_witness_inputs(kind, a, b, k)
-    for candidate in enumerate_algebras(max_atoms, b.chain_length, kind):
-        if candidate.n_atoms < b.n_atoms:
-            continue
+    for candidate in enumerate_algebras(max_atoms, b.chain_length, kind, b.n_atoms):
         if arrows(candidate, b, a, k).verdict == "holds":
             return candidate, candidate.n_atoms
     return None

@@ -31,6 +31,7 @@ RAMSEY = "src/ramsey_ba/ramsey.py"
 CHAINS = "src/ramsey_ba/chains.py"
 EMBED = "src/ramsey_ba/embed.py"
 ORDER = "src/ramsey_ba/order.py"
+PARALLEL = "src/ramsey_ba/parallel.py"
 
 # (name, file, deleted text, test files that must kill it)
 MUTANTS = [
@@ -213,6 +214,13 @@ MUTANTS = [
         # the appended chain moves up into the loop body
         "if all(frozenset(seq[:k]) == e for k, e in family):\n            ",
         ["tests/test_chains.py"],
+    ),
+    (
+        "fan-out: a child's exception is raised in the caller",
+        PARALLEL,
+        "            if not ok:\n"
+        "                raise value\n",
+        ["tests/test_parallel.py"],
     ),
 ]
 

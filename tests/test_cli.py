@@ -1,7 +1,6 @@
 """Command line contract: subcommands, exit codes, canonical reports."""
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -27,7 +26,7 @@ from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.serialize import format_io, parse_algebra
 
-from .test_parallel import RecordingPool
+from .test_parallel import forks  # noqa: F401  (a fixture)
 
 
 def write(tmp_path, name, payload) -> str:
@@ -405,16 +404,15 @@ def test_flags_that_change_nothing_are_refused(capsys, minimal_argv, name):
         assert captured.out == ""
 
 
-def test_worker_count_comes_only_from_the_command_line(capsys, monkeypatch, minimal_argv):
+def test_worker_count_comes_only_from_the_command_line(capsys, monkeypatch, minimal_argv, forks):
     monkeypatch.setenv("RAMSEY_BA_WORKERS", "0")
     code, report = run_cli(capsys, minimal_argv["validate"])
     assert code == 0 and report["member"] is True
-    RecordingPool.sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, _ = run_cli(capsys, ["fraisse", "--kind", "bj", "--max-atoms", "3", "--workers", "2"])
     assert code == 0
-    assert RecordingPool.sizes == [2, 2]  # one pool for HP, one for AP
+    assert len(forks) == 2  # one child for HP, one for AP; the caller is the other worker
 
 
 def test_parse_error_exit_code(capsys, tmp_path, algebras):

@@ -251,6 +251,14 @@ def test_enumerate_algebras_builds_what_the_filter_keeps():
                 list(enumerate_algebras(max_atoms, -1, kind))
 
 
+def test_enumerate_algebras_starts_at_its_start_size():
+    for kind in (None, *ClassKind):
+        for t in range(3):
+            everything = list(enumerate_algebras(5, t, kind))
+            for start in range(1, 7):
+                got = list(enumerate_algebras(5, t, kind, start))
+                assert got == [a for a in everything if a.n_atoms >= start]
+
 def test_enumerate_algebras_tests_the_class_once(monkeypatch):
     # one make_algebra for the [OUT] membership test, then one per algebra;
     # an empty range builds nothing, even at a chain length make_algebra refuses

@@ -1,6 +1,7 @@
 """Hereditary property, joint embedding, and amalgamation."""
 from __future__ import annotations
 
+import os
 import time
 from itertools import product
 
@@ -209,6 +210,30 @@ def test_suites_worker_count_invariant():
         )
     for check in (check_hp, check_ap):
         assert check(ClassKind.BJU, 3, 2, workers=2) == check(ClassKind.BJU, 3, 2, workers=1)
+
+
+def test_ap_violation_order_survives_the_cuts(monkeypatch):
+    # reject every amalgam with three atoms at level 0: violations come from
+    # many bases, and from each run of every base a two- or three-way cut
+    # splits.  Forked children inherit the patch.
+    definition = fraisse.class_membership
+    monkeypatch.setattr(
+        fraisse,
+        "class_membership",
+        lambda d, kind: d.levels.count(0) != 3 and definition(d, kind),
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
+    assert report["instances"] == 15856
+    assert len({str(v["a"]) for v in report["violations"]}) > 2
+    bases = list(enumerate_algebras(5, 1, ClassKind.BJ))
+    for workers in (2, 3):
+        runs = [run for cut in fraisse._cut_pairs(ClassKind.BJ, bases, 5, workers) for run in cut]
+        split = [run for run in runs if sum(other[0] is run[0] for other in runs) > 1]
+        assert split
+        for run in split:
+            assert fraisse._ap_shard((ClassKind.BJ, 5, [run]))[1]
+        assert check_ap(ClassKind.BJ, 5, 1, workers=workers) == report
 
 
 def ap_instances(kind, max_atoms, t):

@@ -33,7 +33,7 @@ from ramsey_ba import (
     signature_json,
     star,
 )
-from ramsey_ba import ramsey
+from ramsey_ba import core, ramsey
 from ramsey_ba.embed import Embedding, _ordered_block_maps, compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
@@ -506,6 +506,19 @@ def test_min_witness_examples():
     assert min_witness(ClassKind.BU, a, a, 2, 8) == (a, 2)
     assert min_witness(ClassKind.BU, a, b, 2, 4) is None
 
+
+def test_min_witness_builds_no_candidate_below_b(monkeypatch):
+    # after the [OUT] membership test, the candidates start at |B| atoms
+    a = make_algebra([0, OUT], 1)
+    b = make_algebra([0, 0, OUT], 1)
+    built = []
+    real = core.make_algebra
+    monkeypatch.setattr(
+        core, "make_algebra", lambda levels, t: built.append(tuple(levels)) or real(levels, t)
+    )
+    minimal, size = min_witness(ClassKind.BU, a, b, 2, 8)
+    assert built == [(OUT,)] + [(0,) * n + (OUT,) for n in range(2, size)]
+    assert built[-1] == minimal.levels
 
 def test_min_witness_never_beats_construction():
     cases = [
