@@ -23,7 +23,7 @@ from typing import get_args
 
 from .chains import chains_extending
 from .core import ClassKind, _require_same_chain, class_membership
-from .embed import Mode, _ordered_block_maps, enumerate_embeddings
+from .embed import Copies, Mode, _ordered_block_maps, _sorted_block_maps
 from .errors import (
     AmalgamationFailed,
     BoundExceeded,
@@ -90,14 +90,15 @@ def _run_validate(config: RunConfig, report: dict) -> int:
 def _run_copies(config: RunConfig, report: dict) -> int:
     small, big = _algebras(config, report, "small", "big")
     _require_same_chain(small, big)
-    # counted before any Embedding is built; plain mode relabels each ordered copy
-    count = sum(1 for _ in islice(_ordered_block_maps(small, big), MAX_COPIES_OUTPUT + 1))
-    if config.mode == "plain":
-        count *= count_proper_orders(small)
+    # the ordered maps, enumerated one past the limit; plain mode relabels each
+    # by every proper order, so it is counted before any is relabelled
+    maps = list(islice(_ordered_block_maps(small, big), MAX_COPIES_OUTPUT + 1))
+    count = len(maps) * (count_proper_orders(small) if config.mode == "plain" else 1)
     if count > MAX_COPIES_OUTPUT:
         raise BoundExceeded(f"copies lists at most {MAX_COPIES_OUTPUT} embeddings; there are more")
-    found = enumerate_embeddings(small, big, mode=config.mode)
-    report.update(mode=config.mode, count=len(found), embeddings=found)
+    maps = tuple(_sorted_block_maps(small, maps, config.mode))
+    copies = Copies(small, big, ordered=config.mode == "ordered", maps=maps)
+    report.update(mode=config.mode, count=count, embeddings=copies)
     return 0
 
 

@@ -20,8 +20,10 @@ one and a level-preserving relabelling of the small atoms: a proper order.
 Block maps are the internal currency: the arrow check, the amalgamation
 suite and the coloring writer read the tuples of _ordered_block_maps, sorted,
 and check them with _check_block_map; the suite checks each distinct r and s
-once per amalgam, which it builds once per level tuple.  Embedding records
-are built only by the public functions.
+once per amalgam, which it builds once per level tuple.  _sorted_block_maps
+derives every mode's sorted maps from the ordered ones; enumerate_embeddings
+wraps each in an Embedding, and the copies report carries them bare in a
+Copies value.  Embedding records are built only by the public functions.
 """
 from __future__ import annotations
 
@@ -128,24 +130,39 @@ def _ordered_block_maps(
         yield from itertools.product(*choices)
 
 
-def enumerate_embeddings(
-    small: LabeledAlgebra, big: LabeledAlgebra, mode: Mode = "plain"
-) -> list[Embedding]:
-    """All embeddings of small into big, lexicographic in block_of.
+@dataclass(frozen=True)
+class Copies:
+    """Every embedding of small into big in one mode, as its block maps in
+    lexicographic order: what enumerate_embeddings lists, with no Embedding."""
 
-    Plain mode relabels each ordered map by every proper order of small.
-    """
-    _require_same_chain(small, big)
-    if mode not in ("plain", "ordered"):
-        raise ValueError(f"unknown mode {mode!r}")
-    maps = list(_ordered_block_maps(small, big))
+    small: LabeledAlgebra
+    big: LabeledAlgebra
+    ordered: bool
+    maps: tuple[tuple[int, ...], ...]
+
+
+def _sorted_block_maps(
+    small: LabeledAlgebra, maps: list[tuple[int, ...]], mode: Mode
+) -> list[tuple[int, ...]]:
+    """The block maps of every embedding in this mode, sorted, from the
+    ordered ones; plain mode relabels each by every proper order of small."""
     if mode == "plain" and maps:
         relabels = list(enumerate_proper_orders(small))
         maps = [tuple(map(s.__getitem__, bo)) for bo in maps for s in relabels]
+    return sorted(maps)
+
+
+def enumerate_embeddings(
+    small: LabeledAlgebra, big: LabeledAlgebra, mode: Mode = "plain"
+) -> list[Embedding]:
+    """All embeddings of small into big, lexicographic in block_of."""
+    _require_same_chain(small, big)
+    if mode not in ("plain", "ordered"):
+        raise ValueError(f"unknown mode {mode!r}")
     ordered = mode == "ordered"
     return [
         Embedding(small=small, big=big, block_of=bo, ordered=ordered)
-        for bo in sorted(maps)
+        for bo in _sorted_block_maps(small, list(_ordered_block_maps(small, big)), mode)
     ]
 
 

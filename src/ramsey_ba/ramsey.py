@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import (
     ClassKind,
@@ -192,13 +193,16 @@ def _copy_edges(
 ) -> list[tuple[int, ...]]:
     """Per B-copy, the indices of the A-copies inside it.
 
-    The composite of outer and h maps C-atom x to h[outer[x]].
+    The composite of outer and h maps C-atom x to h[outer[x]], which is
+    itemgetter(*outer)(h).  Over a one-atom C that is a bare item, so the
+    A-copies are looked up by their one entry there.
     """
-    index = {block_of: i for i, block_of in enumerate(copies_a)}
-    return [
-        tuple([index[tuple(map(h.__getitem__, outer))] for h in inner])
-        for outer in copies_b
-    ]
+    index = {bo if len(bo) > 1 else bo[0]: i for i, bo in enumerate(copies_a)}
+    edges = []
+    for outer in copies_b:
+        composite = itemgetter(*outer)
+        edges.append(tuple([index[composite(h)] for h in inner]))
+    return edges
 
 
 def recheck_bad_coloring(

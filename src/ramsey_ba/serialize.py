@@ -1,9 +1,13 @@
 """Canonical JSON for every domain type, and strict parsers.
 
-Reports carry domain values (algebras, embeddings, chains, certificates,
-amalgams); format_io alone turns them into JSON, writing the canonical text
-itself.  Embeddings and chains have their own writers; an algebra becomes its
-chain length and signature, and a coloring its rows, for the generic writer.
+Reports carry domain values (algebras, embeddings, copies, chains,
+certificates, amalgams); format_io alone turns them into JSON, writing the
+canonical text itself.  An embedding, each row of a Copies value and each row
+of a coloring whose colors are plain ints are written from one %-template,
+built per array from the row's shape and indent, so copies builds no
+Embedding and no row goes through the generic writer; a coloring with any
+other color is written as dict rows.  Chains have their own writer; an algebra
+becomes its chain length and signature for the generic one.
 Formatting is byte-stable: sorted keys, two-space indent, ASCII escapes, a
 trailing newline, arrays in each module's deterministic enumeration order; the
 text is what json.dumps(sort_keys=True, indent=2) would print.  A subclass of
@@ -22,7 +26,7 @@ from typing import Any
 
 from .chains import MaximalChain, make_chain
 from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
-from .embed import Embedding, _ordered_block_maps, validate_embedding
+from .embed import Copies, Embedding, _ordered_block_maps, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
 from .ramsey import ArrowCertificate, Coloring, SearchStats
@@ -81,21 +85,51 @@ def parse_chain(data: Any, field: str = "chain") -> MaximalChain:
         raise ParseError(f"{field}: {bad}") from bad
 
 
-def _ints(values, pad: str) -> str:
-    """A JSON array of plain ints closing at pad (a newline and its indent)."""
-    if not values:
+def _array(texts: list[str], pad: str) -> str:
+    """A JSON array of these item texts closing at pad (a newline and its indent)."""
+    if not texts:
         return "[]"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + pad + "]"
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
 
-def _embedding(e: Embedding, pad: str) -> str:
+def _ints(values, pad: str) -> str:
+    return _array(list(map(int.__repr__, values)), pad)
+
+
+def _row_template(pad: str, **fields: str | int) -> str:
+    """The %-template of an object row closing at pad, its keys sorted.
+
+    A field given as a count is an array of that many %d entries; one given
+    as text is written as it stands, "%d" for an int.
+    """
     inner = pad + "  "
-    ordered = "true" if e.ordered else "false"
-    return (
-        "{" + inner + '"block_of": ' + _ints(e.block_of, inner)
-        + "," + inner + '"ordered": ' + ordered + pad + "}"
-    )
+    members = [
+        _quote(key) + ": " + (_array(["%d"] * value, inner) if type(value) is int else value)
+        for key, value in sorted(fields.items())
+    ]
+    return "{" + inner + ("," + inner).join(members) + pad + "}"
+
+
+def _embedding_template(n_atoms: int, ordered: bool, pad: str) -> str:
+    return _row_template(pad, block_of=n_atoms, ordered="true" if ordered else "false")
+
+
+def _rows(template: str, rows, pad: str, out: list) -> None:
+    """Append an array closing at pad, one template % row per row.
+
+    Each row's text is appended on its own, so a long array is held as its
+    rows and then in format_io's result, never also as one joined text.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    out.append("[" + inner + template % first)
+    out.extend(map(("," + inner + template).__mod__, rows))
+    out.append(pad + "]")
 
 
 def _chain(chain: MaximalChain, pad: str, memo: dict) -> str:
@@ -160,15 +194,24 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
             _write(item, inner, out, memo)
         out.append(pad + "]")
     elif kind is Embedding:
-        out.append(_embedding(value, pad))
+        template = _embedding_template(len(value.block_of), value.ordered, pad)
+        out.append(template % tuple(value.block_of))
+    elif kind is Copies:
+        template = _embedding_template(value.big.n_atoms, value.ordered, pad + "  ")
+        _rows(template, value.maps, pad, out)
     elif kind is LabeledAlgebra:
         levels = signature_json(value)
         _write({"chain_length": value.chain_length, "levels": levels}, pad, out, memo)
     elif kind is MaximalChain:
         out.append(_chain(value, pad, memo))
+    elif kind is Coloring and all(type(col) is int for col in value.colors):
+        # '%d' would write True as 1 and 0.5 as 0, so other colors take the branch below
+        template = _row_template(pad + "  ", color="%d", embedding=value.c.n_atoms)
+        rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
+        _rows(template, ((col, *bo) for col, bo in rows), pad, out)
     elif kind is Coloring:
-        rows = zip(sorted(_ordered_block_maps(value.a, value.c)), value.colors, strict=True)
-        _write([{"color": col, "embedding": bo} for bo, col in rows], pad, out, memo)
+        rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
+        _write([{"color": col, "embedding": bo} for col, bo in rows], pad, out, memo)
     elif value is None:
         out.append("null")
     elif value is True:

@@ -32,6 +32,7 @@ CHAINS = "src/ramsey_ba/chains.py"
 EMBED = "src/ramsey_ba/embed.py"
 ORDER = "src/ramsey_ba/order.py"
 PARALLEL = "src/ramsey_ba/parallel.py"
+SERIALIZE = "src/ramsey_ba/serialize.py"
 
 # (name, file, deleted text, test files that must kill it)
 MUTANTS = [
@@ -214,6 +215,12 @@ MUTANTS = [
         # the appended chain moves up into the loop body
         "if all(frozenset(seq[:k]) == e for k, e in family):\n            ",
         ["tests/test_chains.py"],
+    ),
+    (
+        "coloring rows: only plain int colors take the %d template",
+        SERIALIZE,
+        " and all(type(col) is int for col in value.colors)",
+        ["tests/test_serialize.py"],
     ),
     (
         "fan-out: a child's exception is raised in the caller",

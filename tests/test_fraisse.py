@@ -331,7 +331,7 @@ def test_check_ap_long_chain_within_budget():
 
 def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
     # reject every 4-atom amalgam; with 3 atoms a host holds several copies
-    # of A.  Runs in-process: a monkeypatch does not reach pool workers.
+    # of A.  At one worker the suite keeps one shard per base.
     definition = fraisse.class_membership
     monkeypatch.setattr(
         fraisse,

@@ -5,6 +5,7 @@ import json
 import random
 from collections import OrderedDict, namedtuple
 from enum import IntEnum
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,9 @@ from ramsey_ba import (
     signature_json,
 )
 from ramsey_ba.chains import enumerate_maximal_chains, make_chain
-from ramsey_ba.embed import Embedding, enumerate_embeddings, identity_embedding
+from ramsey_ba.cli import RunConfig, run
+from ramsey_ba.embed import Embedding, _ordered_block_maps, enumerate_embeddings, identity_embedding
+from ramsey_ba.ramsey import Coloring
 from ramsey_ba.serialize import (
     format_io,
     level_from_json,
@@ -288,6 +291,61 @@ def test_format_io_matches_json_dumps_on_domain_values():
         payloads.append({"chains": chains, "nested": [{"chains": chains}]})
     for payload in payloads:
         assert format_io(payload) == reference_text(payload), payload
+
+
+def test_copies_and_coloring_rows_match_the_reference_writer(tmp_path):
+    # through cli.run: every copies report with t <= 2 and big <= 5 atoms in
+    # both modes, and every failing k = 2 arrow with C <= 5 atoms, A in B in C,
+    # is json.dumps of its dict form, with enumerate_embeddings's Embeddings
+    # for the copies and the rows of a bad coloring
+    paths = {}
+
+    def path(algebra):
+        if algebra not in paths:
+            target = tmp_path / f"{len(paths)}.json"
+            target.write_text(format_io(algebra))
+            paths[algebra] = str(target)
+        return paths[algebra]
+
+    seen = {"one atom": 0, "no copy": 0, "fails": 0, "rows": 0}
+    for t in range(3):
+        algebras = list(enumerate_algebras(5, t))
+        for small, big, mode in product(algebras, algebras, ("plain", "ordered")):
+            inputs = {"small": path(small), "big": path(big)}
+            found = enumerate_embeddings(small, big, mode)
+            report = {
+                "subcommand": "copies", "small": small, "big": big,
+                "mode": mode, "count": len(found), "embeddings": found,
+            }
+            assert run(RunConfig("copies", inputs, mode=mode)) == (0, reference_text(report))
+            seen["one atom"] += big.n_atoms == 1
+            seen["no copy"] += not found
+        for c, b, a in product(algebras, repeat=3):
+            if not (a.n_atoms <= b.n_atoms <= c.n_atoms and any(_ordered_block_maps(a, b))):
+                continue
+            certificate = arrows(c, b, a, 2)
+            if certificate.verdict == "holds":
+                continue
+            inputs = {"c": path(c), "b": path(b), "a": path(a)}
+            copies = enumerate_embeddings(a, c, "ordered")
+            rows = zip(copies, certificate.bad_coloring.colors, strict=True)
+            written = dict(
+                vars(certificate),
+                bad_coloring=[{"color": col, "embedding": e.block_of} for e, col in rows],
+            )
+            report = {"subcommand": "arrow", "c": c, "b": b, "a": a, "k": 2, "certificate": written}
+            assert run(RunConfig("arrow", inputs, k=2)) == (1, reference_text(report))
+            seen["fails"] += 1
+            seen["rows"] += len(certificate.bad_coloring.colors)
+    assert seen == {"one atom": 420, "no copy": 6110, "fails": 8764, "rows": 12923}
+
+
+def test_coloring_rows_write_colors_that_are_not_plain_ints_as_json_does():
+    # '%d' writes True as 1 and 0.5 as 0; json writes true and 0.5
+    c, a = make_algebra([0, 0, OUT], 1), make_algebra([0, OUT], 1)
+    for colors in ((True, 0.5, 0), (0, 1, Shade.DARK), (0, 1, 2)):
+        coloring = Coloring(a, c, colors)
+        assert format_io({"x": [coloring]}) == reference_text({"x": [coloring]})
 
 
 class Shade(IntEnum):
