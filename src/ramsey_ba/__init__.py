@@ -70,6 +70,7 @@ from .ramsey import (
     recheck_bad_coloring,
 )
 from .chains import (
+    Chains,
     MaximalChain,
     atoms_above,
     chains_extending,

@@ -6,13 +6,15 @@ a permutation of the points; member i is the set of the first i additions.
 The reversed sequence is an atom order (phi), and a chain passes through
 every upper set (the atoms with level strictly above some ideal position)
 exactly when that order is proper.  The upper sets are nested, so the chains
-through all of them are derived, run by run, rather than found among all n!.
+through all of them are derived, run by run, rather than found among all n!:
+each upper-set test reads one run's permutation only, so the extending chains
+are the product of the per-run permutation lists that pass, one Chains value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .core import LabeledAlgebra, signature_json
@@ -36,6 +38,28 @@ class MaximalChain:
     @property
     def sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(self.additions[:i]) for i in range(self.n_points + 1))
+
+
+@dataclass(frozen=True)
+class Chains:
+    """Chains as the product of per-run permutation lists.
+
+    A chain adds the runs in turn, each by one of its run's listed
+    permutations; iteration yields them as MaximalChains, lexicographic in
+    additions when each list is.
+    """
+
+    runs: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def additions(self):
+        """Each chain's addition sequence, in product order."""
+        return (sum(parts, ()) for parts in product(*self.runs))
+
+    def __iter__(self):
+        return map(MaximalChain, self.additions())
+
+    def __len__(self) -> int:
+        return prod(map(len, self.runs))
 
 
 def make_chain(sets: Iterable[Iterable[int]]) -> MaximalChain:
@@ -92,16 +116,19 @@ def filter_family(algebra: LabeledAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(atoms_above(algebra, j) for j in range(algebra.chain_length))
 
 
-def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]:
+def chains_extending(algebra: LabeledAlgebra) -> tuple[Chains, dict]:
     """Chains containing every upper set, with the correspondence report.
 
     A chain contains a set of size k iff its first k additions are that set.
     The upper sets at occupied levels are nested, and consecutive ones
     differ by the atoms of one level, so a chain contains them all exactly
     when it adds the level runs one by one, highest level first.  The runs
-    are the reversed level_blocks, and the chains are the product of their
-    permutations, lexicographic in additions, so the cost follows the output
-    rather than n!.  Each chain is still tested against every upper set.
+    are the reversed level_blocks.  A chain's first k additions, for k inside
+    a run, are the atoms of the earlier runs and a prefix of its permutation
+    of that run, so the upper-set test of size k depends on that one
+    permutation: each run keeps the permutations of its atoms that pass the
+    tests ending inside it, and the chains are the product of these lists,
+    lexicographic in additions.  The cost follows the output rather than n!.
 
     The report checks phi against the proper orders, enumerated on their
     own: it maps the chains into and onto them, injectively.  Every other
@@ -119,22 +146,29 @@ def chains_extending(algebra: LabeledAlgebra) -> tuple[list[MaximalChain], dict]
     # filter_family is the full set, which every chain contains
     occupied = [j for j in dict.fromkeys(algebra.levels) if j < algebra.chain_length]
     family = [(len(e), e) for e in (atoms_above(algebra, j) for j in occupied)]
-    extending: list[MaximalChain] = []
-    for parts in product(*map(permutations, reversed(level_blocks(algebra)))):
-        seq = sum(parts, ())
-        if all(frozenset(seq[:k]) == e for k, e in family):
-            extending.append(MaximalChain(seq))
+    runs = []
+    earlier: frozenset[int] = frozenset()
+    for run in reversed(level_blocks(algebra)):
+        start = len(earlier)
+        kept = list(permutations(run))
+        for k, e in family:
+            if start < k <= start + len(run):
+                kept = [perm for perm in kept if earlier.union(perm[:k - start]) == e]
+        runs.append(tuple(kept))
+        earlier = earlier.union(run)
+    extending = Chains(tuple(runs))
     proper = set(enumerate_proper_orders(algebra))
-    mapped = [chain.additions[::-1] for chain in extending]
+    mapped = [seq[::-1] for seq in extending.additions()]
+    image = set(mapped)
     into = all(o in proper for o in mapped)
-    onto = set(mapped) >= proper
-    injective = len(set(mapped)) == len(mapped)
+    onto = image >= proper
+    injective = len(image) == len(mapped)
     report = {
         "signature": signature_json(algebra),
         "chain_length": algebra.chain_length,
         "n_atoms": algebra.n_atoms,
         "total_chains": factorial(algebra.n_atoms),
-        "extending_chains": len(extending),
+        "extending_chains": len(mapped),
         "proper_orders": len(proper),
         "extending_map_to_proper": into,
         "map_is_injective": injective,

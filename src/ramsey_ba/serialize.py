@@ -6,8 +6,9 @@ canonical text itself.  An embedding, each row of a Copies value and each row
 of a coloring whose colors are plain ints are written from one %-template,
 built per array from the row's shape and indent, so copies builds no
 Embedding and no row goes through the generic writer; a coloring with any
-other color is written as dict rows.  Chains have their own writer; an algebra
-becomes its chain length and signature for the generic one.
+other color is written as dict rows.  A Chains value's rows are its runs'
+segment texts joined in product order, a lone MaximalChain being a one-run
+product, and an algebra is written as its chain length and levels directly.
 Formatting is byte-stable: sorted keys, two-space indent, ASCII escapes, a
 trailing newline, arrays in each module's deterministic enumeration order; the
 text is what json.dumps(sort_keys=True, indent=2) would print.  A subclass of
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .chains import MaximalChain, make_chain
-from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra, signature_json
+from .chains import Chains, MaximalChain, make_chain
+from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra
 from .embed import Copies, Embedding, _ordered_block_maps, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
@@ -115,8 +117,9 @@ def _embedding_template(n_atoms: int, ordered: bool, pad: str) -> str:
     return _row_template(pad, block_of=n_atoms, ordered="true" if ordered else "false")
 
 
-def _rows(template: str, rows, pad: str, out: list) -> None:
-    """Append an array closing at pad, one template % row per row.
+def _rows(rows, pad: str, out: list) -> None:
+    """Append an array closing at pad of these row texts, each opening with
+    "," and the row indent.
 
     Each row's text is appended on its own, so a long array is held as its
     rows and then in format_io's result, never also as one joined text.
@@ -126,32 +129,47 @@ def _rows(template: str, rows, pad: str, out: list) -> None:
     if first is None:
         out.append("[]")
         return
-    inner = pad + "  "
-    out.append("[" + inner + template % first)
-    out.extend(map(("," + inner + template).__mod__, rows))
+    out.append("[" + first[1:])
+    out.extend(rows)
     out.append(pad + "]")
 
 
-def _chain(chain: MaximalChain, pad: str, memo: dict) -> str:
-    """The chain's sets, each the sorted prefix of its additions.
+def _chain_rows(runs, sep: str, pad: str, memo: dict):
+    """The texts of the chains whose additions are the product of runs, each
+    opening with sep and closing at pad.
 
-    A prefix set is a bitmask of the points added so far; its text at this
-    indent is written once per format_io call and reused by every chain
-    passing through it.
+    A set a chain passes through is the bitmask of the points added so far;
+    its text at this indent is written once per format_io call.  Each run's
+    permutations become segment texts once, the sets they add after the
+    earlier runs' points, the first run's opening the chain and the last
+    run's closing it; a chain's text is its segments joined in product
+    order, so a one-run product's texts are its segments themselves, not copies.
     """
-    inner = pad + "  "
-    texts = memo.setdefault(inner, {})
-    sets = ["[]"]
-    mask = 0
-    for i, point in enumerate(chain.additions, 1):
-        mask |= 1 << point
-        text = texts.get(mask)
-        if text is None:
-            text = texts[mask] = _ints(sorted(chain.additions[:i]), inner)
-        sets.append(text)
-    return "[" + inner + ("," + inner).join(sets) + pad + "]"
+    member = pad + "  "
+    texts = memo.setdefault(member, {})
+    runs = runs or (((),),)  # no run is one run of the empty permutation
+    held, base = [], 0
+    for r, run in enumerate(runs):
+        opening = sep + "[" + member + "[]" if r == 0 else ""
+        closing = pad + "]" if r == len(runs) - 1 else ""
+        segments, mask = [], base
+        for perm in run:
+            mask, parts = base, [opening]
+            for point in perm:
+                mask |= 1 << point
+                text = texts.get(mask)
+                if text is None:
+                    points = [p for p in range(mask.bit_length()) if mask >> p & 1]
+                    text = texts[mask] = "," + member + _ints(points, member)
+                parts.append(text)
+            parts.append(closing)
+            segments.append("".join(parts))
+        held.append(segments)
+        base = mask
+    return map("".join, product(*held))
 
 
+_OUTSIDE = _quote(OUTSIDE_TOKEN)
 _FIELD_BY_FIELD = (ArrowCertificate, SearchStats, AmalgamationResult)
 
 
@@ -197,18 +215,26 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
         template = _embedding_template(len(value.block_of), value.ordered, pad)
         out.append(template % tuple(value.block_of))
     elif kind is Copies:
-        template = _embedding_template(value.big.n_atoms, value.ordered, pad + "  ")
-        _rows(template, value.maps, pad, out)
+        inner = pad + "  "
+        template = "," + inner + _embedding_template(value.big.n_atoms, value.ordered, inner)
+        _rows(map(template.__mod__, value.maps), pad, out)
     elif kind is LabeledAlgebra:
-        levels = signature_json(value)
-        _write({"chain_length": value.chain_length, "levels": levels}, pad, out, memo)
+        inner = pad + "  "
+        levels = [_OUTSIDE if level is OUT else int.__repr__(level) for level in value.levels]
+        out.append("{" + inner + '"chain_length": ')
+        _write(value.chain_length, inner, out, memo)
+        out.append("," + inner + '"levels": ' + _array(levels, inner) + pad + "}")
+    elif kind is Chains:
+        inner = pad + "  "
+        _rows(_chain_rows(value.runs, "," + inner, inner, memo), pad, out)
     elif kind is MaximalChain:
-        out.append(_chain(value, pad, memo))
+        out.extend(_chain_rows(((value.additions,),), "", pad, memo))
     elif kind is Coloring and all(type(col) is int for col in value.colors):
         # '%d' would write True as 1 and 0.5 as 0, so other colors take the branch below
-        template = _row_template(pad + "  ", color="%d", embedding=value.c.n_atoms)
+        inner = pad + "  "
+        template = "," + inner + _row_template(inner, color="%d", embedding=value.c.n_atoms)
         rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
-        _rows(template, ((col, *bo) for col, bo in rows), pad, out)
+        _rows((template % (col, *bo) for col, bo in rows), pad, out)
     elif kind is Coloring:
         rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
         _write([{"color": col, "embedding": bo} for col, bo in rows], pad, out, memo)

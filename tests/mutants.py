@@ -1,9 +1,10 @@
 """Mutation gate: every listed re-check has a test that fails without it.
 
-Each mutant deletes one check as an exact piece of source text.  For each
-one in turn, the script copies src/ and tests/ to a temporary directory,
-applies that one deletion there, and runs the mutant's test files in one
-pytest process; the repository itself is never changed.  A mutant is killed
+Each mutant deletes one check as an exact piece of source text, or, given
+as a (text, replacement) pair, replaces it.  For each one in turn, the
+script copies src/ and tests/ to a temporary directory, applies that one
+edit there, and runs the mutant's test files in one pytest process; the
+repository itself is never changed.  A mutant is killed
 when its tests fail and survives when they pass.  Before the mutants, the
 unchanged copy must pass all the named test files, so that a test already
 failing cannot pass for a kill.
@@ -12,7 +13,7 @@ Run from anywhere, standard library and pytest only:
 
     python tests/mutants.py
 
-Exits 1 when a mutant survives, when a deletion text no longer occurs
+Exits 1 when a mutant survives, when a mutated text no longer occurs
 exactly once in its file, or when a run neither passes nor fails its tests.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ ORDER = "src/ramsey_ba/order.py"
 PARALLEL = "src/ramsey_ba/parallel.py"
 SERIALIZE = "src/ramsey_ba/serialize.py"
 
-# (name, file, deleted text, test files that must kill it)
+# (name, file, deleted text or (text, replacement), test files that must kill it)
 MUTANTS = [
     (
         "amalgam: r is a checked block map",
@@ -212,9 +213,17 @@ MUTANTS = [
     (
         "chains: each chain passes through every upper set",
         CHAINS,
-        # the appended chain moves up into the loop body
-        "if all(frozenset(seq[:k]) == e for k, e in family):\n            ",
+        # each run keeps every permutation of its atoms
+        "        for k, e in family:\n"
+        "            if start < k <= start + len(run):\n"
+        "                kept = [perm for perm in kept if earlier.union(perm[:k - start]) == e]\n",
         ["tests/test_chains.py"],
+    ),
+    (
+        "chain writer: the first run's segments in product order",
+        SERIALIZE,
+        ("held.append(segments)", "held.append(segments if held else segments[::-1])"),
+        ["tests/test_serialize.py"],
     ),
     (
         "coloring rows: only plain int colors take the %d template",
@@ -232,8 +241,13 @@ MUTANTS = [
 ]
 
 
-def run_tests(source_root: Path, tests: list[str], deletion: tuple[str, str] | None) -> int:
-    """pytest's exit code on a copy of the repository, with one deletion applied."""
+def _edit(text: str | tuple[str, str]) -> tuple[str, str]:
+    """The source text a mutant removes and what it puts in its place."""
+    return text if isinstance(text, tuple) else (text, "")
+
+
+def run_tests(source_root: Path, tests: list[str], mutant: tuple[str, str | tuple] | None) -> int:
+    """pytest's exit code on a copy of the repository, with one mutant's edit applied."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -241,10 +255,10 @@ def run_tests(source_root: Path, tests: list[str], deletion: tuple[str, str] | N
                 source_root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__")
             )
         shutil.copy(source_root / "pyproject.toml", copy / "pyproject.toml")
-        if deletion is not None:
-            rel, text = deletion
+        if mutant is not None:
+            rel, text = mutant
             target = copy / rel
-            target.write_text(target.read_text().replace(text, "", 1))
+            target.write_text(target.read_text().replace(*_edit(text), 1))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
@@ -260,9 +274,9 @@ def main() -> int:
     bad = 0
     stale = []
     for name, rel, text, _ in MUTANTS:
-        found = (ROOT / rel).read_text().count(text)
+        found = (ROOT / rel).read_text().count(_edit(text)[0])
         if found != 1:
-            print(f"stale     {name}: the deletion occurs {found} times in {rel}")
+            print(f"stale     {name}: the mutated text occurs {found} times in {rel}")
             stale.append(name)
     every_test = sorted({test for *_, tests in MUTANTS for test in tests})
     baseline = run_tests(ROOT, every_test, None)

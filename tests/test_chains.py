@@ -122,7 +122,7 @@ def test_filter_family_singleton_intersection_for_one_out_kind():
 def test_chains_extending_examples():
     extending, report = chains_extending(make_algebra([0, OUT], 1))
     assert len(extending) == 1 and report["matched"]
-    assert extending[0].sets == (frozenset(), frozenset({1}), frozenset({0, 1}))
+    assert list(extending)[0].sets == (frozenset(), frozenset({1}), frozenset({0, 1}))
 
     extending, report = chains_extending(make_algebra([0, 0, OUT], 1))
     assert len(extending) == 2 and report["matched"]
@@ -178,13 +178,13 @@ def test_chains_extending_draws_output_proportional_permutations(monkeypatch):
     monkeypatch.setattr(chains, "permutations", counting_permutations)
     algebra = make_algebra([*range(8), OUT], 8)
     extending, report = chains_extending(algebra)
-    assert report["matched"] and extending == [MaximalChain(tuple(range(8, -1, -1)))]
+    assert report["matched"] and list(extending) == [MaximalChain(tuple(range(8, -1, -1)))]
     assert drawn <= algebra.n_atoms * len(extending)
 
 
 def test_chains_extending_tests_each_chain_against_the_upper_sets(monkeypatch):
-    # with every atom in one run the product draws all n! addition
-    # sequences, and the per-chain test alone must leave the extending ones
+    # with every atom in one run that run draws all n! addition sequences,
+    # and its upper-set tests alone must leave the extending ones
     monkeypatch.setattr(chains, "level_blocks", lambda algebra: [tuple(algebra.atoms)])
     for t in (0, 1, 2):
         for a in enumerate_algebras(5, t):

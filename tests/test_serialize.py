@@ -20,7 +20,7 @@ from ramsey_ba import (
     make_algebra,
     signature_json,
 )
-from ramsey_ba.chains import enumerate_maximal_chains, make_chain
+from ramsey_ba.chains import Chains, MaximalChain, chains_extending, enumerate_maximal_chains, make_chain
 from ramsey_ba.cli import RunConfig, run
 from ramsey_ba.embed import Embedding, _ordered_block_maps, enumerate_embeddings, identity_embedding
 from ramsey_ba.ramsey import Coloring
@@ -338,6 +338,37 @@ def test_copies_and_coloring_rows_match_the_reference_writer(tmp_path):
             seen["fails"] += 1
             seen["rows"] += len(certificate.bad_coloring.colors)
     assert seen == {"one atom": 420, "no copy": 6110, "fails": 8764, "rows": 12923}
+
+
+def test_chains_reports_match_the_reference_writer(tmp_path):
+    # through cli.run: every chains report for t <= 2 and n <= 6, t = 3 and
+    # n <= 5, the two 8-atom order-sweep algebras and level-free 7 atoms is
+    # json.dumps of its dict form, with the chains as a list of MaximalChains
+    algebras = [a for t, n in ((0, 6), (1, 6), (2, 6), (3, 5)) for a in enumerate_algebras(n, t)]
+    algebras.append(make_algebra([0] * 4 + [OUT] * 4, 1))
+    algebras.append(make_algebra([0, 0, 1, 1, 1, OUT, OUT, OUT], 2))
+    algebras.append(make_algebra([OUT] * 7, 0))
+    seen = {"algebras": 0, "chains": 0, "runs": 0}
+    for i, algebra in enumerate(algebras):
+        path = tmp_path / f"{i}.json"
+        path.write_text(format_io(algebra))
+        extending, correspondence = chains_extending(algebra)
+        report = {
+            "subcommand": "chains", "algebra": algebra,
+            "correspondence": correspondence, "extending": list(extending),
+        }
+        assert run(RunConfig("chains", {"algebra": str(path)})) == (0, reference_text(report))
+        seen["algebras"] += 1
+        seen["chains"] += len(report["extending"])
+        seen["runs"] += len(extending.runs)
+    assert seen == {"algebras": 244, "chains": 14_302, "runs": 502}
+    for additions in ((), (0,), (2, 0, 3, 1)):
+        chain = MaximalChain(additions)
+        for payload in (chain, {"x": [chain, chain]}):
+            assert format_io(payload) == reference_text(payload)
+    # built by hand: no run is the one chain of no points, an empty run leaves none
+    for chains in (Chains(()), Chains(((),)), Chains((((2,),), ((0, 1), (1, 0))))):
+        assert format_io({"x": chains}) == reference_text({"x": list(chains)})
 
 
 def test_coloring_rows_write_colors_that_are_not_plain_ints_as_json_does():
