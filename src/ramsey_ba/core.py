@@ -90,6 +90,8 @@ class LabeledAlgebra:
 
 def make_algebra(levels: Sequence[Level], chain_length: int) -> LabeledAlgebra:
     """Build an algebra from per-atom levels, re-sorting into canonical order."""
+    if isinstance(chain_length, bool) or not isinstance(chain_length, int):
+        raise LevelOutOfRange(f"chain_length is not an integer: {chain_length!r}")
     if chain_length < 0:
         raise LevelOutOfRange(f"chain_length must be nonnegative, got {chain_length}")
     if chain_length >= OUT:

@@ -17,15 +17,18 @@ side the nearest image atom of each A-block seen so far.  The identified
 block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
-re-checked rather than trusted.  The amalgamation suite checks each copy of
-A once and reuses each copy's merge keys for every pair.  Within a base's
-run of a shard it builds each amalgam D once per level tuple and checks D's
-class membership once per tuple, a function of the levels.  It checks each
+re-checked rather than trusted.  The amalgamation suite enumerates and checks
+each copy of A once, in the caller, over one host list, and cuts the pairs
+into one run of B-sides per base and shard, whatever the worker count.  A
+shard computes each copy's merge keys once per run and reuses them for every
+pair.  Within a run it builds each amalgam D once per level tuple and checks
+D's class membership once per tuple, a function of the levels.  It checks each
 distinct block map r or s once per interned D, a function of the map and its
 host's levels; the atom count and the commuting square run on every pair.
 Copies travel as bare block maps, the square commutes by index arithmetic,
 and only amalgamate wraps its result into Embedding records.
-Suite shards are handed the ClassKind and LabeledAlgebra values themselves.
+Suite shards are handed the ClassKind and LabeledAlgebra values and the
+copies themselves; forked children inherit them, and send back only results.
 """
 from __future__ import annotations
 
@@ -123,7 +126,8 @@ def _amalgamate_sides(
 
     amalgams interns D by its level tuple, with D's class membership and the
     set of (host levels, block map) keys already checked into D, within one
-    base's run of a suite shard; amalgamate passes a fresh dict.
+    run of a suite shard, whose pairs all share one base A; amalgamate passes
+    a fresh dict.
     Membership is a function of the levels, and the check of r or s a function
     of its key, so each is checked once per D; a key enters the set only after
     its check passes, so every failure is still raised on every pair that has it.
@@ -233,19 +237,13 @@ def check_hp(
     }
 
 
-def _ap_shard(args: tuple[ClassKind, int, list]) -> tuple[int, list[dict]]:
-    kind, max_atoms, runs = args
-    instances = 0
+def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
+    kind, runs = args
     violations: list[dict] = []
-    for a, start, stop in runs:
-        # one per base: a shard holds one base's amalgams at a time
+    for a, copies, start, stop in runs:
+        # one per run: a shard holds one base's amalgams at a time
         amalgams: dict = {}  # level tuple -> (D, D in the class, keys checked into D)
-        sides = []  # the _side data of every ordered copy of A, over all hosts
-        for host in enumerate_algebras(max_atoms, a.chain_length, kind):
-            for block_of in sorted(_ordered_block_maps(a, host)):
-                _check_block_map(block_of, a, host, True)
-                sides.append(_side(block_of, a, host))
-        instances += len(sides[start:stop]) * len(sides)
+        sides = [_side(block_of, a, host) for host, block_of in copies]
         for side_b, side_c in itertools.product(sides[start:stop], sides):
             try:
                 _amalgamate_sides(kind, a, side_b, side_c, amalgams)
@@ -260,29 +258,7 @@ def _ap_shard(args: tuple[ClassKind, int, list]) -> tuple[int, list[dict]]:
                         "error": str(failure),
                     }
                 )
-    return instances, violations
-
-
-def _cut_pairs(
-    kind: ClassKind, bases: list[LabeledAlgebra], max_atoms: int, workers: int
-) -> list[list]:
-    """Cut the (base A, B-side index) list, in order, into workers contiguous
-    runs of near-equal pair counts; a B-side of A pairs with A's m_A copies.
-    A run is [A, first B-side index, end index]."""
-    hosts = list(enumerate_algebras(max_atoms, bases[0].chain_length, kind))
-    copies = [sum(1 for host in hosts for _ in _ordered_block_maps(a, host)) for a in bases]
-    total = sum(m * m for m in copies)
-    cuts: list[list] = [[] for _ in range(workers)]
-    done = 0
-    for a, m in zip(bases, copies):
-        for i in range(m):
-            runs = cuts[done * workers // total]
-            if runs and runs[-1][0] is a:
-                runs[-1][2] = i + 1
-            else:
-                runs.append([a, i, i + 1])
-            done += m
-    return cuts
+    return violations
 
 
 def check_ap(
@@ -295,28 +271,46 @@ def check_ap(
     """Amalgamation sweep over every ordered embedding pair in the bounds.
 
     A base A contributes every pair of its ordered copies over all hosts:
-    the square of its copy count m_A.  With one usable worker a shard is one
-    base; with more, the (A, B-side) list is cut into one contiguous run of
-    near-equal pair counts per worker, and a shard re-enumerates the copies
-    of its bases and pairs its B-sides with all of them.  Violations list
-    pairs by base, then by (B, f), then by (C, g), the same for any worker
-    count.
+    the square of its copy count m_A.  The caller lists and checks each
+    base's copies once, as (host, block map) pairs, and cuts the (A, B-side)
+    list, in order, into one contiguous run of near-equal pair counts per
+    usable worker; a cut with no run is dropped, so one worker runs one
+    shard.  A shard pairs each B-side of a run with all of its base's
+    copies.  Violations list pairs by base, then by (B, f), then by (C, g),
+    the same for any worker count.
     """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
     bases = list(enumerate_algebras(cap, chain_length, kind))
-    workers = usable_workers(workers)
-    if workers > 1 and bases:
-        cuts = _cut_pairs(kind, bases, max_atoms, workers)
-    else:
-        cuts = [[(a, 0, None)] for a in bases]
-    results = ordered_map(_ap_shard, [(kind, max_atoms, runs) for runs in cuts], workers)
+    hosts = list(enumerate_algebras(max_atoms, chain_length, kind))
+    copies = []  # per base: its checked ordered copies, as (host, block map) pairs
+    for a in bases:
+        pairs = []
+        for host in hosts:
+            for block_of in sorted(_ordered_block_maps(a, host)):
+                _check_block_map(block_of, a, host, True)
+                pairs.append((host, block_of))
+        copies.append(pairs)
+    instances = sum(len(pairs) ** 2 for pairs in copies)
+    workers = max(usable_workers(workers), 1)
+    cuts: list[list] = [[] for _ in range(workers)]
+    done = 0  # a run is [A, A's copies, first B-side index, end index]
+    for a, pairs in zip(bases, copies):
+        for i in range(len(pairs)):
+            runs = cuts[done * workers // instances]
+            if runs and runs[-1][0] is a:
+                runs[-1][3] = i + 1
+            else:
+                runs.append([a, pairs, i, i + 1])
+            done += len(pairs)
+    shards = [(kind, runs) for runs in cuts if runs]
+    results = ordered_map(_ap_shard, shards, workers)
     return {
         "kind": kind.value,
         "chain_length": chain_length,
         "max_atoms": max_atoms,
         "max_a_atoms": cap,
         "base_algebras": len(bases),
-        "instances": sum(r[0] for r in results),
-        "violations": [v for r in results for v in r[1]],
+        "instances": instances,
+        "violations": [v for r in results for v in r],
     }

@@ -221,9 +221,10 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
     elif kind is LabeledAlgebra:
         inner = pad + "  "
         levels = [_OUTSIDE if level is OUT else int.__repr__(level) for level in value.levels]
-        out.append("{" + inner + '"chain_length": ')
-        _write(value.chain_length, inner, out, memo)
-        out.append("," + inner + '"levels": ' + _array(levels, inner) + pad + "}")
+        out.append(
+            "{" + inner + '"chain_length": ' + int.__repr__(value.chain_length)
+            + "," + inner + '"levels": ' + _array(levels, inner) + pad + "}"
+        )
     elif kind is Chains:
         inner = pad + "  "
         _rows(_chain_rows(value.runs, "," + inner, inner, memo), pad, out)

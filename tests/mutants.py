@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+CORE = "src/ramsey_ba/core.py"
 FRAISSE = "src/ramsey_ba/fraisse.py"
 RAMSEY = "src/ramsey_ba/ramsey.py"
 CHAINS = "src/ramsey_ba/chains.py"
@@ -75,8 +76,15 @@ MUTANTS = [
     (
         "AP suite: each copy is a checked block map",
         FRAISSE,
-        "            _check_block_map(block_of, a, host, True)\n",
+        "                _check_block_map(block_of, a, host, True)\n",
         ["tests/test_fraisse.py"],
+    ),
+    (
+        "algebra: the chain length is an int, not a bool or float",
+        CORE,
+        "    if isinstance(chain_length, bool) or not isinstance(chain_length, int):\n"
+        '        raise LevelOutOfRange(f"chain_length is not an integer: {chain_length!r}")\n',
+        ["tests/test_core.py"],
     ),
     (
         "arrow: the search's coloring is rechecked",

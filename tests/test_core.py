@@ -69,6 +69,14 @@ def test_make_algebra_rejects_bad_input():
         make_algebra([-1], 2)
 
 
+@pytest.mark.parametrize("chain_length", [True, False, 1.0, 2.5, "1", None])
+def test_make_algebra_refuses_a_chain_length_that_is_not_an_int(chain_length):
+    # a bool or float chain length would be written as true or 1.0, which
+    # parse_algebra refuses, so the report could not be read back
+    with pytest.raises(LevelOutOfRange, match="chain_length is not an integer"):
+        make_algebra([OUT], chain_length)
+
+
 def test_level_order():
     assert 0 < 1 < OUT
     assert not OUT < OUT

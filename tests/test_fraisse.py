@@ -33,6 +33,7 @@ from ramsey_ba import (
 from ramsey_ba import fraisse
 
 from .oracles import reference_amalgamate
+from .test_parallel import forks, no_child_is_left  # noqa: F401 (a fixture)
 
 
 def unique_embedding(small, big):
@@ -223,17 +224,67 @@ def test_ap_violation_order_survives_the_cuts(monkeypatch):
         lambda d, kind: d.levels.count(0) != 3 and definition(d, kind),
     )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cuts = []  # per check_ap call: the runs of each shard
+    real = fraisse.ordered_map
+    monkeypatch.setattr(
+        fraisse,
+        "ordered_map",
+        lambda fn, shards, workers: cuts.append([r for _, r in shards]) or real(fn, shards, workers),
+    )
     report = check_ap(ClassKind.BJ, 5, 1, workers=1)
     assert report["instances"] == 15856
     assert len({str(v["a"]) for v in report["violations"]}) > 2
-    bases = list(enumerate_algebras(5, 1, ClassKind.BJ))
+    [whole] = cuts[0]  # one worker, one shard
+    b_sides = [(run[0], i) for run in whole for i in range(run[2], run[3])]
     for workers in (2, 3):
-        runs = [run for cut in fraisse._cut_pairs(ClassKind.BJ, bases, 5, workers) for run in cut]
+        assert check_ap(ClassKind.BJ, 5, 1, workers=workers) == report
+        assert len(cuts[-1]) == workers
+        runs = [run for shard in cuts[-1] for run in shard]
+        # the cut keeps every (A, B-side) once, in order
+        assert [(run[0], i) for run in runs for i in range(run[2], run[3])] == b_sides
         split = [run for run in runs if sum(other[0] is run[0] for other in runs) > 1]
         assert split
         for run in split:
-            assert fraisse._ap_shard((ClassKind.BJ, 5, [run]))[1]
-        assert check_ap(ClassKind.BJ, 5, 1, workers=workers) == report
+            assert fraisse._ap_shard((ClassKind.BJ, [run]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, forks, workers):
+    # the caller lists each base's copies in each host once, over one host
+    # list; no shard, in the caller or in a child, enumerates hosts or copies
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = os.getpid()
+    calls = []
+
+    def spy(name):
+        real = getattr(fraisse, name)
+
+        def spied(*args):
+            assert os.getpid() == caller, f"a child called {name}"
+            calls.append((name, *args))
+            return real(*args)
+
+        monkeypatch.setattr(fraisse, name, spied)
+
+    spy("_ordered_block_maps")
+    spy("enumerate_algebras")
+    report = check_ap(ClassKind.BJ, 4, 1, workers=workers)
+    copy_calls = [call for call in calls if call[0] == "_ordered_block_maps"]
+    assert len(calls) - len(copy_calls) == 2  # the bases and the hosts
+    bases = hosts = len(list(enumerate_algebras(4, 1, ClassKind.BJ)))
+    assert len(copy_calls) == len(set(copy_calls)) == bases * hosts == 100
+    assert report["instances"] == 1134
+    assert len(forks) == workers - 1
+    assert no_child_is_left()
+
+
+def test_ap_suites_with_one_pair_or_none_fork_nothing(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    one = check_ap(ClassKind.BU, 1, 1, workers=2)
+    assert (one["base_algebras"], one["instances"], one["violations"]) == (1, 1, [])
+    empty = check_ap(ClassKind.BU, 3, 0, workers=2)
+    assert (empty["base_algebras"], empty["instances"], empty["violations"]) == (0, 0, [])
+    assert forks == []
 
 
 def ap_instances(kind, max_atoms, t):
@@ -331,7 +382,7 @@ def test_check_ap_long_chain_within_budget():
 
 def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
     # reject every 4-atom amalgam; with 3 atoms a host holds several copies
-    # of A.  At one worker the suite keeps one shard per base.
+    # of A.  At one worker the suite runs in-process as one shard.
     definition = fraisse.class_membership
     monkeypatch.setattr(
         fraisse,
