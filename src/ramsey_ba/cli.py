@@ -18,12 +18,11 @@ import argparse
 import sys
 import traceback
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import get_args
 
 from .chains import chains_extending
-from .core import ClassKind, _require_same_chain, class_membership
-from .embed import Copies, Mode, _ordered_block_maps, _sorted_block_maps
+from .core import ClassKind, class_membership
+from .embed import Copies, Mode, _sorted_block_maps
 from .errors import (
     AmalgamationFailed,
     BoundExceeded,
@@ -33,7 +32,7 @@ from .errors import (
     WorkbenchError,
 )
 from .fraisse import amalgamate, check_ap, check_hp
-from .order import count_proper_orders, forgetfulness_report
+from .order import forgetfulness_report
 from .ramsey import arrows, construct_witness, min_witness
 from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
 
@@ -89,16 +88,9 @@ def _run_validate(config: RunConfig, report: dict) -> int:
 
 def _run_copies(config: RunConfig, report: dict) -> int:
     small, big = _algebras(config, report, "small", "big")
-    _require_same_chain(small, big)
-    # the ordered maps, enumerated one past the limit; plain mode relabels each
-    # by every proper order, so it is counted before any is relabelled
-    maps = list(islice(_ordered_block_maps(small, big), MAX_COPIES_OUTPUT + 1))
-    count = len(maps) * (count_proper_orders(small) if config.mode == "plain" else 1)
-    if count > MAX_COPIES_OUTPUT:
-        raise BoundExceeded(f"copies lists at most {MAX_COPIES_OUTPUT} embeddings; there are more")
-    maps = tuple(_sorted_block_maps(small, maps, config.mode))
+    maps = _sorted_block_maps(small, big, config.mode, MAX_COPIES_OUTPUT)
     copies = Copies(small, big, ordered=config.mode == "ordered", maps=maps)
-    report.update(mode=config.mode, count=count, embeddings=copies)
+    report.update(mode=config.mode, count=len(maps), embeddings=copies)
     return 0
 
 

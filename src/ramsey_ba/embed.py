@@ -17,13 +17,13 @@ atom b.  Ordered embeddings are rigid, so they are in bijection with copies.
 Sorting a plain embedding's blocks by their maxima leaves a unique ordered
 one and a level-preserving relabelling of the small atoms: a proper order.
 
-Block maps are the internal currency: the arrow check, the amalgamation
-suite and the coloring writer read the tuples of _ordered_block_maps, sorted,
-and check them with _check_block_map; the suite checks each distinct r and s
-once per amalgam, which it builds once per level tuple.  _sorted_block_maps
-derives every mode's sorted maps from the ordered ones; enumerate_embeddings
-wraps each in an Embedding, and the copies report carries them bare in a
-Copies value.  Embedding records are built only by the public functions.
+Block maps are the internal currency.  Every sorted copy list, of either
+mode, comes from _sorted_block_maps, which also enforces the copies report's
+output bound: the arrow check, the amalgamation suite and the coloring writer
+read it, enumerate_embeddings wraps each map in an Embedding, and the copies
+report carries them bare in a Copies value.  The suite checks each copy with
+_check_block_map, and each distinct r and s once per amalgam, which it builds
+once per level tuple.  Embedding records are built only by public functions.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from typing import Iterator, Literal
 
 from .core import OUT, Element, LabeledAlgebra, _require_same_chain, elements, make_algebra
 from .errors import (
+    BoundExceeded,
     ImproperConcatenation,
     LevelOutOfRange,
     LevelOverlap,
@@ -40,7 +41,7 @@ from .errors import (
     NotAnEmbedding,
     SizeMismatch,
 )
-from .order import enumerate_proper_orders
+from .order import count_proper_orders, enumerate_proper_orders
 
 Mode = Literal["plain", "ordered"]
 
@@ -142,27 +143,33 @@ class Copies:
 
 
 def _sorted_block_maps(
-    small: LabeledAlgebra, maps: list[tuple[int, ...]], mode: Mode
-) -> list[tuple[int, ...]]:
-    """The block maps of every embedding in this mode, sorted, from the
-    ordered ones; plain mode relabels each by every proper order of small."""
+    small: LabeledAlgebra, big: LabeledAlgebra, mode: Mode = "ordered", limit: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The block maps of every embedding of small into big in this mode, sorted;
+    plain mode relabels each ordered one by every proper order of small.  Past
+    limit maps it raises BoundExceeded, having enumerated at most limit + 1."""
+    _require_same_chain(small, big)
+    if mode not in ("plain", "ordered"):
+        raise ValueError(f"unknown mode {mode!r}")
+    stop = None if limit is None else limit + 1
+    maps = list(itertools.islice(_ordered_block_maps(small, big), stop))
+    per_map = count_proper_orders(small) if mode == "plain" else 1
+    if limit is not None and len(maps) * per_map > limit:
+        raise BoundExceeded(f"copies lists at most {limit} embeddings; there are more")
     if mode == "plain" and maps:
         relabels = list(enumerate_proper_orders(small))
         maps = [tuple(map(s.__getitem__, bo)) for bo in maps for s in relabels]
-    return sorted(maps)
+    return tuple(sorted(maps))
 
 
 def enumerate_embeddings(
     small: LabeledAlgebra, big: LabeledAlgebra, mode: Mode = "plain"
 ) -> list[Embedding]:
     """All embeddings of small into big, lexicographic in block_of."""
-    _require_same_chain(small, big)
-    if mode not in ("plain", "ordered"):
-        raise ValueError(f"unknown mode {mode!r}")
     ordered = mode == "ordered"
     return [
         Embedding(small=small, big=big, block_of=bo, ordered=ordered)
-        for bo in _sorted_block_maps(small, list(_ordered_block_maps(small, big)), mode)
+        for bo in _sorted_block_maps(small, big, mode)
     ]
 
 

@@ -48,7 +48,7 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, _block_maxima, _check_block_map, _ordered_block_maps
+from .embed import Embedding, _block_maxima, _check_block_map, _sorted_block_maps
 from .embed import enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, NotAnEmbedding
 from .parallel import ordered_map, usable_workers
@@ -287,7 +287,7 @@ def check_ap(
     for a in bases:
         pairs = []
         for host in hosts:
-            for block_of in sorted(_ordered_block_maps(a, host)):
+            for block_of in _sorted_block_maps(a, host):
                 _check_block_map(block_of, a, host, True)
                 pairs.append((host, block_of))
         copies.append(pairs)

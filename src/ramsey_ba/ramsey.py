@@ -8,7 +8,7 @@ vertices are the ordered copies of A in C and whose edges collect the
 copies lying inside each ordered copy of B; a bad coloring is one leaving
 every edge non-monochromatic.  It is kept as its colors, one per A-copy in
 enumeration order.  Block maps are the internal currency: copies are
-block_of tuples, A's sorted into enumeration order; no Embedding is built.
+block_of tuples, A's sorted by embed._sorted_block_maps; no Embedding is built.
 The composite of a B-copy and an A-copy of B is index arithmetic, looked up
 among the A-copies by block map.  Vertices are numbered in enumeration
 order, the first vertex is pinned to color 0, and branching is DSATUR
@@ -48,7 +48,7 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import _ordered_block_maps, lift, reduct, star
+from .embed import _ordered_block_maps, _sorted_block_maps, lift, reduct, star
 from .errors import (
     BoundExceeded,
     ChainMismatch,
@@ -211,8 +211,7 @@ def recheck_bad_coloring(
     """Validate a bad coloring by direct scan, independent of the search."""
     if (coloring.a, coloring.c) != (a, c):
         return False
-    _require_same_chain(a, c)
-    copies_a = sorted(_ordered_block_maps(a, c))
+    copies_a = _sorted_block_maps(a, c)
     if len(coloring.colors) != len(copies_a):
         return False
     if any(
@@ -234,7 +233,7 @@ def recheck_bad_coloring(
 def _arrows(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int
 ) -> ArrowCertificate:
-    copies_a = sorted(_ordered_block_maps(a, c))
+    copies_a = _sorted_block_maps(a, c)
     copies_b = list(_ordered_block_maps(b, c))
     inner = list(_ordered_block_maps(a, b))
     if not copies_b:

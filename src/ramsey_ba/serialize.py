@@ -6,7 +6,8 @@ canonical text itself.  An embedding, each row of a Copies value and each row
 of a coloring whose colors are plain ints are written from one %-template,
 built per array from the row's shape and indent, so copies builds no
 Embedding and no row goes through the generic writer; a coloring with any
-other color is written as dict rows.  A Chains value's rows are its runs'
+other color is written as dict rows; both take their copies, chain check
+included, from embed._sorted_block_maps.  A Chains value's rows are its runs'
 segment texts joined in product order, a lone MaximalChain being a one-run
 product, and an algebra is written as its chain length and levels directly.
 Formatting is byte-stable: sorted keys, two-space indent, ASCII escapes, a
@@ -28,7 +29,7 @@ from typing import Any
 
 from .chains import Chains, MaximalChain, make_chain
 from .core import OUT, OUTSIDE_TOKEN, LabeledAlgebra, Level, make_algebra
-from .embed import Copies, Embedding, _ordered_block_maps, validate_embedding
+from .embed import Copies, Embedding, _sorted_block_maps, validate_embedding
 from .errors import ParseError, SerializationError
 from .fraisse import AmalgamationResult
 from .ramsey import ArrowCertificate, Coloring, SearchStats
@@ -230,15 +231,15 @@ def _write(value: Any, pad: str, out: list, memo: dict) -> None:
         _rows(_chain_rows(value.runs, "," + inner, inner, memo), pad, out)
     elif kind is MaximalChain:
         out.extend(_chain_rows(((value.additions,),), "", pad, memo))
-    elif kind is Coloring and all(type(col) is int for col in value.colors):
-        # '%d' would write True as 1 and 0.5 as 0, so other colors take the branch below
-        inner = pad + "  "
-        template = "," + inner + _row_template(inner, color="%d", embedding=value.c.n_atoms)
-        rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
-        _rows((template % (col, *bo) for col, bo in rows), pad, out)
     elif kind is Coloring:
-        rows = zip(value.colors, sorted(_ordered_block_maps(value.a, value.c)), strict=True)
-        _write([{"color": col, "embedding": bo} for col, bo in rows], pad, out, memo)
+        rows = zip(value.colors, _sorted_block_maps(value.a, value.c), strict=True)
+        if all(type(col) is int for col in value.colors):
+            # '%d' would write True as 1 and 0.5 as 0, so other colors are written as dicts
+            inner = pad + "  "
+            template = "," + inner + _row_template(inner, color="%d", embedding=value.c.n_atoms)
+            _rows((template % (col, *bo) for col, bo in rows), pad, out)
+        else:
+            _write([{"color": col, "embedding": bo} for col, bo in rows], pad, out, memo)
     elif value is None:
         out.append("null")
     elif value is True:

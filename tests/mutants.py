@@ -156,10 +156,17 @@ MUTANTS = [
     (
         "block map: both algebras share the chain length",
         EMBED,
-        # enumerate_embeddings makes the same call; the docstring above is unique
+        # _sorted_block_maps makes the same call; the docstring above is unique
         '    """validate_embedding on a bare block map, ChainMismatch included."""\n'
         "    _require_same_chain(small, big)\n",
         ["tests/test_embed.py"],
+    ),
+    (
+        "copies: the output bound is checked",
+        EMBED,
+        "    if limit is not None and len(maps) * per_map > limit:\n"
+        '        raise BoundExceeded(f"copies lists at most {limit} embeddings; there are more")\n',
+        ["tests/test_embed.py", "tests/test_cli.py"],
     ),
     (
         "HP suite: each subalgebra's embedding is checked",
@@ -236,7 +243,7 @@ MUTANTS = [
     (
         "coloring rows: only plain int colors take the %d template",
         SERIALIZE,
-        " and all(type(col) is int for col in value.colors)",
+        ("if all(type(col) is int for col in value.colors):", "if True:"),
         ["tests/test_serialize.py"],
     ),
     (

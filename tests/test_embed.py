@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from ramsey_ba import (
+    BoundExceeded,
     ChainMismatch,
     ClassKind,
     Embedding,
@@ -40,6 +41,7 @@ from ramsey_ba import (
     validate_embedding,
 )
 from ramsey_ba import ramsey
+from ramsey_ba.embed import _sorted_block_maps
 from ramsey_ba.serialize import format_io, parse_embedding
 from .oracles import brute_embeddings, stirling2
 
@@ -74,6 +76,11 @@ def test_embeddings_match_brute_force():
                 assert sorted(got) == sorted(
                     brute_embeddings(small, big, mode == "ordered")
                 ), (signature_json(small), signature_json(big), mode)
+                # the output bound admits the whole list and refuses one map less
+                assert list(_sorted_block_maps(small, big, mode, limit=len(got))) == got
+                if got:
+                    with pytest.raises(BoundExceeded):
+                        _sorted_block_maps(small, big, mode, limit=len(got) - 1)
 
 
 def test_embedding_counts_pure_case():

@@ -266,10 +266,10 @@ def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, forks, worke
 
         monkeypatch.setattr(fraisse, name, spied)
 
-    spy("_ordered_block_maps")
+    spy("_sorted_block_maps")
     spy("enumerate_algebras")
     report = check_ap(ClassKind.BJ, 4, 1, workers=workers)
-    copy_calls = [call for call in calls if call[0] == "_ordered_block_maps"]
+    copy_calls = [call for call in calls if call[0] == "_sorted_block_maps"]
     assert len(calls) - len(copy_calls) == 2  # the bases and the hosts
     bases = hosts = len(list(enumerate_algebras(4, 1, ClassKind.BJ)))
     assert len(copy_calls) == len(set(copy_calls)) == bases * hosts == 100
@@ -502,10 +502,10 @@ def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
 def test_ap_suite_checks_each_copy(monkeypatch):
     # a copy one entry longer than its host: only the per-copy check sees it,
     # since r and s always have one entry per amalgam atom
-    real = fraisse._ordered_block_maps
+    real = fraisse._sorted_block_maps
     monkeypatch.setattr(
         fraisse,
-        "_ordered_block_maps",
+        "_sorted_block_maps",
         lambda a, host: [*real(a, host), (0,) * (host.n_atoms + 1)],
     )
     with pytest.raises(NotAnEmbedding, match="block map has 2 entries for 1 atoms"):

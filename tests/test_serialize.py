@@ -11,6 +11,7 @@ import pytest
 
 from ramsey_ba import (
     OUT,
+    ChainMismatch,
     ClassKind,
     ParseError,
     SerializationError,
@@ -377,6 +378,15 @@ def test_coloring_rows_write_colors_that_are_not_plain_ints_as_json_does():
     for colors in ((True, 0.5, 0), (0, 1, Shade.DARK), (0, 1, 2)):
         coloring = Coloring(a, c, colors)
         assert format_io({"x": [coloring]}) == reference_text({"x": [coloring]})
+
+
+def test_coloring_of_algebras_with_different_chain_lengths_is_refused():
+    # [out, out] at t = 0 does not embed into [0, out, out] at t = 1, though
+    # the ordered block maps of their levels are (0, 0, 1) and (1, 0, 1)
+    a, c = make_algebra([OUT, OUT], 0), make_algebra([0, OUT, OUT], 1)
+    for colors in ((0, 1), (True, 0.5)):
+        with pytest.raises(ChainMismatch):
+            format_io({"x": Coloring(a, c, colors)})
 
 
 class Shade(IntEnum):
