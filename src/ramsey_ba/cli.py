@@ -37,6 +37,7 @@ from .ramsey import arrows, construct_witness, min_witness
 from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
 
 SUITES = ("hp", "ap", "both")  # what fraisse --suite accepts
+INTEGER_OPTIONS = ("k", "max_atoms", "chain_length", "max_a_atoms", "workers")
 MAX_COPIES_OUTPUT = 40_320  # copies lists at most 8! embeddings, as chains lists chains
 
 
@@ -185,6 +186,12 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 2, format_io({"error": {"type": "unknown-subcommand", "detail": config.subcommand}})
     report = {"subcommand": config.subcommand}
     try:
+        for name in INTEGER_OPTIONS:
+            value = getattr(config, name)
+            if name == "max_a_atoms" and value is None:
+                continue  # no bound on A's atoms
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if config.max_atoms < 1:
             raise ValueError("max_atoms must be at least 1")
         if config.k < 1:

@@ -24,6 +24,15 @@ monochromatic and which of its vertices is last uncolored, so no edge keeps
 state, and neither the order of the edges, nor the order within one, nor a
 repeated edge changes the search.
 
+So the search is a function of its hypergraph, and its result is kept per
+process under (vertex count, k up to the vertex count, frozenset of edge
+masks): a level-free instance and its lift to one ideal level share that
+key, and the lift reuses the level-free search.  The kept keys hold at most
+SEARCH_CACHE_MASKS masks together, least recently used evicted first; a
+hypergraph above that alone is searched and not kept.  The arrow cache
+stays keyed by algebras, and a failing certificate built from a kept
+result is still re-checked on its own (C, B, A).
+
 The witness builders follow the recursive scheme: split B at its minimal
 occupied level, take the minimal witness of the level-free class (the Dual
 Ramsey Theorem's case) as the base, solve the remainder recursively with
@@ -33,6 +42,7 @@ Constructions are always re-verified, never trusted.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -58,6 +68,8 @@ from .errors import (
 
 # Arrow certificates kept per process; a failing one holds one int per A-copy.
 ARROWS_CACHE_SIZE = 256
+# Edge masks held by the keys of the search results kept per process.
+SEARCH_CACHE_MASKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,18 +103,74 @@ class ArrowCertificate:
     vacuous: bool = False
 
 
+class _SearchCache:
+    """Search results by hypergraph, evicting the least recently used first.
+
+    A key ends with its frozenset of edge masks; the keys together hold at
+    most max_masks masks, and a key above that alone is not kept.
+    """
+
+    def __init__(self, max_masks: int) -> None:
+        self.max_masks = max_masks
+        self.masks = 0
+        self.results: OrderedDict[tuple, tuple[tuple[int, ...] | None, int]] = OrderedDict()
+
+    def get(self, key: tuple) -> tuple[tuple[int, ...] | None, int] | None:
+        found = self.results.get(key)
+        if found is not None:
+            self.results.move_to_end(key)
+        return found
+
+    def put(self, key: tuple, result: tuple[tuple[int, ...] | None, int]) -> None:
+        size = len(key[-1])
+        if size > self.max_masks:
+            return
+        self.results[key] = result
+        self.masks += size
+        while self.masks > self.max_masks:
+            (*_, old), _ = self.results.popitem(last=False)
+            self.masks -= len(old)
+
+    def clear(self) -> None:
+        self.results.clear()
+        self.masks = 0
+
+
+_searched = _SearchCache(SEARCH_CACHE_MASKS)
+
+
 def _search_bad_coloring(
     n_vertices: int, edges: list[tuple[int, ...]], k: int
 ) -> tuple[list[int] | None, int]:
-    """First bad coloring in branch order, or None after exhausting all."""
+    """First bad coloring in branch order, or None after exhausting all.
+
+    The outcome is a function of the vertex count, k up to the vertex count
+    and the set of edge bitmasks, so _searched keeps it under exactly that
+    key; each caller gets a list of its own.
+    """
     # exact: a color no colored vertex uses lies below the vertex count and
     # always completes, so no color at or above the vertex count is tried
     k = min(k, n_vertices)
     bits = [1 << v for v in range(n_vertices)]
-    # an edge is the bitmask of its vertices, listed at each of them
+    # an edge is the bitmask of its vertices
+    masks = {sum(map(bits.__getitem__, edge)): edge for edge in edges}
+    key = (n_vertices, k, frozenset(masks))
+    found = _searched.get(key)
+    if found is None:
+        found = _search(bits, masks, k)
+        _searched.put(key, found)
+    assignment, nodes = found
+    return (None if assignment is None else list(assignment)), nodes
+
+
+def _search(
+    bits: list[int], masks: dict[int, tuple[int, ...]], k: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The search itself, over one bit per vertex and each edge mask's vertices."""
+    n_vertices = len(bits)
+    # each edge mask is listed at each of its vertices
     touching: list[list[int]] = [[] for _ in range(n_vertices)]
-    for edge in set(edges):
-        mask = sum(map(bits.__getitem__, edge))
+    for mask, edge in masks.items():
         for v in edge:
             touching[v].append(mask)
 
@@ -131,7 +199,7 @@ def _search_bad_coloring(
 
     v = select()
     if v < 0:
-        return color, nodes
+        return tuple(color), nodes
     stack = [[v, 0, 1, 0]]  # color names are symmetric; pin the first vertex
     while stack:
         frame = stack[-1]
@@ -183,7 +251,7 @@ def _search_bad_coloring(
         else:
             u = select()
             if u < 0:
-                return color, nodes
+                return tuple(color), nodes
             stack.append([u, 0, k, len(forbidden)])
     return None, nodes
 
@@ -267,6 +335,8 @@ def arrows(
     """Decide whether every k-coloring of A-copies in C has a monochromatic B-copy."""
     if not (a.chain_length == b.chain_length == c.chain_length):
         raise ChainMismatch("arrow operands must share the chain length")
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"the color count is not an integer: {k!r}")
     if k < 1:
         raise ValueError("at least one color is required")
     return _arrows(c, b, a, k)

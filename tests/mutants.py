@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+CLI = "src/ramsey_ba/cli.py"
 CORE = "src/ramsey_ba/core.py"
 FRAISSE = "src/ramsey_ba/fraisse.py"
 RAMSEY = "src/ramsey_ba/ramsey.py"
@@ -95,6 +96,34 @@ MUTANTS = [
         "            certificate=certificate,\n"
         "        )\n",
         ["tests/test_ramsey.py", "tests/test_cli.py"],
+    ),
+    (
+        "arrow: k is an int, not a bool or float",
+        RAMSEY,
+        "    if isinstance(k, bool) or not isinstance(k, int):\n"
+        '        raise ValueError(f"the color count is not an integer: {k!r}")\n',
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "options: integer options are ints, not bools, floats or strings",
+        CLI,
+        "            if isinstance(value, bool) or not isinstance(value, int):\n"
+        '                raise ValueError(f"{name} must be an integer, got {value!r}")\n',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "search cache: the key holds k",
+        RAMSEY,
+        ("key = (n_vertices, k, frozenset(masks))", "key = (n_vertices, frozenset(masks))"),
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "search cache: held masks stay within the bound",
+        RAMSEY,
+        "        while self.masks > self.max_masks:\n"
+        "            (*_, old), _ = self.results.popitem(last=False)\n"
+        "            self.masks -= len(old)\n",
+        ["tests/test_ramsey.py"],
     ),
     (
         "recheck: B shares the chain length",

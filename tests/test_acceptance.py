@@ -35,7 +35,7 @@ from ramsey_ba import (
 from ramsey_ba.chains import chains_extending, filter_family
 from ramsey_ba.cli import RunConfig, run
 from ramsey_ba.fraisse import check_ap, check_hp
-from ramsey_ba.ramsey import _arrows
+from ramsey_ba.ramsey import _arrows, _searched
 from ramsey_ba.serialize import format_io
 from .oracles import brute_arrows, brute_proper_orders
 
@@ -194,6 +194,7 @@ def test_criterion_5_dual_ramsey_base_case():
     first = dual_ramsey_oracle(ar, br, 2, 8)
     first_text = format_io({"witness": first, "certificate": arrows(first, br, ar, 2)})
     _arrows.cache_clear()
+    _searched.clear()
     second = dual_ramsey_oracle(ar, br, 2, 8)
     second_text = format_io({"witness": second, "certificate": arrows(second, br, ar, 2)})
     elapsed = time.monotonic() - start
@@ -359,6 +360,7 @@ def test_criterion_8_determinism(tmp_path):
         for workers in (1, 4):
             for _ in range(2):
                 _arrows.cache_clear()
+                _searched.clear()
                 reconfigured = RunConfig(
                     **{
                         **config.__dict__,

@@ -573,6 +573,28 @@ def test_config_built_in_code_is_checked(options, detail):
     assert json.loads(text) == {"error": {"type": "ValueError", "detail": detail}}
 
 
+# the subcommand that reads each integer option, so a value let through is used
+READER = {
+    "k": "arrow",
+    "max_atoms": "fraisse",
+    "chain_length": "forgetful",
+    "max_a_atoms": "fraisse",
+    "workers": "fraisse",
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2"])
+@pytest.mark.parametrize("name", cli.INTEGER_OPTIONS)
+def test_integer_option_of_another_type_is_refused(name, value, minimal_argv):
+    # True would pass as 1 and be written as true; 2.5 and "2" would crash
+    config = config_from_args(build_parser().parse_args(minimal_argv[READER[name]]))
+    code, text = run(dataclasses.replace(config, **{"max_atoms": 3, name: value}))
+    assert code == 2
+    assert json.loads(text) == {
+        "error": {"type": "ValueError", "detail": f"{name} must be an integer, got {value!r}"}
+    }
+
+
 def test_worker_count_is_checked_where_no_flag_sets_it(algebras):
     # validate takes no --workers, but a RunConfig built in code is still checked
     config = RunConfig("validate", {"algebra": algebras["small"]}, kind=ClassKind.BJ, workers=0)

@@ -37,6 +37,7 @@ from ramsey_ba import core, ramsey
 from ramsey_ba.embed import Embedding, _ordered_block_maps, compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
+    SEARCH_CACHE_MASKS,
     Coloring,
     _arrows,
     _copy_edges,
@@ -90,6 +91,10 @@ def test_arrows_input_errors():
         arrows(a, a, make_algebra([OUT], 2), 2)
     with pytest.raises(ValueError):
         arrows(a, a, a, 0)
+    # both caches key on k, and True would hash as 1
+    for k in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            arrows(a, a, a, k)
 
 
 def test_reflexive_relation_holds_when_a_embeds():
@@ -120,8 +125,11 @@ def test_arrows_matches_brute_force():
                     assert recheck_bad_coloring(c, b, a, k, cert.bad_coloring)
 
 
-def test_search_matches_reference_search():
-    # every (C, B, A) with C <= 6 atoms, B <= 4 atoms, t <= 2, A in B in C
+def test_search_matches_reference_search(monkeypatch):
+    # every (C, B, A) with C <= 6 atoms, B <= 4 atoms, t <= 2, A in B in C;
+    # each is searched cold, then read back from the search cache
+    real, searches = ramsey._search, []
+    monkeypatch.setattr(ramsey, "_search", lambda *args: searches.append(1) or real(*args))
     instances = 0
     verdicts = Counter()  # (genuine certificate?, recheck verdict)
     for t in (0, 1, 2):
@@ -144,13 +152,16 @@ def test_search_matches_reference_search():
                 ]
                 for k in (2, 3, 4):
                     instances += 1
+                    ramsey._searched.clear()
                     found = _search_bad_coloring(len(copies_a), edges, k)
-                    assert found == reference_search_bad_coloring(len(copies_a), edges, k), (
+                    expected = reference_search_bad_coloring(len(copies_a), edges, k)
+                    assert found == expected, (
                         signature_json(c),
                         signature_json(b),
                         signature_json(a),
                         k,
                     )
+                    assert _search_bad_coloring(len(copies_a), edges, k) == expected
                     if found[0] is None:
                         continue
                     # the tuple recheck agrees with the Embedding-level one on
@@ -163,10 +174,17 @@ def test_search_matches_reference_search():
                         verdict = recheck_bad_coloring(c, b, a, k, coloring)
                         assert verdict == reference_recheck_bad_coloring(c, b, a, k, coloring)
                         verdicts[tried is colors, verdict] += 1
-    assert instances == 5904
+    assert instances == 5904 == len(searches)
     # every certificate passes, and changing one color sometimes breaks it
     assert verdicts[True, False] == 0
     assert verdicts[False, True] > 0 and verdicts[False, False] > 0
+
+
+def _level_free_hypergraph(n_c, n_b, n_a):
+    """Vertex count and edges of level-free A -> B in C."""
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (n_c, n_b, n_a))
+    maps = [sorted(_ordered_block_maps(x, y)) for x, y in ((a, c), (b, c), (a, b))]
+    return len(maps[0]), _copy_edges(*maps)
 
 
 def test_search_does_not_depend_on_edge_order():
@@ -195,11 +213,11 @@ def test_search_does_not_depend_on_edge_order():
                     edges = _copy_edges(copies_a, copies_b, inner)
                     instances += [(len(copies_a), edges, k) for k in (2, 3, 4)]
     assert len(instances) == 5904
-    c, b, a = (make_algebra([OUT] * n, 0) for n in (7, 3, 2))
-    maps = [sorted(_ordered_block_maps(x, y)) for x, y in ((a, c), (b, c), (a, b))]
-    instances.append((len(maps[0]), _copy_edges(*maps), 3))
+    instances.append((*_level_free_hypergraph(7, 3, 2), 3))
     for n_vertices, edges, k in instances:
+        ramsey._searched.clear()
         found = _search_bad_coloring(n_vertices, edges, k)
+        ramsey._searched.clear()
         assert _search_bad_coloring(n_vertices, scrambled(edges), k) == found
     assert found[1] == 12463
 
@@ -294,6 +312,7 @@ def test_colors_above_the_vertex_count_change_nothing():
     assert at_vertex_count.stats.a_copies == 15
     assert at_vertex_count.verdict == "fails"
     assert arrows(c, b, a, 10**6) == at_vertex_count
+    ramsey._searched.clear()
     start = time.perf_counter()
     assert arrows(c, b, a, 10**7) == at_vertex_count
     assert time.perf_counter() - start < 0.5
@@ -302,6 +321,76 @@ def test_colors_above_the_vertex_count_change_nothing():
 def test_arrows_cache_is_bounded():
     maxsize = _arrows.cache_info().maxsize
     assert maxsize is not None and maxsize == ARROWS_CACHE_SIZE
+
+
+def test_level_free_arrow_and_its_lift_share_one_search(monkeypatch):
+    # C7 B3 A2 at k = 3, level-free and with its atoms but the top one at
+    # level 0 of one ideal: one hypergraph, one search, one recheck each
+    searches, rechecks = [], []
+    search, recheck = ramsey._search, ramsey.recheck_bad_coloring
+    monkeypatch.setattr(ramsey, "_search", lambda *args: searches.append(1) or search(*args))
+    monkeypatch.setattr(
+        ramsey,
+        "recheck_bad_coloring",
+        lambda c, b, a, k, coloring: rechecks.append((c, a)) or recheck(c, b, a, k, coloring),
+    )
+    _arrows.cache_clear()
+    ramsey._searched.clear()
+    free = [make_algebra([OUT] * n, 0) for n in (7, 3, 2)]
+    lifted = [make_algebra([0] * (n - 1) + [OUT], 1) for n in (7, 3, 2)]
+    certificates = [arrows(c, b, a, 3) for c, b, a in (free, lifted)]
+    assert len(searches) == 1
+    assert rechecks == [(free[0], free[2]), (lifted[0], lifted[2])]
+    for (c, b, a), cert in zip((free, lifted), certificates):
+        assert cert.verdict == "fails" and cert.stats.nodes == 12463
+        assert (cert.bad_coloring.a, cert.bad_coloring.c) == (a, c)
+        assert recheck(c, b, a, 3, cert.bad_coloring)
+    assert certificates[0].bad_coloring.colors == certificates[1].bad_coloring.colors
+
+
+def test_search_cache_hands_each_caller_its_own_list():
+    n_vertices, edges = _level_free_hypergraph(5, 3, 2)
+    expected = reference_search_bad_coloring(n_vertices, edges, 2)
+    ramsey._searched.clear()
+    first = _search_bad_coloring(n_vertices, edges, 2)
+    assert first == expected
+    first[0][:] = [1] * n_vertices
+    assert _search_bad_coloring(n_vertices, edges, 2) == expected
+
+
+def test_search_cache_key_holds_k():
+    # level-free A2 -> B3 in C6: one hypergraph, holding at k = 2, failing at 3
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (6, 3, 2))
+    _arrows.cache_clear()
+    ramsey._searched.clear()
+    assert arrows(c, b, a, 2).verdict == "holds"
+    assert arrows(c, b, a, 3).verdict == "fails"
+
+
+def test_search_cache_holds_at_most_its_bound_of_masks(monkeypatch):
+    assert ramsey._searched.max_masks == SEARCH_CACHE_MASKS
+    # level-free A2 -> B3 in C5 .. C8 has S(n, 3) = 25, 90, 301, 966 edges
+    graphs = {n: _level_free_hypergraph(n, 3, 2) for n in (5, 6, 7, 8)}
+    assert [len(graphs[n][1]) for n in (5, 6, 7, 8)] == [25, 90, 301, 966]
+    cache = ramsey._SearchCache(90 + 301)
+    monkeypatch.setattr(ramsey, "_searched", cache)
+
+    def held():
+        sizes = [len(masks) for *_, masks in cache.results]
+        assert cache.masks == sum(sizes) <= cache.max_masks
+        return sorted(sizes)
+
+    for n in (6, 7):
+        _search_bad_coloring(*graphs[n], 2)
+    assert held() == [90, 301]
+    _search_bad_coloring(*graphs[5], 2)  # C6, least recently used, goes
+    assert held() == [25, 301]
+    _search_bad_coloring(*graphs[7], 2)  # a hit makes C7 the most recent
+    _search_bad_coloring(*graphs[6], 2)  # so C5 goes
+    assert held() == [90, 301]
+    # above the bound on its own: searched, not kept, and nothing evicted
+    assert _search_bad_coloring(*graphs[8], 2) == reference_search_bad_coloring(*graphs[8], 2)
+    assert held() == [90, 301]
 
 
 def test_color_monotone():
@@ -331,6 +420,7 @@ def test_certificates_deterministic_across_fresh_searches():
     a = make_algebra([0, OUT], 1)
     first = arrows(c, c, a, 2)
     _arrows.cache_clear()
+    ramsey._searched.clear()
     second = arrows(c, c, a, 2)
     assert first == second
 
