@@ -17,7 +17,6 @@ from .core import (
     elements,
     enumerate_algebras,
     enumerate_signatures,
-    generated_subalgebra,
     in_ideal,
     join,
     leq,
@@ -45,6 +44,7 @@ from .embed import (
     circ,
     compose,
     enumerate_embeddings,
+    generated_subalgebra,
     identity_embedding,
     image_copy,
     lift,

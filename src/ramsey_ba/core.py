@@ -13,6 +13,8 @@ Three classes of such algebras are distinguished:
 * BJ: at least one atom outside every ideal,
 * BU: a single ideal (t = 1) and exactly one atom outside it,
 * BJU: exactly one atom outside every ideal.
+
+Subalgebras are derived in embed, beside the embeddings that map them back.
 """
 from __future__ import annotations
 
@@ -224,39 +226,6 @@ def signature_iso(a: LabeledAlgebra, b: LabeledAlgebra) -> bool:
     """Isomorphism test: equal canonical level sequences."""
     _require_same_chain(a, b)
     return a.levels == b.levels
-
-
-def generated_subalgebra(
-    algebra: LabeledAlgebra, gens: Iterable[Element]
-) -> tuple[LabeledAlgebra, "Embedding"]:
-    """Subalgebra generated by gens, with the block map embedding it back.
-
-    Atoms of the subalgebra are the classes of algebra atoms sharing a
-    membership fingerprint across the generators; the class containing an
-    atom of maximal index comes last, which keeps levels nondecreasing.
-    Returns the subalgebra and the embedding of it into the host.
-    """
-    from .embed import Embedding  # local import, embed builds on core
-
-    gens = list(gens)
-    for g in gens:
-        if g.algebra != algebra:
-            raise MixedAlgebras("generator does not belong to the given algebra")
-    fingerprint: dict[tuple[bool, ...], list[int]] = {}
-    for a in algebra.atoms:
-        fingerprint.setdefault(tuple(a in g.atoms for g in gens), []).append(a)
-    blocks = sorted(fingerprint.values(), key=max)
-    block_of = [0] * algebra.n_atoms
-    for i, block in enumerate(blocks):
-        for a in block:
-            block_of[a] = i
-    sub = make_algebra(
-        [max(algebra.levels[a] for a in block) for block in blocks],
-        algebra.chain_length,
-    )
-    return sub, Embedding(
-        small=sub, big=algebra, block_of=tuple(block_of), ordered=True
-    )
 
 
 def signature_json(algebra: LabeledAlgebra) -> list[int | str]:

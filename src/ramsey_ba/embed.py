@@ -23,13 +23,16 @@ output bound: the arrow check, the amalgamation suite and the coloring writer
 read it, enumerate_embeddings wraps each map in an Embedding, and the copies
 report carries them bare in a Copies value.  The suite checks each copy with
 _check_block_map, and each distinct r and s once per amalgam, which it builds
-once per level tuple.  Embedding records are built only by public functions.
+once per level tuple.  Subalgebras are derived here, from a partition of the
+host's atoms, by _partition_subalgebra: the hereditary-property suite checks
+its bare block map, and generated_subalgebra wraps the map in an Embedding.
+Embedding records are built only by public functions.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .core import OUT, Element, LabeledAlgebra, _require_same_chain, elements, make_algebra
 from .errors import (
@@ -70,6 +73,33 @@ class Embedding:
             self.big,
             frozenset(b for b, i in enumerate(self.block_of) if i in x.atoms),
         )
+
+
+def _partition_subalgebra(algebra: LabeledAlgebra, blocks: Iterable[list[int]]) -> tuple:
+    """The subalgebra with a partition's blocks as atoms, and its ordered block
+    map: blocks by their largest atom, each at its level.  blocks is only read."""
+    blocks = sorted(blocks, key=max)
+    block_of = [0] * algebra.n_atoms
+    for i, block in enumerate(blocks):
+        for a in block:
+            block_of[a] = i
+    levels = [algebra.levels[max(block)] for block in blocks]
+    return make_algebra(levels, algebra.chain_length), tuple(block_of)
+
+
+def generated_subalgebra(
+    algebra: LabeledAlgebra, gens: Iterable[Element]
+) -> tuple[LabeledAlgebra, Embedding]:
+    """Subalgebra generated by gens, with its ordered embedding into the host:
+    its atoms are the host atoms grouped by membership in the generators."""
+    gens = list(gens)
+    if any(g.algebra != algebra for g in gens):
+        raise MixedAlgebras("generator does not belong to the given algebra")
+    fingerprint: dict[tuple[bool, ...], list[int]] = {}
+    for a in algebra.atoms:
+        fingerprint.setdefault(tuple(a in g.atoms for g in gens), []).append(a)
+    sub, block_of = _partition_subalgebra(algebra, fingerprint.values())
+    return sub, Embedding(small=sub, big=algebra, block_of=block_of, ordered=True)
 
 
 def _block_maxima(block_of: tuple[int, ...], k: int) -> list[int]:

@@ -200,7 +200,13 @@ MUTANTS = [
     (
         "HP suite: each subalgebra's embedding is checked",
         FRAISSE,
-        "        validate_embedding(emb)\n",
+        "        _check_block_map(block_of, sub, algebra, True)\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        "HP suite: a partition's blocks are read, not sorted in place",
+        EMBED,
+        ("    blocks = sorted(blocks, key=max)\n", "    blocks.sort(key=max)\n"),
         ["tests/test_fraisse.py"],
     ),
     (

@@ -31,8 +31,9 @@ from ramsey_ba import (
 )
 
 from ramsey_ba import fraisse
+from ramsey_ba.embed import _check_block_map, _partition_subalgebra
 
-from .oracles import reference_amalgamate
+from .oracles import closure_blocks, reference_amalgamate
 from .test_parallel import forks, no_child_is_left  # noqa: F401 (a fixture)
 
 
@@ -154,15 +155,37 @@ def test_check_hp_no_violations():
 def test_hp_suite_checks_each_subalgebra_embedding(monkeypatch):
     # a block map naming a small atom the subalgebra lacks: the subalgebra
     # itself stays in the class, so only the per-instance check sees it
-    real = fraisse.generated_subalgebra
+    real = fraisse._partition_subalgebra
 
-    def wrong(algebra, gens):
-        sub, _ = real(algebra, gens)
-        return sub, Embedding(sub, algebra, (sub.n_atoms,) * algebra.n_atoms, True)
+    def wrong(algebra, blocks):
+        sub, _ = real(algebra, blocks)
+        return sub, (sub.n_atoms,) * algebra.n_atoms
 
-    monkeypatch.setattr(fraisse, "generated_subalgebra", wrong)
+    monkeypatch.setattr(fraisse, "_partition_subalgebra", wrong)
     with pytest.raises(NotAnEmbedding, match="nonexistent small atom"):
         check_hp(ClassKind.BJ, 2, 0, workers=1)
+
+
+def test_partition_subalgebra_is_the_closure_of_its_blocks():
+    # check_hp's covering argument: every partition is the atom set of the
+    # subalgebra its blocks generate, which the derivation reads off directly
+    partitions = 0
+    for t in range(3):
+        for algebra in enumerate_algebras(6, t):
+            for blocks in atom_partitions(algebra.n_atoms):
+                given = [list(block) for block in blocks]
+                sub, block_of = _partition_subalgebra(algebra, blocks)
+                assert blocks == given  # shared with other partitions: read only
+                _check_block_map(block_of, sub, algebra, True)
+                derived = [[] for _ in sub.atoms]
+                for a, i in enumerate(block_of):
+                    derived[i].append(a)
+                want = closure_blocks(algebra, [element(algebra, b) for b in blocks])
+                assert sorted(map(frozenset, derived), key=sorted) == want
+                for i, block in enumerate(derived):
+                    assert sub.levels[i] == max(algebra.levels[a] for a in block)
+                partitions += 1
+    assert partitions == 9180
 
 
 def test_hp_subalgebras_of_bu_members_keep_one_outside_atom():
