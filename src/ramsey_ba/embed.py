@@ -119,22 +119,27 @@ def _check_block_map(
     block_of: tuple[int, ...], small: LabeledAlgebra, big: LabeledAlgebra, ordered: bool
 ) -> None:
     """validate_embedding on a bare block map, ChainMismatch included."""
-    _require_same_chain(small, big)
-    if len(block_of) != big.n_atoms:
+    if small.chain_length != big.chain_length:
+        _require_same_chain(small, big)  # raises; the comparison spares the call
+    small_levels, big_levels = small.levels, big.levels
+    k = len(small_levels)
+    if len(block_of) != len(big_levels):
         raise NotAnEmbedding(
-            f"block map has {len(block_of)} entries for {big.n_atoms} atoms"
+            f"block map has {len(block_of)} entries for {len(big_levels)} atoms"
         )
-    if min(block_of) < 0 or max(block_of) >= small.n_atoms:
+    if min(block_of) < 0 or max(block_of) >= k:
         raise NotAnEmbedding("block map names a nonexistent small atom")
-    maxima = _block_maxima(block_of, small.n_atoms)
+    maxima = [-1] * k  # the largest big atom of each block, -1 where it is empty
+    for b, i in enumerate(block_of):
+        maxima[i] = b
     for i, m in enumerate(maxima):
         if m < 0:
             raise NotAnEmbedding(f"block {i} is empty")
         # atoms are level-sorted, so a block's level is its largest atom's
-        if big.levels[m] != small.levels[i]:
+        if big_levels[m] != small_levels[i]:
             raise NotAnEmbedding(
-                f"block {i} has maximal level {big.levels[m]!r},"
-                f" atom needs {small.levels[i]!r}"
+                f"block {i} has maximal level {big_levels[m]!r},"
+                f" atom needs {small_levels[i]!r}"
             )
     # nonempty blocks have distinct maxima, so sorted means increasing
     if ordered and maxima != sorted(maxima):

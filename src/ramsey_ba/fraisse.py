@@ -17,16 +17,22 @@ side the nearest image atom of each A-block seen so far.  The identified
 block maximum of its own A-block is always such an atom, so absorption
 never fails, and it keeps levels and block maxima intact, so r and s are
 ordered embeddings with r after f equal to s after g.  Postconditions are
-re-checked rather than trusted.  The amalgamation suite enumerates and checks
-each copy of A once, in the caller, over one host list, and cuts the pairs
-into one run of B-sides per base and shard, whatever the worker count.  A
-shard computes each copy's merge keys once per run and reuses them for every
-pair.  Within a run it builds each amalgam D once per level tuple and checks
-D's class membership once per tuple, a function of the levels.  It checks each
-distinct block map r or s once per interned D, a function of the map and its
-host's levels; the atom count and the commuting square run on every pair.
+re-checked rather than trusted.  One kernel, _amalgamate_run, amalgamates one
+B-side against a list of C-sides of the same base in one pass: it unpacks
+the B-side once, and the merge keys carry each atom's A-block, so absorption
+reads no block map.  Within one base's run it builds each amalgam D once per
+level tuple and checks D's class membership once per tuple, a function of the
+levels.  It checks each distinct block map r or s once per interned D, a
+function of the map and its host's levels; the atom count and the commuting
+square run on every pair, and a failed one comes back as its text.  The
+amalgamation suite enumerates the class once, lists and checks each copy of A
+once, in the caller, and refuses a suite of more than MAX_AP_PAIRS pairs
+while it lists them.  It cuts the pairs into one run of B-sides per base and
+shard, whatever the worker count, and a shard calls the kernel once per
+B-side; amalgamate calls it on one pair and raises the failure it returns.
 Copies travel as bare block maps, the square commutes by index arithmetic,
-and only amalgamate wraps its result into Embedding records.
+and only amalgamate wraps its result into Embedding records and lists the
+identified atom pairs.
 Suite shards are handed the ClassKind and LabeledAlgebra values and the
 copies themselves; forked children inherit them, and send back only results.
 """
@@ -48,8 +54,12 @@ from .core import (
 )
 from .embed import Embedding, _block_maxima, _check_block_map, _partition_subalgebra
 from .embed import _sorted_block_maps, enumerate_embeddings, validate_embedding
-from .errors import AmalgamationFailed, NotAnEmbedding
+from .errors import AmalgamationFailed, BoundExceeded, NotAnEmbedding
 from .parallel import ordered_map, usable_workers
+
+# the most (B, C) copy pairs one amalgamation suite checks: the sum over its
+# bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
+MAX_AP_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,12 @@ def amalgamate(
         _require_member(algebra, kind, name)
     _require_ordered_embedding(f, a, b, "f")
     _require_ordered_embedding(g, a, c, "g")
-    sides = _side(f.block_of, a, b), _side(g.block_of, a, c)
-    d, r, s, identified = _amalgamate_sides(kind, a, *sides, {})
+    side_b, side_c = _side(f.block_of, a, b), _side(g.block_of, a, c)
+    [outcome] = _amalgamate_run(kind, a, side_b, [side_c], {})
+    if type(outcome) is str:
+        raise AmalgamationFailed(outcome)
+    d, r, s = outcome
+    identified = tuple(zip(side_b[2], side_c[2]))
     return AmalgamationResult(d, Embedding(b, d, r, True), Embedding(c, d, s, True), identified)
 
 
@@ -101,26 +115,29 @@ def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) ->
     """Per-copy data: the host, the block map, its block maxima, and its merge
     keys, for all atoms as the B side and for loose atoms as the C side.  A
     key is (the A-block of the nearest block maximum at or after the atom, its
-    level, 0 if loose in B / 1 if loose in C / 2 if a block maximum, the atom)."""
+    level, 0 if loose in B / 1 if loose in C / 2 if a block maximum, the atom,
+    the atom's own A-block)."""
     maxima = _block_maxima(block_of, a.n_atoms)
     keys_b: list[tuple] = []
     loose_c: list[tuple] = []
     j = 0  # maxima increase, so the nearest one at or after x is maxima[j]
     for x, level in enumerate(host.levels):
         if x == maxima[j]:
-            keys_b.append((j, level, 2, x))
+            keys_b.append((j, level, 2, x, j))
             j += 1
         else:
-            keys_b.append((j, level, 0, x))
-            loose_c.append((j, level, 1, x))
+            keys_b.append((j, level, 0, x, block_of[x]))
+            loose_c.append((j, level, 1, x, block_of[x]))
     return host, block_of, maxima, keys_b, loose_c
 
 
-def _amalgamate_sides(
-    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, side_c: tuple, amalgams: dict
-) -> tuple:
-    """Amalgamate two checked copies of A, given as _side data, into
-    (d, r's block map, s's block map, the identified atom pairs).
+def _amalgamate_run(
+    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, sides_c: list, amalgams: dict
+) -> list:
+    """Amalgamate one checked copy of A with each copy in sides_c, all given
+    as _side data, in one pass; per C-side, (d, r's block map, s's block map),
+    or the text of the first postcondition the pair fails: the atom count,
+    the commuting square, then D's class membership.
 
     amalgams interns D by its level tuple, with D's class membership and the
     set of (host levels, block map) keys already checked into D, within one
@@ -128,53 +145,60 @@ def _amalgamate_sides(
     a fresh dict.
     Membership is a function of the levels, and the check of r or s a function
     of its key, so each is checked once per D; a key enters the set only after
-    its check passes, so every failure is still raised on every pair that has it.
+    its check passes, so a NotAnEmbedding is still raised on every pair that
+    has it.  The atom count and the square are checked on every pair.
     """
-    b, f, f_max, keys_b, _ = side_b
-    c, g, g_max, _, loose_c = side_c
-    keys = sorted(keys_b + loose_c)
-    levels = tuple([key[1] for key in keys])
-    if levels not in amalgams:
-        d = make_algebra(levels, a.chain_length)
-        amalgams[levels] = d, class_membership(d, kind), set()
-    d, member, checked = amalgams[levels]
+    b, f, _, keys_b, _ = side_b
+    b_levels = b.levels
+    k = len(a.levels)
+    size = len(b_levels) - k  # D has size atoms besides C's
+    outcomes: list = []
+    for c, g, g_max, _, loose_c in sides_c:
+        keys = sorted(keys_b + loose_c)
+        levels = tuple([key[1] for key in keys])
+        interned = amalgams.get(levels)
+        if interned is None:
+            d = make_algebra(levels, a.chain_length)
+            interned = amalgams[levels] = d, class_membership(d, kind), set()
+        d, member, checked = interned
 
-    # Absorption: image atoms anchor their own positions; a loose atom joins
-    # the nearest later image atom of the other side in the same A-block,
-    # which a right-to-left pass over the keys holds in near_b and near_c.
-    n = len(keys)
-    r_block = [0] * n
-    s_block = [0] * n
-    near_b = [-1] * len(a.levels)
-    near_c = [-1] * len(a.levels)
-    for pos in range(n - 1, -1, -1):
-        j, _, tag, x = keys[pos]
-        if tag == 0:  # loose in B
-            r_block[pos] = near_b[f[x]] = x
-            s_block[pos] = near_c[f[x]]
-        elif tag == 1:  # loose in C
-            r_block[pos] = near_b[g[x]]
-            s_block[pos] = near_c[g[x]] = x
-        else:  # B's block maximum j, identified with C's
-            y = g_max[j]
-            r_block[pos] = near_b[f[x]] = x
-            s_block[pos] = near_c[g[y]] = y
+        # Absorption: image atoms anchor their own positions; a loose atom joins
+        # the nearest later image atom of the other side in the same A-block,
+        # which a right-to-left pass over the keys holds in near_b and near_c.
+        n = len(keys)
+        r_block = [0] * n
+        s_block = [0] * n
+        near_b = [-1] * k
+        near_c = [-1] * k
+        for pos in range(n - 1, -1, -1):
+            _, _, tag, x, i = keys[pos]
+            if tag == 0:  # loose in B
+                r_block[pos] = near_b[i] = x
+                s_block[pos] = near_c[i]
+            elif tag == 1:  # loose in C
+                r_block[pos] = near_b[i]
+                s_block[pos] = near_c[i] = x
+            else:  # B's block maximum i, identified with C's
+                r_block[pos] = near_b[i] = x
+                s_block[pos] = near_c[i] = g_max[i]
 
-    # postconditions, never trusted
-    r, s = tuple(r_block), tuple(s_block)
-    if (b.levels, r) not in checked:
-        _check_block_map(r, b, d, True)
-        checked.add((b.levels, r))
-    if (c.levels, s) not in checked:
-        _check_block_map(s, c, d, True)
-        checked.add((c.levels, s))
-    if len(d.levels) != len(b.levels) + len(c.levels) - len(a.levels):
-        raise AmalgamationFailed("amalgam has the wrong atom count")
-    if [f[x] for x in r_block] != [g[y] for y in s_block]:
-        raise AmalgamationFailed("amalgamation square does not commute")
-    if not member:
-        raise AmalgamationFailed(f"amalgam left the class {kind.value}")
-    return d, r, s, tuple(zip(f_max, g_max))
+        # postconditions, never trusted
+        r, s = tuple(r_block), tuple(s_block)
+        if (b_levels, r) not in checked:
+            _check_block_map(r, b, d, True)
+            checked.add((b_levels, r))
+        if (c.levels, s) not in checked:
+            _check_block_map(s, c, d, True)
+            checked.add((c.levels, s))
+        if len(d.levels) != size + len(c.levels):
+            outcomes.append("amalgam has the wrong atom count")
+        elif list(map(f.__getitem__, r)) != list(map(g.__getitem__, s)):
+            outcomes.append("amalgamation square does not commute")
+        elif not member:
+            outcomes.append(f"amalgam left the class {kind.value}")
+        else:
+            outcomes.append((d, r, s))
+    return outcomes
 
 
 def joint_embed(
@@ -244,20 +268,20 @@ def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
         # one per run: a shard holds one base's amalgams at a time
         amalgams: dict = {}  # level tuple -> (D, D in the class, keys checked into D)
         sides = [_side(block_of, a, host) for host, block_of in copies]
-        for side_b, side_c in itertools.product(sides[start:stop], sides):
-            try:
-                _amalgamate_sides(kind, a, side_b, side_c, amalgams)
-            except AmalgamationFailed as failure:
-                violations.append(
-                    {
-                        "a": signature_json(a),
-                        "b": signature_json(side_b[0]),
-                        "c": signature_json(side_c[0]),
-                        "f": list(side_b[1]),
-                        "g": list(side_c[1]),
-                        "error": str(failure),
-                    }
-                )
+        for side_b in sides[start:stop]:
+            outcomes = _amalgamate_run(kind, a, side_b, sides, amalgams)
+            for side_c, outcome in zip(sides, outcomes):
+                if type(outcome) is str:
+                    violations.append(
+                        {
+                            "a": signature_json(a),
+                            "b": signature_json(side_b[0]),
+                            "c": signature_json(side_c[0]),
+                            "f": list(side_b[1]),
+                            "g": list(side_c[1]),
+                            "error": outcome,
+                        }
+                    )
     return violations
 
 
@@ -271,27 +295,38 @@ def check_ap(
     """Amalgamation sweep over every ordered embedding pair in the bounds.
 
     A base A contributes every pair of its ordered copies over all hosts:
-    the square of its copy count m_A.  The caller lists and checks each
-    base's copies once, as (host, block map) pairs, and cuts the (A, B-side)
-    list, in order, into one contiguous run of near-equal pair counts per
-    usable worker; a cut with no run is dropped, so one worker runs one
-    shard.  A shard pairs each B-side of a run with all of its base's
-    copies.  Violations list pairs by base, then by (B, f), then by (C, g),
-    the same for any worker count.
+    the square of its copy count m_A.  The class is enumerated once; the
+    bases are its leading members with at most cap atoms, since members come
+    by atom count, and a base's copies are listed only in hosts with at least
+    its atom count.  The caller lists and checks each base's copies once, as
+    (host, block map) pairs, keeping the running sum of m_A squared, and
+    raises BoundExceeded as soon as it passes MAX_AP_PAIRS, before any shard
+    is cut or forked.  It cuts the (A, B-side) list, in order, into one
+    contiguous run of near-equal pair counts per usable worker; a cut with
+    no run is dropped, so one worker runs one shard.  A shard amalgamates
+    each B-side of a run with all of its base's copies in one
+    _amalgamate_run pass.  Violations list pairs by base, then by (B, f),
+    then by (C, g), the same for any worker count.
     """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
-    bases = list(enumerate_algebras(cap, chain_length, kind))
     hosts = list(enumerate_algebras(max_atoms, chain_length, kind))
+    bases = list(itertools.takewhile(lambda a: a.n_atoms <= cap, hosts))
     copies = []  # per base: its checked ordered copies, as (host, block map) pairs
+    instances = 0  # the sum of m_A squared so far
     for a in bases:
         pairs = []
-        for host in hosts:
+        for host in [host for host in hosts if host.n_atoms >= a.n_atoms]:
             for block_of in _sorted_block_maps(a, host):
                 _check_block_map(block_of, a, host, True)
+                instances += 2 * len(pairs) + 1  # (m + 1)^2 - m^2
+                if instances > MAX_AP_PAIRS:
+                    raise BoundExceeded(
+                        f"the amalgamation suite checks at most {MAX_AP_PAIRS} pairs;"
+                        " there are more"
+                    )
                 pairs.append((host, block_of))
         copies.append(pairs)
-    instances = sum(len(pairs) ** 2 for pairs in copies)
     workers = max(usable_workers(workers), 1)
     cuts: list[list] = [[] for _ in range(workers)]
     done = 0  # a run is [A, A's copies, first B-side index, end index]

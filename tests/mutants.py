@@ -43,35 +43,36 @@ MUTANTS = [
         "amalgam: r is a checked block map",
         FRAISSE,
         # only the check goes; checked.add keeps the if compiling
-        "        _check_block_map(r, b, d, True)\n",
+        "            _check_block_map(r, b, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: s is a checked block map",
         FRAISSE,
         # only the check goes; checked.add keeps the if compiling
-        "        _check_block_map(s, c, d, True)\n",
+        "            _check_block_map(s, c, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: atom count",
         FRAISSE,
-        "    if len(d.levels) != len(b.levels) + len(c.levels) - len(a.levels):\n"
-        '        raise AmalgamationFailed("amalgam has the wrong atom count")\n',
+        # the condition goes and its branch stays, so the elif chain still compiles
+        ("        if len(d.levels) != size + len(c.levels):\n", "        if False:\n"),
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: the square commutes",
         FRAISSE,
-        "    if [f[x] for x in r_block] != [g[y] for y in s_block]:\n"
-        '        raise AmalgamationFailed("amalgamation square does not commute")\n',
+        (
+            "        elif list(map(f.__getitem__, r)) != list(map(g.__getitem__, s)):\n",
+            "        elif False:\n",
+        ),
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: D stays in the class",
         FRAISSE,
-        "    if not member:\n"
-        '        raise AmalgamationFailed(f"amalgam left the class {kind.value}")\n',
+        ("        elif not member:\n", "        elif False:\n"),
         ["tests/test_fraisse.py"],
     ),
     (
@@ -79,6 +80,16 @@ MUTANTS = [
         FRAISSE,
         "                _check_block_map(block_of, a, host, True)\n",
         ["tests/test_fraisse.py"],
+    ),
+    (
+        "AP suite: the pair count is bounded before any shard",
+        FRAISSE,
+        "                if instances > MAX_AP_PAIRS:\n"
+        "                    raise BoundExceeded(\n"
+        '                        f"the amalgamation suite checks at most {MAX_AP_PAIRS} pairs;"\n'
+        '                        " there are more"\n'
+        "                    )\n",
+        ["tests/test_fraisse.py", "tests/test_cli.py"],
     ),
     (
         "algebra: the chain length is an int, not a bool or float",
@@ -185,9 +196,8 @@ MUTANTS = [
     (
         "block map: both algebras share the chain length",
         EMBED,
-        # _sorted_block_maps makes the same call; the docstring above is unique
-        '    """validate_embedding on a bare block map, ChainMismatch included."""\n'
-        "    _require_same_chain(small, big)\n",
+        "    if small.chain_length != big.chain_length:\n"
+        "        _require_same_chain(small, big)  # raises; the comparison spares the call\n",
         ["tests/test_embed.py"],
     ),
     (

@@ -290,6 +290,20 @@ def test_forgetful_refuses_past_sweep_budget(capsys):
     assert report["error"]["type"] == "bound-exceeded"
 
 
+def test_fraisse_refuses_past_pair_budget(capsys):
+    # bj t = 1 at 7 atoms has 5,679,853 pairs, above fraisse.MAX_AP_PAIRS
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["fraisse", "--kind", "bj", "--suite", "ap", "--max-atoms", "7", "--chain-length", "1"]
+    )
+    assert time.perf_counter() - start < 1  # refused while the copies are listed
+    assert code == 2
+    assert report["error"]["type"] == "bound-exceeded"
+    assert report["error"]["detail"] == (
+        f"the amalgamation suite checks at most {fraisse.MAX_AP_PAIRS} pairs; there are more"
+    )
+
+
 def test_reports_never_print_out_as_an_int(capsys, tmp_path, algebras):
     # OUT is an int, so a level that skipped signature_json would print its value
     f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})

@@ -9,6 +9,7 @@ import pytest
 
 from ramsey_ba import (
     AmalgamationFailed,
+    BoundExceeded,
     ClassKind,
     Embedding,
     NotAnEmbedding,
@@ -273,8 +274,9 @@ def test_ap_violation_order_survives_the_cuts(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, forks, workers):
-    # the caller lists each base's copies in each host once, over one host
-    # list; no shard, in the caller or in a child, enumerates hosts or copies
+    # the caller enumerates the class once and lists each base's copies once
+    # in each host with at least its atom count; no shard, in the caller or
+    # in a child, enumerates algebras or copies
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller = os.getpid()
     calls = []
@@ -293,10 +295,12 @@ def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, forks, worke
     spy("enumerate_algebras")
     report = check_ap(ClassKind.BJ, 4, 1, workers=workers)
     copy_calls = [call for call in calls if call[0] == "_sorted_block_maps"]
-    assert len(calls) - len(copy_calls) == 2  # the bases and the hosts
-    bases = hosts = len(list(enumerate_algebras(4, 1, ClassKind.BJ)))
-    assert len(copy_calls) == len(set(copy_calls)) == bases * hosts == 100
-    assert report["instances"] == 1134
+    assert len(calls) - len(copy_calls) == 1  # the bases lead the hosts
+    algebras = list(enumerate_algebras(4, 1, ClassKind.BJ))
+    wanted = [(a, host) for a in algebras for host in algebras if host.n_atoms >= a.n_atoms]
+    assert [call[1:] for call in copy_calls] == wanted
+    assert len(wanted) == 65 < len(algebras) ** 2
+    assert (report["base_algebras"], report["instances"]) == (10, 1134)
     assert len(forks) == workers - 1
     assert no_child_is_left()
 
@@ -310,19 +314,56 @@ def test_ap_suites_with_one_pair_or_none_fork_nothing(monkeypatch, forks):
     assert forks == []
 
 
-def ap_instances(kind, max_atoms, t):
-    """Every (A, B, C, f, g) that check_ap(kind, max_atoms, t) amalgamates."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ap_suite_refuses_past_its_pair_budget(monkeypatch, forks, workers):
+    # bj t = 1 at 5 atoms has exactly 15,856 pairs: the budget admits them
+    # all, and one pair less refuses the suite before any shard or fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    shards = []
+    real = fraisse._ap_shard
+    monkeypatch.setattr(fraisse, "_ap_shard", lambda args: shards.append(args) or real(args))
+    monkeypatch.setattr(fraisse, "MAX_AP_PAIRS", 15856)
+    report = check_ap(ClassKind.BJ, 5, 1, workers=workers)
+    assert (report["instances"], report["violations"]) == (15856, [])
+    assert len(forks) == workers - 1 and len(shards) == 1  # a child's call is not seen
+    shards.clear()
+    forks.clear()
+    monkeypatch.setattr(fraisse, "MAX_AP_PAIRS", 15855)
+    with pytest.raises(BoundExceeded, match="at most 15855 pairs"):
+        check_ap(ClassKind.BJ, 5, 1, workers=workers)
+    assert shards == forks == []
+    assert no_child_is_left()
+
+
+def test_ap_pair_budget_admits_the_default_suite(monkeypatch):
+    # the RunConfig default, bj t = 1 at 6 atoms, is the largest suite the
+    # tests, demos and benchmark run; bj t = 2 at 6 atoms is refused.  The
+    # shards are skipped: the budget is settled before them.
+    monkeypatch.setattr(fraisse, "ordered_map", lambda fn, shards, workers: [])
+    assert check_ap(ClassKind.BJ, 6, 1)["instances"] == 273424
+    with pytest.raises(BoundExceeded):
+        check_ap(ClassKind.BJ, 6, 2)  # 1,629,628 pairs
+
+
+def ap_copies(kind, max_atoms, t):
+    """Per base A of check_ap(kind, max_atoms, t): A and its ordered copies,
+    as (host, embedding) pairs in the suite's order."""
     for a in enumerate_algebras(max_atoms, t, kind):
         copies = [
-            (host, enumerate_embeddings(a, host, "ordered"))
+            (host, f)
             for host in enumerate_algebras(max_atoms, t, kind)
             if host.n_atoms >= a.n_atoms
+            for f in enumerate_embeddings(a, host, "ordered")
         ]
-        for b, fs in copies:
-            for c, gs in copies:
-                for f in fs:
-                    for g in gs:
-                        yield kind, a, b, c, f, g
+        yield a, copies
+
+
+def ap_instances(kind, max_atoms, t):
+    """Every (A, B, C, f, g) that check_ap(kind, max_atoms, t) amalgamates."""
+    for a, copies in ap_copies(kind, max_atoms, t):
+        for b, f in copies:
+            for c, g in copies:
+                yield kind, a, b, c, f, g
 
 
 # the check_ap suites of the differential tests, with their instance counts
@@ -353,19 +394,22 @@ def test_amalgamate_matches_reference(suites, expected):
 
 @pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
 def test_interned_amalgams_match_reference(suites, expected):
-    # the suite's path: _side data and one interning dict shared by every
-    # pair of a suite, as a shard shares one over its pairs
-    instances = 0
-    for suite in suites:
-        amalgams: dict = {}
-        for kind, a, b, c, f, g in ap_instances(*suite):
-            instances += 1
-            sides = fraisse._side(f.block_of, a, b), fraisse._side(g.block_of, a, c)
-            got = fraisse._amalgamate_sides(kind, a, *sides, amalgams)
-            d, r, s, identified = reference_amalgamate(a, b, c, f, g)
-            assert got == (d, r.block_of, s.block_of, identified)
-        assert len(amalgams) < instances
-    assert instances == expected
+    # the suite's path: one interning dict per base's run, and one
+    # _amalgamate_run pass per B-side over all of its base's C-sides
+    instances = interned = 0
+    for kind, max_atoms, t in suites:
+        for a, copies in ap_copies(kind, max_atoms, t):
+            amalgams: dict = {}
+            sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
+            for (b, f), side_b in zip(copies, sides):
+                outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams)
+                assert len(outcomes) == len(copies)
+                for (c, g), got in zip(copies, outcomes):
+                    instances += 1
+                    d, r, s, _ = reference_amalgamate(a, b, c, f, g)
+                    assert got == (d, r.block_of, s.block_of)
+            interned += len(amalgams)
+    assert interned < instances == expected
 
 
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
@@ -434,9 +478,18 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
 
 
 def _shifted(side: tuple, k: int) -> tuple:
-    """The _side data with every block of its block map moved up one, mod k."""
+    """The _side data with every block of its block map moved up one, mod k;
+    the keys keep the A-blocks of the unshifted map."""
     host, block_of, *keys = side
     return (host, tuple((i + 1) % k for i in block_of), *keys)
+
+
+def _misread(side: tuple, k: int) -> tuple:
+    """The _side data with the A-block that each key carries moved up one,
+    mod k; the block map is the unshifted one."""
+    *data, keys_b, loose_c = side
+    moved = [[(*key[:4], (key[4] + 1) % k) for key in keys] for keys in (keys_b, loose_c)]
+    return (*data, *moved)
 
 
 def _doubled(side: tuple) -> tuple:
@@ -447,55 +500,72 @@ def _doubled(side: tuple) -> tuple:
 
 FREE = {n: make_algebra([OUT] * n, 0) for n in (1, 2, 3)}
 POSTCONDITION_FAULTS = {
-    # r is checked first; the shifted B map sends a C atom to no B atom
+    # r is checked first; B's misread A-blocks send a C atom to no B atom
     "r": (
         ClassKind.BJ, FREE[2],
-        _shifted(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
+        _misread(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
         fraisse._side((0, 1, 1), FREE[2], FREE[3]),
         NotAnEmbedding, "nonexistent small atom",
     ),
-    # r is sound here, s is not
+    # r is sound here; s swaps C's block maxima
     "s": (
         ClassKind.BJ, FREE[2],
-        _shifted(fraisse._side((0, 1, 1), FREE[2], FREE[3]), 2),
+        _misread(fraisse._side((0, 1, 1), FREE[2], FREE[3]), 2),
         fraisse._side((0, 1), FREE[2], FREE[2]),
-        NotAnEmbedding, "nonexistent small atom",
+        NotAnEmbedding, "block maxima not increasing",
     ),
     # r and s are embeddings onto an amalgam with one atom too many
     "atom count": (
         ClassKind.BJ, FREE[1],
         fraisse._side((0,), FREE[1], FREE[1]),
         _doubled(fraisse._side((0, 0), FREE[1], FREE[2])),
-        AmalgamationFailed, "wrong atom count",
+        AmalgamationFailed, "amalgam has the wrong atom count",
     ),
     # r and s are embeddings, but r after f and s after g swap the A-atoms
     "commute": (
         ClassKind.BJ, FREE[2],
         _shifted(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
         fraisse._side((0, 1), FREE[2], FREE[2]),
-        AmalgamationFailed, "does not commute",
+        AmalgamationFailed, "amalgamation square does not commute",
     ),
     # two-outside-atom sides amalgamated as if they were in BU
     "class": (
         ClassKind.BU, make_algebra([OUT], 1),
         fraisse._side((0, 0), make_algebra([OUT], 1), make_algebra([OUT, OUT], 1)),
         fraisse._side((0, 0), make_algebra([OUT], 1), make_algebra([OUT, OUT], 1)),
-        AmalgamationFailed, "left the class bu",
+        AmalgamationFailed, "amalgam left the class bu",
     ),
 }
 
 
 @pytest.mark.parametrize("fault", list(POSTCONDITION_FAULTS))
-def test_amalgamation_postconditions_refuse_wrong_constructions(fault):
+def test_amalgamation_postconditions_refuse_wrong_constructions(fault, monkeypatch):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
-    with pytest.raises(refusal, match=detail):
-        fraisse._amalgamate_sides(kind, a, side_b, side_c, {})
-    # a failing map never enters D's set of checked maps, so a shard's
-    # shared dict refuses the same pair again
+    # as a suite shard records it: the pair twice in one pass, then the pass
+    # again on the same dict.  A failing map never enters D's set of checked
+    # maps, so every pair that has it raises again.
     amalgams: dict = {}
     for _ in range(2):
-        with pytest.raises(refusal, match=detail):
-            fraisse._amalgamate_sides(kind, a, side_b, side_c, amalgams)
+        if refusal is NotAnEmbedding:
+            with pytest.raises(NotAnEmbedding, match=detail):
+                fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams)
+        else:
+            outcomes = fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams)
+            assert outcomes == [detail, detail]
+    # as amalgamate raises it, with its input checks passed and the faulty
+    # side data in place of the real
+    sides = iter([side_b, side_c])
+    monkeypatch.setattr(fraisse, "_side", lambda *args: next(sides))
+    monkeypatch.setattr(fraisse, "_require_member", lambda *args: None)
+    monkeypatch.setattr(fraisse, "_require_ordered_embedding", lambda *args: None)
+    f = Embedding(a, side_b[0], side_b[1], True)
+    g = Embedding(a, side_c[0], side_c[1], True)
+    with pytest.raises(refusal) as raised:
+        amalgamate(kind, a, side_b[0], side_c[0], f, g)
+    if refusal is AmalgamationFailed:
+        assert str(raised.value) == detail
+    else:
+        assert detail in str(raised.value)
 
 
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
