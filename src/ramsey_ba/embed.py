@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import OUT, Element, LabeledAlgebra, _require_same_chain, elements, make_algebra
 from .errors import (
@@ -116,9 +116,10 @@ def validate_embedding(e: Embedding) -> None:
 
 
 def _check_block_map(
-    block_of: tuple[int, ...], small: LabeledAlgebra, big: LabeledAlgebra, ordered: bool
+    block_of: Sequence[int], small: LabeledAlgebra, big: LabeledAlgebra, ordered: bool
 ) -> None:
-    """validate_embedding on a bare block map, ChainMismatch included."""
+    """validate_embedding on a bare block map, a tuple or the amalgamation
+    kernel's bytes, ChainMismatch included."""
     if small.chain_length != big.chain_length:
         _require_same_chain(small, big)  # raises; the comparison spares the call
     small_levels, big_levels = small.levels, big.levels

@@ -42,14 +42,14 @@ MUTANTS = [
     (
         "amalgam: r is a checked block map",
         FRAISSE,
-        # only the check goes; checked.add keeps the if compiling
+        # only the check goes; the dict entry keeps the if compiling
         "            _check_block_map(r, b, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: s is a checked block map",
         FRAISSE,
-        # only the check goes; checked.add keeps the if compiling
+        # only the check goes; the dict entry keeps the if compiling
         "            _check_block_map(s, c, d, True)\n",
         ["tests/test_fraisse.py"],
     ),
@@ -64,7 +64,7 @@ MUTANTS = [
         "amalgam: the square commutes",
         FRAISSE,
         (
-            "        elif list(map(f.__getitem__, r)) != list(map(g.__getitem__, s)):\n",
+            "        elif r.translate(f_square) != s.translate(g_square):\n",
             "        elif False:\n",
         ),
         ["tests/test_fraisse.py"],
@@ -85,10 +85,20 @@ MUTANTS = [
         "AP suite: the pair count is bounded before any shard",
         FRAISSE,
         "                if instances > MAX_AP_PAIRS:\n"
-        "                    raise BoundExceeded(\n"
-        '                        f"the amalgamation suite checks at most {MAX_AP_PAIRS} pairs;"\n'
-        '                        " there are more"\n'
-        "                    )\n",
+        "                    raise _too_many_pairs()\n",
+        ["tests/test_fraisse.py", "tests/test_cli.py"],
+    ),
+    (
+        "AP suite: too many hosts are refused before their copies are listed",
+        FRAISSE,
+        "    if len(hosts) == limit > 0:\n"
+        "        raise _too_many_pairs()\n",
+        ["tests/test_fraisse.py", "tests/test_cli.py"],
+    ),
+    (
+        "amalgam: a side has at most MAX_SIDE_ATOMS atoms",
+        FRAISSE,
+        ("    if host.n_atoms > MAX_SIDE_ATOMS:\n", "    if False:\n"),
         ["tests/test_fraisse.py", "tests/test_cli.py"],
     ),
     (

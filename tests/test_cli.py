@@ -304,6 +304,41 @@ def test_fraisse_refuses_past_pair_budget(capsys):
     )
 
 
+def test_fraisse_refuses_too_many_hosts_before_listing_them_all(capsys):
+    # bj t = 40 at 5 atoms has 148,995 members; 1,001 hosts already make
+    # more pairs than fraisse.MAX_AP_PAIRS
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["fraisse", "--kind", "bj", "--suite", "ap", "--max-atoms", "5", "--chain-length", "40"]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"] == {
+        "type": "bound-exceeded",
+        "detail": "the amalgamation suite checks at most 1000000 pairs; there are more",
+    }
+
+
+def test_amalgamate_refuses_a_side_past_the_byte_bound(capsys, tmp_path):
+    one_out = write(tmp_path, "a.json", {"chain_length": 0, "levels": ["out"]})
+    for n, expected in ((255, 0), (256, 2)):
+        b = write(tmp_path, "b.json", {"chain_length": 0, "levels": ["out"] * n})
+        f = write(tmp_path, "f.json", {"block_of": [0] * n, "ordered": True})
+        code, report = run_cli(
+            capsys,
+            ["amalgamate", "--kind", "bj", "--a", one_out, "--b", b, "--c", one_out,
+             "--f", f, "--g", write(tmp_path, "g.json", {"block_of": [0], "ordered": True})],
+        )
+        assert code == expected
+        if n == 255:
+            assert report["result"]["r"]["block_of"] == list(range(255))
+        else:
+            assert report["error"] == {
+                "type": "bound-exceeded",
+                "detail": "amalgamation sides have at most 255 atoms; B has 256",
+            }
+
+
 def test_reports_never_print_out_as_an_int(capsys, tmp_path, algebras):
     # OUT is an int, so a level that skipped signature_json would print its value
     f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})

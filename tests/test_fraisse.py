@@ -118,6 +118,26 @@ def test_amalgamate_sweep_small():
                         assert res.d.n_atoms == b.n_atoms + c.n_atoms - a.n_atoms
 
 
+def test_amalgamate_sides_up_to_the_byte_bound():
+    # 255 atoms name host atoms 0 .. 254 and leave 255 for "no atom yet";
+    # the blocks of f put B's last atom alone, so r and s both reach atom 254
+    assert fraisse.MAX_SIDE_ATOMS == 255
+    a = make_algebra([OUT, OUT], 0)
+    for n in (2, 3, 255):
+        b = make_algebra([OUT] * n, 0)
+        f = Embedding(a, b, (1,) * (n - 2) + (0, 1), True)
+        res = amalgamate(ClassKind.BJ, a, b, b, f, f)
+        assert (res.d, res.r, res.s, res.identified) == reference_amalgamate(a, b, b, f, f)
+        assert max(res.r.block_of) == max(res.s.block_of) == n - 1
+    big = make_algebra([OUT] * 256, 0)
+    f256 = Embedding(a, big, (1,) * 254 + (0, 1), True)
+    for sides in ((big, b, f256, f), (b, big, f, f256)):
+        name = "B" if sides[0] is big else "C"
+        with pytest.raises(BoundExceeded) as raised:
+            amalgamate(ClassKind.BJ, a, *sides)
+        assert str(raised.value) == f"amalgamation sides have at most 255 atoms; {name} has 256"
+
+
 def test_joint_embed_two_copies():
     b = make_algebra([0, OUT], 1)
     res = joint_embed(ClassKind.BJ, b, b)
@@ -345,6 +365,71 @@ def test_ap_pair_budget_admits_the_default_suite(monkeypatch):
         check_ap(ClassKind.BJ, 6, 2)  # 1,629,628 pairs
 
 
+def counted_hosts(monkeypatch) -> list:
+    """Patch the suite's class enumeration to record every algebra it yields."""
+    yielded = []
+    real = fraisse.enumerate_algebras
+
+    def counting(*args):
+        for algebra in real(*args):
+            yielded.append(algebra)
+            yield algebra
+
+    monkeypatch.setattr(fraisse, "enumerate_algebras", counting)
+    return yielded
+
+
+def test_ap_suite_refuses_too_many_hosts_before_listing_copies(monkeypatch):
+    # the base [OUT] has one copy in each host, so 1,001 hosts make more than
+    # 1,000,000 pairs: bj t = 40 at 5 atoms (148,995 members) is refused
+    # after 1,001 of them, with no copy listed
+    yielded = counted_hosts(monkeypatch)
+    real = fraisse._sorted_block_maps
+    listed = []
+    monkeypatch.setattr(fraisse, "_sorted_block_maps", lambda *args: listed.append(args) or real(*args))
+    with pytest.raises(BoundExceeded) as raised:
+        check_ap(ClassKind.BJ, 5, 40)
+    assert str(raised.value) == "the amalgamation suite checks at most 1000000 pairs; there are more"
+    assert len(yielded) == 1001 and listed == []
+    # a suite with no base lists no host at all, and is admitted
+    report = check_ap(ClassKind.BJ, 5, 40, max_a_atoms=0)
+    assert (report["base_algebras"], report["instances"]) == (0, 0)
+    assert len(yielded) == 1001
+    # bj t = 1 at 5 atoms has 15 hosts: a budget of 15^2 - 1 pairs refuses
+    # them on the count, and of 15^2 pairs on the copies listed
+    monkeypatch.setattr(fraisse, "MAX_AP_PAIRS", 224)
+    yielded.clear()
+    with pytest.raises(BoundExceeded, match="at most 224 pairs"):
+        check_ap(ClassKind.BJ, 5, 1)
+    assert len(yielded) == 15 and listed == []
+    monkeypatch.setattr(fraisse, "MAX_AP_PAIRS", 225)
+    yielded.clear()
+    with pytest.raises(BoundExceeded, match="at most 225 pairs"):
+        check_ap(ClassKind.BJ, 5, 1)
+    assert len(yielded) == 15 and listed
+
+
+def test_ap_suite_refuses_hosts_past_the_byte_bound(monkeypatch):
+    # at the real bound: bj t = 0 has one host per atom count, and with one
+    # base the 256 hosts make 65,536 pairs, within the pair budget
+    yielded = counted_hosts(monkeypatch)
+    real = fraisse._sorted_block_maps
+    listed = []
+    monkeypatch.setattr(fraisse, "_sorted_block_maps", lambda *args: listed.append(args) or real(*args))
+    with pytest.raises(BoundExceeded) as raised:
+        check_ap(ClassKind.BJ, 256, 0, max_a_atoms=1)
+    assert str(raised.value) == "amalgamation sides have at most 255 atoms; the largest host has 256"
+    assert len(yielded) == 256 and listed == []
+    # at a lowered bound, which absorption's sentinel follows, the largest
+    # hosts it admits give the same report
+    report = check_ap(ClassKind.BJ, 4, 1)
+    monkeypatch.setattr(fraisse, "MAX_SIDE_ATOMS", 4)
+    assert check_ap(ClassKind.BJ, 4, 1) == report
+    assert (report["instances"], report["violations"]) == (1134, [])
+    with pytest.raises(BoundExceeded, match="at most 4 atoms; the largest host has 5"):
+        check_ap(ClassKind.BJ, 5, 1)
+
+
 def ap_copies(kind, max_atoms, t):
     """Per base A of check_ap(kind, max_atoms, t): A and its ordered copies,
     as (host, embedding) pairs in the suite's order."""
@@ -389,6 +474,8 @@ def test_amalgamate_matches_reference(suites, expected):
             res = amalgamate(kind, a, b, c, f, g)
             d, r, s, identified = reference_amalgamate(a, b, c, f, g)
             assert (res.d, res.r, res.s, res.identified) == (d, r, s, identified)
+            # the kernel's maps are bytes; amalgamate's records carry tuples
+            assert type(res.r.block_of) is type(res.s.block_of) is tuple
     assert instances == reported == expected
 
 
@@ -407,7 +494,8 @@ def test_interned_amalgams_match_reference(suites, expected):
                 for (c, g), got in zip(copies, outcomes):
                     instances += 1
                     d, r, s, _ = reference_amalgamate(a, b, c, f, g)
-                    assert got == (d, r.block_of, s.block_of)
+                    assert got == (d, bytes(r.block_of), bytes(s.block_of))
+                    assert type(got[1]) is type(got[2]) is bytes
             interned += len(amalgams)
     assert interned < instances == expected
 
@@ -478,10 +566,11 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
 
 
 def _shifted(side: tuple, k: int) -> tuple:
-    """The _side data with every block of its block map moved up one, mod k;
-    the keys keep the A-blocks of the unshifted map."""
-    host, block_of, *keys = side
-    return (host, tuple((i + 1) % k for i in block_of), *keys)
+    """The _side data with every block of its block map, and of its translate
+    table, moved up one, mod k; the keys keep the A-blocks of the unshifted map."""
+    host, block_of, maxima, _, *keys = side
+    shifted = tuple((i + 1) % k for i in block_of)
+    return (host, shifted, maxima, bytes(shifted).ljust(256, b"\0"), *keys)
 
 
 def _misread(side: tuple, k: int) -> tuple:
@@ -542,7 +631,7 @@ POSTCONDITION_FAULTS = {
 def test_amalgamation_postconditions_refuse_wrong_constructions(fault, monkeypatch):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
     # as a suite shard records it: the pair twice in one pass, then the pass
-    # again on the same dict.  A failing map never enters D's set of checked
+    # again on the same dict.  A failing map never enters D's dict of checked
     # maps, so every pair that has it raises again.
     amalgams: dict = {}
     for _ in range(2):
@@ -566,6 +655,28 @@ def test_amalgamation_postconditions_refuse_wrong_constructions(fault, monkeypat
         assert str(raised.value) == detail
     else:
         assert detail in str(raised.value)
+
+
+def test_absorption_sentinel_is_refused_as_a_nonexistent_atom(monkeypatch):
+    # "no atom yet" names no atom of a side with at most 255 atoms
+    for n in (2, 255):
+        side = make_algebra([OUT] * n, 0)
+        for block_of in (bytes([*range(n - 1), 255]), bytes([255, *range(1, n)])):
+            with pytest.raises(NotAnEmbedding) as raised:
+                _check_block_map(block_of, side, side, True)
+            assert str(raised.value) == "block map names a nonexistent small atom"
+    # the "r" fault leaves a position of r where absorption found no B atom,
+    # so r keeps the byte there
+    kind, a, side_b, side_c, *_ = POSTCONDITION_FAULTS["r"]
+    checked = []
+    real = fraisse._check_block_map
+    monkeypatch.setattr(
+        fraisse, "_check_block_map", lambda *args: checked.append(args[0]) or real(*args)
+    )
+    with pytest.raises(NotAnEmbedding) as raised:
+        fraisse._amalgamate_run(kind, a, side_b, [side_c], {})
+    assert str(raised.value) == "block map names a nonexistent small atom"
+    assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
 
 
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
