@@ -13,13 +13,19 @@ are the product of the per-run permutation lists that pass, one Chains value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .core import LabeledAlgebra, signature_json
 from .errors import BoundExceeded, SizeMismatch
-from .order import AtomOrder, count_proper_orders, enumerate_proper_orders, level_blocks
+from .order import (
+    AtomOrder,
+    _concatenations,
+    count_proper_orders,
+    enumerate_proper_orders,
+    level_blocks,
+)
 
 MAX_CHAIN_POINTS = 9  # chains_extending takes at most 9 atoms
 MAX_CHAIN_OUTPUT = 40_320  # and lists at most 8! extending chains
@@ -51,9 +57,9 @@ class Chains:
 
     runs: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def additions(self):
-        """Each chain's addition sequence, in product order."""
-        return (sum(parts, ()) for parts in product(*self.runs))
+    def additions(self) -> list[tuple[int, ...]]:
+        """Each chain's addition sequence, in product order, as one list."""
+        return _concatenations(self.runs)
 
     def __iter__(self):
         return map(MaximalChain, self.additions())

@@ -38,6 +38,7 @@ from .serialize import format_io, load_json_file, parse_algebra, parse_embedding
 
 SUITES = ("hp", "ap", "both")  # what fraisse --suite accepts
 INTEGER_OPTIONS = ("k", "max_atoms", "chain_length", "max_a_atoms", "workers")
+MODES = get_args(Mode)  # what copies --mode accepts
 MAX_COPIES_OUTPUT = 40_320  # copies lists at most 8! embeddings, as chains lists chains
 
 
@@ -200,8 +201,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             raise ValueError("max_a_atoms must be at least 1")
         if config.suite not in SUITES:
             raise ValueError(f"suite must be one of {', '.join(SUITES)}, got {config.suite!r}")
-        if config.mode not in get_args(Mode):
-            raise ValueError(f"mode must be one of {', '.join(get_args(Mode))}, got {config.mode!r}")
+        if config.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {config.mode!r}")
         if config.workers < 1:
             raise ValueError(f"worker count must be at least 1, got {config.workers}")
         code = handler(config, report)
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _kind_argument(p)
 
     p = _subcommand(sub, "copies", "enumerate embeddings", "small", "big")
-    p.add_argument("--mode", choices=get_args(Mode), default="ordered")
+    p.add_argument("--mode", choices=MODES, default="ordered")
 
     p = _subcommand(sub, "arrow", "decide an arrow relation", "c", "b", "a")
     p.add_argument("-k", type=int, default=2)

@@ -193,7 +193,7 @@ def _sorted_block_maps(
     if limit is not None and len(maps) * per_map > limit:
         raise BoundExceeded(f"copies lists at most {limit} embeddings; there are more")
     if mode == "plain" and maps:
-        relabels = list(enumerate_proper_orders(small))
+        relabels = enumerate_proper_orders(small)
         maps = [tuple(map(s.__getitem__, bo)) for bo in maps for s in relabels]
     return tuple(sorted(maps))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+import operator
+from typing import Sequence
 
 from .core import (
     Element,
@@ -70,15 +71,27 @@ def level_blocks(algebra: LabeledAlgebra) -> list[list[int]]:
     return [list(run) for _, run in runs]
 
 
-def enumerate_proper_orders(algebra: LabeledAlgebra) -> Iterator[AtomOrder]:
-    """All proper orders, lexicographically.
+def _concatenations(lists) -> list[tuple]:
+    """Every concatenation of one tuple from each list, in product order.
+
+    The order is lexicographic when each list is and the tuples of one list
+    have one length.  Each step joins the pairs of a product in C, so no
+    Python frame runs per item; the memory held is the output's.
+    """
+    joined = [()]
+    for items in lists:
+        joined = itertools.starmap(operator.add, itertools.product(joined, items))
+    return list(joined)
+
+
+def enumerate_proper_orders(algebra: LabeledAlgebra) -> list[AtomOrder]:
+    """All proper orders, lexicographically, as one list.
 
     A proper order permutes atoms within each level run of the canonical
-    order, so the count is the product of the run factorials.
+    order, so the count is the product of the run factorials; size a
+    request with count_proper_orders before listing it.
     """
-    runs = [itertools.permutations(block) for block in level_blocks(algebra)]
-    for parts in itertools.product(*runs):
-        yield tuple(itertools.chain.from_iterable(parts))
+    return _concatenations(map(itertools.permutations, level_blocks(algebra)))
 
 
 def count_proper_orders(algebra: LabeledAlgebra) -> int:
@@ -126,7 +139,7 @@ def forgetfulness_report(max_atoms: int, chain_length: int) -> dict:
     violations: list[dict] = []
     for algebra in enumerate_algebras(max_atoms, chain_length):
         algebras += 1
-        proper = list(enumerate_proper_orders(algebra))
+        proper = enumerate_proper_orders(algebra)
         orders += len(proper)
         if len(proper) != count_proper_orders(algebra):
             violations.append(

@@ -303,12 +303,14 @@ def _arrows(
 ) -> ArrowCertificate:
     copies_a = _sorted_block_maps(a, c)
     copies_b = list(_ordered_block_maps(b, c))
-    inner = list(_ordered_block_maps(a, b))
     if not copies_b:
         bad = Coloring(a, c, (0,) * len(copies_a))
         return ArrowCertificate(
             "fails", bad, SearchStats(0, len(copies_a), 0), vacuous=True
         )
+    # composing with a copy of B sends distinct A-copies of B to distinct
+    # A-copies of C, so from here inner is no longer than copies_a
+    inner = list(_ordered_block_maps(a, b))
     if k == 1 or len(inner) <= 1:
         # every edge has at most one vertex, or one color: always monochromatic
         return ArrowCertificate(

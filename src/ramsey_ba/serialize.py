@@ -35,12 +35,20 @@ from .fraisse import AmalgamationResult
 from .ramsey import ArrowCertificate, Coloring, SearchStats
 
 
-def level_from_json(value: Any, field: str) -> Level:
+def _level(value: Any) -> Level | None:
+    """The level a JSON value names, or None if it names none."""
     if value == OUTSIDE_TOKEN:
         return OUT
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ParseError(f'{field} must be an integer or "{OUTSIDE_TOKEN}", got {value!r}')
+    return None
+
+
+def level_from_json(value: Any, field: str) -> Level:
+    level = _level(value)
+    if level is None:
+        raise ParseError(f'{field} must be an integer or "{OUTSIDE_TOKEN}", got {value!r}')
+    return level
 
 
 def parse_algebra(data: Any, field: str = "algebra") -> LabeledAlgebra:
@@ -52,9 +60,10 @@ def parse_algebra(data: Any, field: str = "algebra") -> LabeledAlgebra:
     levels = data.get("levels")
     if not isinstance(levels, list):
         raise ParseError(f"{field}.levels must be an array")
-    parsed = [
-        level_from_json(value, f"{field}.levels[{i}]") for i, value in enumerate(levels)
-    ]
+    parsed = list(map(_level, levels))
+    if None in parsed:  # the field is named only for the level refused
+        i = parsed.index(None)
+        level_from_json(levels[i], f"{field}.levels[{i}]")
     return make_algebra(parsed, chain_length)
 
 
@@ -282,9 +291,18 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_json_file(path: str) -> Any:
+    """The JSON value of a UTF-8 file, read as text mode with universal
+    newlines would read it, so values and error texts are the same.
+
+    The file is read as bytes, unbuffered, and decoded here: a text-mode
+    handle's buffer, decoder and newline translator cost more than the read
+    of a small file.  Newlines are translated after decoding, as text mode
+    does, so a decoding error names the byte position in the file.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return _DECODER.decode(handle.read())
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        return _DECODER.decode(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as bad:
         raise ParseError(f"cannot read {path}: {bad}") from bad
     except json.JSONDecodeError as bad:

@@ -119,6 +119,19 @@ MUTANTS = [
         ["tests/test_ramsey.py", "tests/test_cli.py"],
     ),
     (
+        "arrow: a vacuous answer lists no A-copy of B",
+        RAMSEY,
+        # inner is listed again before the vacuous return
+        (
+            "    copies_b = list(_ordered_block_maps(b, c))\n"
+            "    if not copies_b:\n",
+            "    copies_b = list(_ordered_block_maps(b, c))\n"
+            "    list(_ordered_block_maps(a, b))\n"
+            "    if not copies_b:\n",
+        ),
+        ["tests/test_ramsey.py"],
+    ),
+    (
         "arrow: k is an int, not a bool or float",
         RAMSEY,
         "    if isinstance(k, bool) or not isinstance(k, int):\n"
@@ -288,6 +301,18 @@ MUTANTS = [
         "            if start < k <= start + len(run):\n"
         "                kept = [perm for perm in kept if earlier.union(perm[:k - start]) == e]\n",
         ["tests/test_chains.py"],
+    ),
+    (
+        "concatenations: each list's items follow the earlier lists' joins",
+        ORDER,
+        ("itertools.product(joined, items)", "itertools.product(items, joined)"),
+        ["tests/test_order.py", "tests/test_chains.py"],
+    ),
+    (
+        "input files: newlines are translated as text mode translates them",
+        SERIALIZE,
+        ('text.replace("\\r\\n", "\\n").replace("\\r", "\\n")', "text"),
+        ["tests/test_serialize.py"],
     ),
     (
         "chain writer: the first run's segments in product order",

@@ -7,16 +7,19 @@ map to JSON values by the wire format's definition.  Nothing imports the
 search, enumeration or formatting code under test beyond the value types,
 except reference_recheck_bad_coloring: it is the Embedding-level scan the
 tuple recheck replaced, kept as it was, so it composes public Embeddings.
+reference_load_json_file is likewise the text-mode reader the bytes reader
+replaced.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from itertools import permutations, product
 
 from ramsey_ba.chains import MaximalChain
 from ramsey_ba.core import OUT, LabeledAlgebra, make_algebra, signature_json
 from ramsey_ba.embed import Embedding, compose, enumerate_embeddings
-from ramsey_ba.errors import AmalgamationFailed
+from ramsey_ba.errors import AmalgamationFailed, ParseError
 from ramsey_ba.fraisse import AmalgamationResult
 from ramsey_ba.ramsey import ArrowCertificate, Coloring, SearchStats
 
@@ -395,3 +398,32 @@ def wire_reference(value):
     if isinstance(value, (list, tuple)):
         return [wire_reference(item) for item in value]
     return value
+
+
+def _reference_unique_keys(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ParseError(f"repeats the key {key!r} in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
+def reference_load_json_file(path: str):
+    """A JSON input read through a text-mode handle: UTF-8, universal newlines."""
+    decoder = json.JSONDecoder(object_pairs_hook=_reference_unique_keys)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return decoder.decode(handle.read())
+    except OSError as bad:
+        raise ParseError(f"cannot read {path}: {bad}") from bad
+    except json.JSONDecodeError as bad:
+        raise ParseError(f"{path} is not valid JSON: {bad}") from bad
+    except UnicodeDecodeError as bad:
+        raise ParseError(f"{path} is not UTF-8 text: {bad}") from bad
+    except ValueError:
+        raise ParseError(f"{path} holds an integer literal too long to read") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests arrays or objects too deeply") from None
+    except ParseError as bad:
+        raise ParseError(f"{path} {bad}") from None

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import time
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -26,6 +26,7 @@ from ramsey_ba import (
     phi_inverse,
 )
 from ramsey_ba import chains
+from ramsey_ba.chains import Chains
 
 from .oracles import brute_chains_extending
 
@@ -150,6 +151,20 @@ def test_extending_chains_map_onto_proper_orders():
         assert sorted(phi(chain, a) for chain in extending) == sorted(
             enumerate_proper_orders(a)
         )
+
+
+def test_chains_additions_join_one_permutation_per_run():
+    hand_built = [
+        (),  # no run: the one empty chain
+        (((0, 1), (1, 0)), ()),  # an empty run: no chain
+        (((2, 0, 1), (0, 2, 1), (1, 2, 0)),),  # one run
+        (((4,), (5,)), ((0, 2), (2, 0)), ((1, 3), (3, 1))),  # three runs
+    ]
+    for runs in hand_built:
+        additions = Chains(runs).additions()
+        assert additions == [sum(parts, ()) for parts in product(*runs)]
+        assert len(additions) == len(Chains(runs))
+        assert [chain.additions for chain in Chains(runs)] == additions
 
 
 def test_chains_extending_matches_brute_force():

@@ -379,6 +379,34 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert done.stdout == "[]\n"
 
 
+def test_vacuous_arrow_with_a_large_b_answers_at_once(tmp_path):
+    # B has no copy in C; listing B's 2**25 - 1 copies of A first would take
+    # minutes and gigabytes, so the child runs under a 512 MB address-space
+    # limit and a regression fails fast with a MemoryError
+    roles = {"c": 3, "b": 26, "a": 2}
+    argv = ["arrow", "-k", "2"]
+    for role, n in roles.items():
+        argv += [f"--{role}", write(tmp_path, f"{role}.json", {"chain_length": 0, "levels": ["out"] * n})]
+    probe = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from ramsey_ba.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(f'{time.perf_counter() - start}\\n')\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(ramsey_ba.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1, done.stderr
+    certificate = json.loads(done.stdout)["certificate"]
+    assert certificate["vacuous"] is True and certificate["stats"]["b_copies"] == 0
+    assert float(done.stderr.splitlines()[-1]) < 1.0
+
+
 INPUT_ROLES = {
     "validate": ["algebra"],
     "copies": ["small", "big"],

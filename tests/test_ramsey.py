@@ -39,6 +39,7 @@ from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
     SEARCH_CACHE_MASKS,
     Coloring,
+    SearchStats,
     _arrows,
     _copy_edges,
     _search_bad_coloring,
@@ -83,6 +84,29 @@ def test_vacuous_failure_flagged():
     assert cert.verdict == "fails" and cert.vacuous
     assert cert.stats.b_copies == 0
     assert cert.bad_coloring.colors == (0,)
+
+
+def test_vacuous_arrow_draws_no_copy_of_a_in_b(monkeypatch):
+    # B has no copy in C, so the A-copies of B, 127 here and 2**25 - 1 at
+    # 26 atoms, are never needed
+    c, b, a = (make_algebra([OUT] * n, 0) for n in (3, 8, 2))
+    real = ramsey._ordered_block_maps
+    drawn = Counter()  # block maps drawn, by (small, big) atom counts
+
+    def spy(small, big):
+        drawn[small.n_atoms, big.n_atoms] += 0
+        for block_of in real(small, big):
+            drawn[small.n_atoms, big.n_atoms] += 1
+            yield block_of
+
+    _arrows.cache_clear()
+    monkeypatch.setattr(ramsey, "_ordered_block_maps", spy)
+    cert = arrows(c, b, a, 2)
+    monkeypatch.undo()
+    _arrows.cache_clear()
+    assert cert.verdict == "fails" and cert.vacuous
+    assert cert.stats == SearchStats(0, 3, 0)
+    assert list(drawn.items()) == [((8, 3), 0)]  # B's copies in C only, and none
 
 
 def test_arrows_input_errors():

@@ -34,7 +34,7 @@ from ramsey_ba.serialize import (
     parse_embedding,
 )
 
-from .oracles import wire_reference
+from .oracles import reference_load_json_file, wire_reference
 
 
 def test_level_round_trip():
@@ -46,6 +46,15 @@ def test_level_round_trip():
 def test_level_parse_errors_name_the_field():
     with pytest.raises(ParseError, match=r"levels\[1\]"):
         parse_algebra({"chain_length": 1, "levels": [0, "beyond"]})
+    for data, field, text in (
+        ({"chain_length": 1, "levels": [0, "out", 1.5, True]}, "algebra",
+         'algebra.levels[2] must be an integer or "out", got 1.5'),
+        ({"chain_length": 2, "levels": [True]}, "c", 'c.levels[0] must be an integer or "out", got True'),
+        ({"chain_length": 1, "levels": [0, None]}, "b", 'b.levels[1] must be an integer or "out", got None'),
+    ):
+        with pytest.raises(ParseError) as refused:
+            parse_algebra(data, field=field)
+        assert str(refused.value) == text
     with pytest.raises(ParseError, match="x"):
         level_from_json(True, "x")  # booleans are not levels
     with pytest.raises(ParseError):
@@ -211,6 +220,62 @@ def test_load_json_file(tmp_path):
     long.write_text('{"chain_length": ' + "1" * 5000 + ', "levels": ["out"]}')
     with pytest.raises(ParseError, match=r"long\.json holds an integer literal too long"):
         load_json_file(str(long))
+
+
+def load_path_corpus(directory) -> list[str]:
+    """Input paths whose reading depends on decoding, newlines or the path itself."""
+    algebra = '{\n  "chain_length": 1,\n  "levels": [0, "out"]\n}\n'
+    broken = [
+        '{\n  "chain_length": 1,\n  "levels": [0, "out"\n}\n',  # a JSON error on line 4
+        '{\n  "chain_length": 1,\n  "levels": ["o\tut"]\n}\n',  # a control character
+        '{\n  "chain_length": 1,\n  "chain_length": 2\n}\n',  # a repeated key
+    ]
+    files = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        files[f"{name}.json"] = algebra.replace("\n", newline).encode()
+        for i, text in enumerate(broken):
+            files[f"{name}_broken{i}.json"] = text.replace("\n", newline).encode()
+        files[f"{name}_binary.json"] = f'[1,{newline} "\xff"]'.encode("latin-1")
+        files[f"{name}_late_binary.json"] = (
+            b"[" + f"0,{newline}".encode() * 3000 + b'"\xff"]'
+        )
+    files.update({
+        "bom.json": b"\xef\xbb\xbf" + algebra.encode(),
+        "binary_first.json": b"\xff" + algebra.encode(),
+        "truncated_utf8.json": b'["\xe2\x82',
+        "truncated.json": b'{"chain_length": 1, "levels": [0, "ou',
+        "repeated.json": b'{"a": [{"y": 1, "y": 1}]}',
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+        "long.json": b'{"chain_length": ' + b"1" * 5000 + b"}",
+        "empty.json": b"",
+        "text.json": '{"name": "\u00e9\u20ac\U0001f600", "levels": ["out"]}'.encode(),
+    })
+    paths = []
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+        paths.append(str(directory / name))
+    return [*paths, str(directory), str(directory / "missing.json")]
+
+
+def test_load_json_file_reads_as_text_mode_does(tmp_path):
+    def outcome(reader, path):
+        try:
+            return "value", reader(path)
+        except ParseError as refused:
+            return "error", str(refused)
+
+    corpus = load_path_corpus(tmp_path)
+    got = {path: outcome(load_json_file, path) for path in corpus}
+    assert got == {path: outcome(reference_load_json_file, path) for path in corpus}
+    texts = [detail for kind, detail in got.values() if kind == "error"]
+    for reason in (  # the corpus reaches every refusal
+        "cannot read", "not valid JSON", "not UTF-8", "too long", "too deeply", "repeats the key"
+    ):
+        assert any(reason in text for text in texts), reason
+    # a JSON error is placed in the translated text, a UTF-8 error at its byte in the file
+    assert "line 4 column 1 (char 45)" in got[str(tmp_path / "crlf_broken0.json")][1]
+    assert "position 12002" in got[str(tmp_path / "crlf_late_binary.json")][1]
+    assert got[str(tmp_path / "cr.json")] == ("value", {"chain_length": 1, "levels": [0, "out"]})
 
 
 def reference_text(payload) -> str:
