@@ -205,6 +205,10 @@ def run(config: RunConfig) -> tuple[int, str]:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {config.mode!r}")
         if config.workers < 1:
             raise ValueError(f"worker count must be at least 1, got {config.workers}")
+        if not (config.kind is None or isinstance(config.kind, ClassKind)):
+            raise ValueError(f"kind must be a ClassKind, got {config.kind!r}")
+        if not isinstance(config.minimal, bool):
+            raise ValueError(f"minimal must be a bool, got {config.minimal!r}")
         code = handler(config, report)
         text = format_io(report)
     except SerializationError as unwritable:  # the handler built a report JSON cannot hold

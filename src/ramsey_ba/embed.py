@@ -48,6 +48,8 @@ from .order import count_proper_orders, enumerate_proper_orders
 
 Mode = Literal["plain", "ordered"]
 
+MAX_BYTE_ATOMS = 255  # a block map in bytes names small atoms 0 .. 254; 255 names none
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -100,6 +102,12 @@ def generated_subalgebra(
         fingerprint.setdefault(tuple(a in g.atoms for g in gens), []).append(a)
     sub, block_of = _partition_subalgebra(algebra, fingerprint.values())
     return sub, Embedding(small=sub, big=algebra, block_of=block_of, ordered=True)
+
+
+def _translate_table(block_of: Sequence[int]) -> bytes:
+    """block_of as a bytes.translate table, zeros past its atoms: a copy of B in
+    C as bytes, translated by a copy of A in B's table, is compose's block map."""
+    return bytes(block_of).ljust(256, b"\0")
 
 
 def _block_maxima(block_of: tuple[int, ...], k: int) -> list[int]:

@@ -22,18 +22,18 @@ B-side against a list of C-sides of the same base in one pass: it unpacks
 the B-side once, and the merge keys carry each atom's A-block, so absorption
 reads no block map.  Within one base's run it builds each amalgam D once per
 level tuple and checks D's class membership once per tuple, a function of the
-levels.  The kernel builds r and s in bytearrays and freezes them as bytes,
-so a side B or C has at most MAX_SIDE_ATOMS = 255 atoms, and 255, which names
-none of them, is absorption's "no atom yet".  It checks each distinct block
-map r or s once per interned D and host level tuple: a map that passes into
-D fixes its host's levels, so D keeps one dict from each checked map, a
-bytes key that hashes once, to those levels.  The atom count and the
-commuting square run on every pair, the square as one translate of r by f's
-256-byte table against one of s by g's, and a failed one comes back as its
-text.  The amalgamation suite enumerates the class lazily and refuses it,
-before listing any copy, once it has more hosts than the square root of
-MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more than
-MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
+levels.  The kernel builds r and s in bytearrays and freezes them as bytes, so
+a side B or C has at most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms,
+and 255, which names none of them, is absorption's "no atom yet".  It checks
+each distinct block map r or s once per interned D and host level tuple: a map
+that passes into D fixes its host's levels, so D keeps one dict from each
+checked map, a bytes key that hashes once, to those levels.  The atom count
+and the commuting square run on every pair, the square as one translate of r
+by f's embed._translate_table against one of s by g's, and a failed one comes
+back as its text.  The amalgamation suite enumerates the class lazily and
+refuses it, before listing any copy, once it has more hosts than the square
+root of MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more
+than MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
 caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
 them.  It cuts the pairs into one run of
 B-sides per base and shard, whatever the worker count, and a shard calls the
@@ -61,18 +61,15 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import Embedding, _block_maxima, _check_block_map, _partition_subalgebra
-from .embed import _sorted_block_maps, enumerate_embeddings, validate_embedding
+from .embed import MAX_BYTE_ATOMS as MAX_SIDE_ATOMS, Embedding, _block_maxima
+from .embed import _check_block_map, _partition_subalgebra, _sorted_block_maps
+from .embed import _translate_table, enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, BoundExceeded, NotAnEmbedding
 from .parallel import ordered_map, usable_workers
 
 # the most (B, C) copy pairs one amalgamation suite checks: the sum over its
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
 MAX_AP_PAIRS = 1_000_000
-
-# the most atoms an amalgamation side B or C may have: block maps travel as
-# bytes, naming a side's atoms 0 .. 254, and 255 is absorption's "no atom yet"
-MAX_SIDE_ATOMS = 255
 
 
 @dataclass(frozen=True)
@@ -136,14 +133,13 @@ def _require_small_side(host: LabeledAlgebra, name: str) -> None:
 
 
 def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) -> tuple:
-    """Per-copy data: the host, the block map, its block maxima, the map as a
-    256-byte translate table (zeros past the host's atoms), and its merge
-    keys, for all atoms as the B side and for loose atoms as the C side.  A
-    key is (the A-block of the nearest block maximum at or after the atom, its
-    level, 0 if loose in B / 1 if loose in C / 2 if a block maximum, the atom,
-    the atom's own A-block)."""
+    """Per-copy data: the host, the block map, its block maxima, its
+    embed._translate_table, and its merge keys, for all atoms as the B side
+    and for loose atoms as the C side.  A key is (the A-block of the nearest
+    block maximum at or after the atom, its level, 0 if loose in B / 1 if
+    loose in C / 2 if a block maximum, the atom, the atom's own A-block)."""
     maxima = _block_maxima(block_of, a.n_atoms)
-    square = bytes(block_of).ljust(256, b"\0")
+    square = _translate_table(block_of)
     keys_b: list[tuple] = []
     loose_c: list[tuple] = []
     j = 0  # maxima increase, so the nearest one at or after x is maxima[j]

@@ -9,8 +9,9 @@ copies lying inside each ordered copy of B; a bad coloring is one leaving
 every edge non-monochromatic.  It is kept as its colors, one per A-copy in
 enumeration order.  Block maps are the internal currency: copies are
 block_of tuples, A's sorted by embed._sorted_block_maps; no Embedding is built.
-The composite of a B-copy and an A-copy of B is index arithmetic, looked up
-among the A-copies by block map.  Vertices are numbered in enumeration
+A B-copy as bytes, translated by an A-copy of B's embed._translate_table, is
+their composite, found among the A-copies' bytes, so a search takes B of at
+most embed.MAX_BYTE_ATOMS atoms.  Vertices are numbered in enumeration
 order, the first vertex is pinned to color 0, and branching is DSATUR
 first-fail (most forbidden colors, lowest index breaking ties, colors in
 increasing order), so certificates and node counts are deterministic.  The
@@ -45,7 +46,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .core import (
     ClassKind,
@@ -58,7 +58,8 @@ from .core import (
     make_algebra,
     signature_json,
 )
-from .embed import _ordered_block_maps, _sorted_block_maps, lift, reduct, star
+from .embed import MAX_BYTE_ATOMS, _ordered_block_maps, _sorted_block_maps, _translate_table
+from .embed import lift, reduct, star
 from .errors import (
     BoundExceeded,
     ChainMismatch,
@@ -259,24 +260,23 @@ def _search(
 def _copy_edges(
     copies_a: list[tuple], copies_b: list[tuple], inner: list[tuple]
 ) -> list[tuple[int, ...]]:
-    """Per B-copy, the indices of the A-copies inside it.
+    """Per B-copy, the indices of the A-copies inside it: its bytes translated
+    by each A-copy of B's embed._translate_table, their composites."""
+    index = {bytes(bo): i for i, bo in enumerate(copies_a)}
+    tables = list(map(_translate_table, inner))
+    return [tuple(map(index.__getitem__, map(bytes(bo).translate, tables))) for bo in copies_b]
 
-    The composite of outer and h maps C-atom x to h[outer[x]], which is
-    itemgetter(*outer)(h).  Over a one-atom C that is a bare item, so the
-    A-copies are looked up by their one entry there.
-    """
-    index = {bo if len(bo) > 1 else bo[0]: i for i, bo in enumerate(copies_a)}
-    edges = []
-    for outer in copies_b:
-        composite = itemgetter(*outer)
-        edges.append(tuple([index[composite(h)] for h in inner]))
-    return edges
+
+def _require_small_b(b: LabeledAlgebra) -> None:
+    if b.n_atoms > MAX_BYTE_ATOMS:
+        raise BoundExceeded(f"B has {b.n_atoms} atoms; arrow searches take at most {MAX_BYTE_ATOMS}")
 
 
 def recheck_bad_coloring(
     c: LabeledAlgebra, b: LabeledAlgebra, a: LabeledAlgebra, k: int, coloring: Coloring
 ) -> bool:
     """Validate a bad coloring by direct scan, independent of the search."""
+    _require_small_b(b)
     if (coloring.a, coloring.c) != (a, c):
         return False
     copies_a = _sorted_block_maps(a, c)
@@ -288,10 +288,10 @@ def recheck_bad_coloring(
     ):
         return False
     _require_same_chain(a, b)
-    assigned = dict(zip(copies_a, coloring.colors))
-    inner = list(_ordered_block_maps(a, b))
+    assigned = dict(zip(map(bytes, copies_a), coloring.colors))
+    tables = list(map(_translate_table, _ordered_block_maps(a, b)))
     for outer in _ordered_block_maps(b, c):
-        seen = {assigned[tuple(h[x] for x in outer)] for h in inner}
+        seen = {assigned[composite] for composite in map(bytes(outer).translate, tables)}
         if len(seen) <= 1:
             return False
     return True
@@ -316,6 +316,7 @@ def _arrows(
         return ArrowCertificate(
             "holds", None, SearchStats(0, len(copies_a), len(copies_b))
         )
+    _require_small_b(b)
     edges = _copy_edges(copies_a, copies_b, inner)
     assignment, nodes = _search_bad_coloring(len(copies_a), edges, k)
     stats = SearchStats(nodes, len(copies_a), len(copies_b))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
@@ -290,7 +291,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def load_json_file(path: str) -> Any:
+def load_json_file(path: str | os.PathLike) -> Any:
     """The JSON value of a UTF-8 file, read as text mode with universal
     newlines would read it, so values and error texts are the same.
 
@@ -299,6 +300,8 @@ def load_json_file(path: str) -> Any:
     of a small file.  Newlines are translated after decoding, as text mode
     does, so a decoding error names the byte position in the file.
     """
+    if not isinstance(path, (str, os.PathLike)):  # open() reads an int as a descriptor
+        raise ParseError(f"an input path is a str or os.PathLike, got {path!r}")
     try:
         with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8")

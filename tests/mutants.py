@@ -146,6 +146,27 @@ MUTANTS = [
         ["tests/test_cli.py"],
     ),
     (
+        "options: kind is a ClassKind or unset",
+        CLI,
+        "        if not (config.kind is None or isinstance(config.kind, ClassKind)):\n"
+        '            raise ValueError(f"kind must be a ClassKind, got {config.kind!r}")\n',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "options: minimal is a bool",
+        CLI,
+        "        if not isinstance(config.minimal, bool):\n"
+        '            raise ValueError(f"minimal must be a bool, got {config.minimal!r}")\n',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "input files: a path is a str or os.PathLike, never a file descriptor",
+        SERIALIZE,
+        "    if not isinstance(path, (str, os.PathLike)):  # open() reads an int as a descriptor\n"
+        '        raise ParseError(f"an input path is a str or os.PathLike, got {path!r}")\n',
+        ["tests/test_cli.py"],
+    ),
+    (
         "search cache: the key holds k",
         RAMSEY,
         ("key = (n_vertices, k, frozenset(masks))", "key = (n_vertices, frozenset(masks))"),
@@ -174,6 +195,21 @@ MUTANTS = [
         "    ):\n"
         "        return False\n",
         ["tests/test_ramsey.py"],
+    ),
+    (
+        "recheck: each B-copy is composed with every A-copy of B by its own table",
+        RAMSEY,
+        (
+            "map(bytes(outer).translate, tables)}",
+            "map(bytes(outer).translate, tables[:1] * len(tables))}",
+        ),
+        ["tests/test_ramsey.py"],
+    ),
+    (
+        "arrow: a nontrivial search takes B of at most MAX_BYTE_ATOMS atoms",
+        RAMSEY,
+        ("    if b.n_atoms > MAX_BYTE_ATOMS:\n", "    if False:\n"),
+        ["tests/test_ramsey.py", "tests/test_cli.py"],
     ),
     (
         "recheck: no B-copy is monochromatic",

@@ -339,6 +339,56 @@ def test_amalgamate_refuses_a_side_past_the_byte_bound(capsys, tmp_path):
             }
 
 
+def test_arrow_refuses_a_b_past_the_byte_bound(capsys, tmp_path):
+    # block maps compose as bytes, naming at most 255 atoms of B
+    a = write(tmp_path, "a.json", {"chain_length": 2, "levels": [0, "out"]})
+    for ones, expected in ((252, 1), (253, 2)):
+        levels = [0, 0] + [1] * ones + ["out"]
+        b = write(tmp_path, "b.json", {"chain_length": 2, "levels": levels})
+        code, report = run_cli(capsys, ["arrow", "--c", b, "--b", b, "--a", a])
+        assert code == expected
+        if ones == 252:
+            assert report["certificate"]["stats"]["nodes"] == 3
+        else:
+            assert report["error"] == {
+                "type": "bound-exceeded",
+                "detail": "B has 256 atoms; arrow searches take at most 255",
+            }
+
+
+def test_input_path_of_another_type_is_refused(algebras):
+    # open() would take an int as a file descriptor, and close it after the read
+    read, written = os.pipe()
+    os.write(written, b'{"chain_length": 1, "levels": [0, "out"]}')
+    os.close(written)
+    try:
+        for path in (read, True, algebras["small"].encode()):
+            code, text = run(RunConfig("validate", {"algebra": path}, kind=ClassKind.BJ))
+            assert (code, json.loads(text)) == (2, {"error": {
+                "type": "ParseError",
+                "detail": f"an input path is a str or os.PathLike, got {path!r}",
+            }})
+        os.fstat(read)  # neither read nor closed
+    finally:
+        os.close(read)
+    code, _ = run(RunConfig("validate", {"algebra": Path(algebras["small"])}, kind=ClassKind.BJ))
+    assert code == 0
+
+
+@pytest.mark.parametrize("name,value", [("kind", "bj"), ("minimal", "yes")])
+def test_kind_and_minimal_of_another_type_are_refused(name, value, algebras):
+    # a string kind would crash on .value, and minimal="yes" would pass as true
+    inputs = {"a": algebras["small"], "b": algebras["mid"]}
+    config = RunConfig("witness", inputs, kind=ClassKind.BU, max_atoms=8)
+    assert run(config)[0] == 0
+    code, text = run(dataclasses.replace(config, **{name: value}))
+    assert code == 2
+    detail = {"kind": "kind must be a ClassKind", "minimal": "minimal must be a bool"}[name]
+    assert json.loads(text) == {
+        "error": {"type": "ValueError", "detail": f"{detail}, got {value!r}"}
+    }
+
+
 def test_reports_never_print_out_as_an_int(capsys, tmp_path, algebras):
     # OUT is an int, so a level that skipped signature_json would print its value
     f = write(tmp_path, "f.json", {"block_of": [0, 0], "ordered": True})

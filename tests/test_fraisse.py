@@ -32,7 +32,7 @@ from ramsey_ba import (
 )
 
 from ramsey_ba import fraisse
-from ramsey_ba.embed import _check_block_map, _partition_subalgebra
+from ramsey_ba.embed import _check_block_map, _partition_subalgebra, _translate_table
 
 from .oracles import closure_blocks, reference_amalgamate
 from .test_parallel import forks, no_child_is_left  # noqa: F401 (a fixture)
@@ -570,7 +570,7 @@ def _shifted(side: tuple, k: int) -> tuple:
     table, moved up one, mod k; the keys keep the A-blocks of the unshifted map."""
     host, block_of, maxima, _, *keys = side
     shifted = tuple((i + 1) % k for i in block_of)
-    return (host, shifted, maxima, bytes(shifted).ljust(256, b"\0"), *keys)
+    return (host, shifted, maxima, _translate_table(shifted), *keys)
 
 
 def _misread(side: tuple, k: int) -> tuple:

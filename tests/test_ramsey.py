@@ -34,7 +34,7 @@ from ramsey_ba import (
     star,
 )
 from ramsey_ba import core, ramsey
-from ramsey_ba.embed import Embedding, _ordered_block_maps, compose
+from ramsey_ba.embed import MAX_BYTE_ATOMS, Embedding, _ordered_block_maps, compose
 from ramsey_ba.ramsey import (
     ARROWS_CACHE_SIZE,
     SEARCH_CACHE_MASKS,
@@ -255,6 +255,34 @@ def test_deep_search_has_no_recursion_limit():
     assert cert.verdict == "fails" and not cert.vacuous
     assert cert.stats.a_copies == 1023
     assert recheck_bad_coloring(c, b, a, 40, cert.bad_coloring)
+
+
+def test_a_search_takes_b_of_at_most_the_byte_bound(monkeypatch):
+    # block maps compose as bytes, naming at most MAX_BYTE_ATOMS atoms of B;
+    # the vacuous, one-color and one-inner-copy answers come before the bound
+    assert MAX_BYTE_ATOMS == 255
+    a = make_algebra([0, OUT], 2)
+    top = make_algebra([0, 0] + [1] * 252 + [OUT], 2)
+    past = make_algebra([0, 0] + [1] * 253 + [OUT], 2)
+    rechecks = []
+    real = ramsey.recheck_bad_coloring
+    monkeypatch.setattr(
+        ramsey, "recheck_bad_coloring", lambda *args: rechecks.append(args) or real(*args)
+    )
+    _arrows.cache_clear()
+    cert = arrows(top, top, a, 2)
+    assert (cert.verdict, cert.stats.nodes, len(rechecks)) == ("fails", 3, 1)
+    with pytest.raises(BoundExceeded) as raised:
+        arrows(past, past, a, 2)
+    assert str(raised.value) == "B has 256 atoms; arrow searches take at most 255"
+    # the recheck refuses such a B too, with copies of B in C or none
+    for c in (past, top):
+        with pytest.raises(BoundExceeded):
+            recheck_bad_coloring(c, past, a, 2, Coloring(a, c, (0, 1, 1)))
+    assert arrows(top, past, a, 2).vacuous
+    assert arrows(past, past, a, 1).verdict == "holds"
+    huge = make_algebra([OUT] * 258, 0)
+    assert arrows(huge, huge, make_algebra([OUT], 0), 2).verdict == "holds"
 
 
 def test_recheck_rejects_tampered_colorings():
