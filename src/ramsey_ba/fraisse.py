@@ -3,7 +3,7 @@
 Given ordered embeddings f of A into B and g of A into C, an amalgam is
 built on the disjoint union of the atom sets of B and C with the block
 maxima of f and g identified pairwise.  Its atom order is one sort of B's
-atoms and C's loose atoms by the key (the A-block of the nearest block
+atoms and C's loose atoms by the key (the A-block j of the nearest block
 maximum at or after the atom, its level, 0 if loose in B / 1 if loose in C
 / 2 if a block maximum, the atom).  Segment j's atoms on both sides have
 levels at most A-atom j's level and segment j + 1's at least that, so levels
@@ -12,20 +12,26 @@ identified maximum last, the first completion of the walk that places B's
 head before C's.  A completion always exists, so ordering never fails.
 Absorption then makes the square commute: a loose atom of one side joins
 the block of the nearest image atom of the other side above it that maps
-into the same A-block.  One right-to-left pass finds these, keeping per
-side the nearest image atom of each A-block seen so far.  The identified
-block maximum of its own A-block is always such an atom, so absorption
-never fails, and it keeps levels and block maxima intact, so r and s are
-ordered embeddings with r after f equal to s after g.  Postconditions are
-re-checked rather than trusted.  One kernel, _amalgamate_run, amalgamates one
-B-side against a list of C-sides of the same base in one pass: it unpacks
-the B-side once, and the merge keys carry each atom's A-block, so absorption
-reads no block map.  Within one base's run it builds each amalgam D once per
-level tuple and checks D's class membership once per tuple, a function of the
-levels.  The kernel builds r and s in bytearrays and freezes them as bytes, so
-a side B or C has at most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms,
-and 255, which names none of them, is absorption's "no atom yet".  It checks
-each distinct block map r or s once per interned D and host level tuple: a map
+into the same A-block.  The identified block maximum of its own A-block is
+always such an atom, so absorption never fails, and it keeps levels and
+block maxima intact, so r and s are ordered embeddings with r after f equal
+to s after g.  Postconditions are re-checked rather than trusted.
+
+_side packs each key into one int, with the atom's own A-block i in its low
+byte; ints sort as the keys do.  The atom a loose atom joins depends only on
+its key's segment, level and tag, its A-block, and the other side, so each
+side answers once per run for every key of the other sides: a run ranks all
+keys of its sides, and one right-to-left pass per side fills two tables by
+rank, r's as a B-side and s's as a C-side (_absorb); A's identity copy
+needs no pass.  A pair's merge is one sort of ranks; D's levels, r and s
+are three C-level gathers at those ranks.
+One kernel, _amalgamate_run, amalgamates one B-side against a list of
+C-sides of the same base in one pass.  Within one base's run it builds each
+amalgam D once per level tuple and checks D's class membership once per
+tuple, a function of the levels.  r and s are bytes, so a side B or C has at
+most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms, and 255, which names
+none of them, is absorption's "no atom yet".  The kernel checks each
+distinct block map r or s once per interned D and host level tuple: a map
 that passes into D fixes its host's levels, so D keeps one dict from each
 checked map, a bytes key that hashes once, to those levels.  The atom count
 and the commuting square run on every pair, the square as one translate of r
@@ -35,20 +41,23 @@ refuses it, before listing any copy, once it has more hosts than the square
 root of MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more
 than MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
 caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
-them.  It cuts the pairs into one run of
-B-sides per base and shard, whatever the worker count, and a shard calls the
-kernel once per B-side; amalgamate refuses a side past MAX_SIDE_ATOMS, calls
-the kernel on one pair and raises the failure it returns.  Copies travel as
-bare block maps, and only amalgamate turns r and s into tuples, wraps them
-into Embedding records and lists the identified atom pairs.
-Suite shards are handed the ClassKind and LabeledAlgebra values and the
-copies themselves; forked children inherit them, and send back only results.
+them.  It cuts the pairs into one run of B-sides per base and shard,
+whatever the worker count; a shard builds a run's sides and tables when
+the run starts and calls the kernel once per B-side.  amalgamate refuses a
+side past MAX_SIDE_ATOMS, calls the kernel on one pair and raises the
+failure it returns.  Copies travel as bare block maps, and only amalgamate
+turns r and s into tuples, wraps them into Embedding records and lists the
+identified atom pairs.  Suite shards are handed the ClassKind and
+LabeledAlgebra values and the copies themselves; forked children inherit
+them, and send back only results.  The hereditary suite forks only when it
+has enough partitions to pay for a child (HP_PARTITIONS_PER_WORKER).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     ClassKind,
@@ -58,6 +67,7 @@ from .core import (
     atom_partitions,
     class_membership,
     enumerate_algebras,
+    level_alphabet,
     make_algebra,
     signature_json,
 )
@@ -70,6 +80,13 @@ from .parallel import ordered_map, usable_workers
 # the most (B, C) copy pairs one amalgamation suite checks: the sum over its
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
 MAX_AP_PAIRS = 1_000_000
+
+# the hereditary sweep takes one worker per this many atom partitions, so it
+# forks only when each child has work to pay for its fork.  A partition costs
+# about 6 us and a forked child about 1.3 ms on a 2-vCPU Linux host: bj t = 1
+# at 5 atoms (340 partitions) took 2.0-3.1 ms at one worker and 2.6-3.0 ms at
+# two; at 6 atoms (1,558) 9.5-9.9 ms and 6.1-6.2 ms (best of 9, twice)
+HP_PARTITIONS_PER_WORKER = 400
 
 
 @dataclass(frozen=True)
@@ -105,8 +122,8 @@ def amalgamate(
     D's atom order sorts the _side keys of B's atoms and C's loose atoms.
     Both canonical sequences are level-sorted with the block maxima in
     A-block order, so the sort is proper, and it is the first completion of
-    the walk that tries B's head before C's.  One right-to-left pass, keeping
-    the nearest image atom of each A-block per side, absorbs the loose atoms.
+    the walk that tries B's head before C's.  The pair is a run of its own:
+    each side's _absorb tables over the pair's keys absorb the loose atoms.
     """
     for algebra, name in ((a, "A"), (b, "B"), (c, "C")):
         _require_member(algebra, kind, name)
@@ -135,22 +152,97 @@ def _require_small_side(host: LabeledAlgebra, name: str) -> None:
 def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) -> tuple:
     """Per-copy data: the host, the block map, its block maxima, its
     embed._translate_table, and its merge keys, for all atoms as the B side
-    and for loose atoms as the C side.  A key is (the A-block of the nearest
-    block maximum at or after the atom, its level, 0 if loose in B / 1 if
-    loose in C / 2 if a block maximum, the atom, the atom's own A-block)."""
+    and for loose atoms as the C side.  A key packs (j, level, tag, x, i) into
+    one int, ((j * (t + 1) + min(level, t)) * 3 + tag) << 16 | x << 8 | i: j
+    is the A-block of the nearest block maximum at or after atom x, the tag is
+    0 if loose in B, 1 if loose in C and 2 if a block maximum, and i is x's own
+    A-block.  x and i are below 256, and OUT is the only level past t - 1, so
+    ints sort as the tuples do.  In a side of a checked copy, the maximum of
+    block i has the key class (i, A-atom i's level, 2) on every side."""
     maxima = _block_maxima(block_of, a.n_atoms)
-    square = _translate_table(block_of)
-    keys_b: list[tuple] = []
-    loose_c: list[tuple] = []
+    t = a.chain_length
+    keys_b: list[int] = []
+    loose_c: list[int] = []
     j = 0  # maxima increase, so the nearest one at or after x is maxima[j]
     for x, level in enumerate(host.levels):
+        key = ((j * (t + 1) + (level if level < t else t)) * 3 << 16) + (x << 8)
         if x == maxima[j]:
-            keys_b.append((j, level, 2, x, j))
+            keys_b.append(key + (2 << 16) + j)
             j += 1
         else:
-            keys_b.append((j, level, 0, x, block_of[x]))
-            loose_c.append((j, level, 1, x, block_of[x]))
-    return host, block_of, maxima, square, keys_b, loose_c
+            keys_b.append(key + block_of[x])
+            loose_c.append(key + (1 << 16) + block_of[x])
+    return host, block_of, maxima, _translate_table(block_of), keys_b, loose_c
+
+
+def _run(sides_c: list, t: int, *extra: tuple) -> tuple:
+    """The tables of one run, sides_c and extra, all _side data of one base
+    at chain length t.  Every B key and C-loose key of the run gets its rank
+    in sorted order, so a pair's merge sorts ranks, and per rank the run keeps
+    the key's level in D.  Per side, indexed by id: its ranked keys and its
+    two _absorb tables; and sides_c's rows, in order.  The run holds sides_c
+    and extra, so the ids stay theirs.
+
+    A side without loose atoms is A's identity copy, atom i alone in block i.
+    Its maximum i is the nearest own atom past every other key of block i,
+    whose classes are (j <= i, level <= A-atom i's level, tag < 2) or, for
+    another B-side's maximum i, the same class: so both its tables send each
+    key to its A-block, and _absorb would find the same."""
+    index: dict[int, tuple] = {id(side): side for side in (*extra, *sides_c)}
+    keys: set[int] = set()
+    for side in index.values():
+        keys.update(side[4], side[5])
+    order = sorted(keys)
+    rank = dict(zip(order, range(len(order)))).__getitem__
+    alphabet = level_alphabet(t)  # alphabet[min(level, t)] is the level
+    levels = [alphabet[(key >> 16) // 3 % (t + 1)] for key in order]
+    blocks = bytes([key & 255 for key in order])
+    for ident, side in index.items():
+        own_b, own_c = list(map(rank, side[4])), list(map(rank, side[5]))
+        if own_c:
+            r_of, s_of = _absorb(order, {*own_b, *own_c}, side[2])
+        else:  # A's identity copy: a key of A-block i joins its atom i
+            r_of = s_of = blocks
+        index[ident] = own_b, r_of, (side[0], side[3], own_c, s_of)
+    return sides_c, index, [index[id(side)][2] for side in sides_c], levels, extra
+
+
+# absorption's "no atom yet": MAX_SIDE_ATOMS names no atom of a side
+_UNSET = bytes([MAX_SIDE_ATOMS])
+
+
+def _absorb(order: list[int], own: set[int], maxima: list[int]) -> tuple:
+    """One side's absorption tables by rank in order, the run's sorted keys,
+    where own holds the side's ranks: r, as a B-side, for its keys and every
+    C-loose key of the run, and s, as a C-side, for its loose keys and every
+    B key of the run.  One right-to-left pass over order builds both.
+
+    Each table sends an own key to its own atom, and a key of the other side
+    to the nearest later own atom of that key's A-block i; for s, B's block
+    maximum i is the side's maxima[i], the identified atom.  Within a pair the
+    same pass runs over the pair's keys only, but a key of the other side of
+    class (j, level, tag) finds the same atom: the own atoms past it are the
+    same, and the maxima of block i of all B-sides share the class (i, A-atom
+    i's level, 2), so any one of them stands for the pair's.  Other ranks,
+    and keys with no such atom, hold _UNSET."""
+    r = bytearray(_UNSET * len(order))
+    s = bytearray(r)
+    near_b = bytearray(_UNSET * len(maxima))  # per A-block, the nearest own atom as B
+    near_c = bytearray(near_b)  # and as C
+    for p in range(len(order) - 1, -1, -1):
+        key = order[p]
+        i, tag = key & 255, (key >> 16) % 3
+        if tag == 1:  # a C-loose key: r answers it, s only if it is own
+            r[p] = near_b[i]
+            if p in own:
+                s[p] = near_c[i] = key >> 8 & 255
+        else:  # a B key: s answers it, r only if it is own
+            if tag == 2:  # B's block maximum i, identified with C's maxima[i]
+                near_c[i] = maxima[i]
+            s[p] = near_c[i]
+            if p in own:
+                r[p] = near_b[i] = key >> 8 & 255
+    return r, s
 
 
 def _amalgamate_run(
@@ -162,10 +254,15 @@ def _amalgamate_run(
     text of the first postcondition the pair fails: the atom count, the
     commuting square, then D's class membership.
 
+    amalgams is the memo of one run of a suite shard, whose pairs all share
+    one base A; amalgamate passes a fresh dict.  Under None it holds the
+    run's _run tables, built on the first call and again whenever sides_c is
+    another list or side_b is a side they lack.  A pair's merge is one sort
+    of B's ranks and C's loose ones; D's levels, r and s are three gathers at
+    those ranks: of the run's levels, of B's table as a B-side and of C's as a
+    C-side.
     amalgams interns D by its level tuple, with D's class membership and a
-    dict from each block map already checked into D to its host's levels,
-    within one run of a suite shard, whose pairs all share one base A;
-    amalgamate passes a fresh dict.
+    dict from each block map already checked into D to its host's levels.
     Membership is a function of the levels, and the check of r or s a function
     of the map and its host's levels, so each is checked once per D; a map
     that passes fixes its host's levels (block i's is the level in D of its
@@ -174,43 +271,28 @@ def _amalgamate_run(
     raised on every pair that has it.  The atom count and the square are
     checked on every pair; the square translates r by f's table and s by g's.
     """
-    b, _, _, f_square, keys_b, _ = side_b
+    run = amalgams.get(None)
+    if run is None or run[0] is not sides_c or id(side_b) not in run[1]:
+        run = amalgams[None] = _run(sides_c, a.chain_length, side_b)
+    _, index, rows, level_of, _ = run
+    own_b, r_of, _ = index[id(side_b)]
+    b, _, _, f_square, _, _ = side_b
     b_levels = b.levels
-    k = len(a.levels)
-    size = len(b_levels) - k  # D has size atoms besides C's
-    unset = bytes([MAX_SIDE_ATOMS]) * k  # no host atom has this index
+    size = len(b_levels) - len(a.levels)  # D has size atoms besides C's
     outcomes: list = []
-    for c, _, g_max, g_square, _, loose_c in sides_c:
-        keys = sorted(keys_b + loose_c)
-        levels = tuple([key[1] for key in keys])
+    for c, g_square, own_c, s_of in rows:
+        keys = sorted(own_b + own_c)
+        # itemgetter of one key returns the item, not a 1-tuple
+        gather = itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
+        levels = gather(level_of)
         interned = amalgams.get(levels)
         if interned is None:
             d = make_algebra(levels, a.chain_length)
             interned = amalgams[levels] = d, class_membership(d, kind), {}
         d, member, checked = interned
 
-        # Absorption: image atoms anchor their own positions; a loose atom joins
-        # the nearest later image atom of the other side in the same A-block,
-        # which a right-to-left pass over the keys holds in near_b and near_c.
-        n = len(keys)
-        r_block = bytearray(n)
-        s_block = bytearray(n)
-        near_b = bytearray(unset)
-        near_c = bytearray(unset)
-        for pos in range(n - 1, -1, -1):
-            _, _, tag, x, i = keys[pos]
-            if tag == 0:  # loose in B
-                r_block[pos] = near_b[i] = x
-                s_block[pos] = near_c[i]
-            elif tag == 1:  # loose in C
-                r_block[pos] = near_b[i]
-                s_block[pos] = near_c[i] = x
-            else:  # B's block maximum i, identified with C's
-                r_block[pos] = near_b[i] = x
-                s_block[pos] = near_c[i] = g_max[i]
-
         # postconditions, never trusted
-        r, s = bytes(r_block), bytes(s_block)
+        r, s = bytes(gather(r_of)), bytes(gather(s_of))
         if checked.get(r) != b_levels:
             _check_block_map(r, b, d, True)
             checked[r] = b_levels
@@ -263,6 +345,18 @@ def _hp_shard(args: tuple[ClassKind, LabeledAlgebra]) -> tuple[int, list[dict]]:
     return instances, violations
 
 
+def _partition_count(n: int) -> int:
+    """Bell(n), the number of partitions of n >= 1 atoms: the last entry of
+    row n - 1 of the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for entry in row:
+            nxt.append(nxt[-1] + entry)
+        row = nxt
+    return row[-1]
+
+
 def check_hp(
     kind: ClassKind, max_atoms: int, chain_length: int, workers: int = 1
 ) -> dict:
@@ -275,8 +369,14 @@ def check_hp(
     block map come from embed._partition_subalgebra, which the test
     test_partition_subalgebra_is_the_closure_of_its_blocks compares with the
     Boolean closure of the blocks on every partition for n <= 6 and t <= 2.
+    The sweep takes one worker per HP_PARTITIONS_PER_WORKER partitions, at
+    most workers, so a small sweep runs in the caller; the report is the same
+    for any worker count.
     """
     shards = [(kind, algebra) for algebra in enumerate_algebras(max_atoms, chain_length, kind)]
+    if workers > 1:
+        partitions = sum(_partition_count(algebra.n_atoms) for _, algebra in shards)
+        workers = min(workers, partitions // HP_PARTITIONS_PER_WORKER)
     results = ordered_map(_hp_shard, shards, workers)
     return {
         "kind": kind.value,
@@ -292,11 +392,15 @@ def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
     kind, runs = args
     violations: list[dict] = []
     for a, copies, start, stop in runs:
-        # one per run: a shard holds one base's amalgams at a time
-        amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
+        # one per run: a shard holds one base's sides and amalgams at a time;
+        # None -> the run's tables, level tuple -> (D, D in the class, maps
+        # checked into D)
+        amalgams: dict = {}
         sides = [_side(block_of, a, host) for host, block_of in copies]
         for side_b in sides[start:stop]:
             outcomes = _amalgamate_run(kind, a, side_b, sides, amalgams)
+            if str not in map(type, outcomes):  # no failure text: skip the scan
+                continue
             for side_c, outcome in zip(sides, outcomes):
                 if type(outcome) is str:
                     violations.append(

@@ -70,6 +70,35 @@ MUTANTS = [
         ["tests/test_fraisse.py"],
     ),
     (
+        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        "absorption: a C-loose key's r is the nearest later B atom of its own A-block",
+        FRAISSE,
+        ("            r[p] = near_b[i]\n", "            r[p] = near_b[i - 1]\n"),
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        "absorption: a B-loose key's s is the nearest later C atom",
+        FRAISSE,
+        ("            s[p] = near_c[i]\n", "            s[p] = maxima[i]\n"),
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        "absorption: a B maximum's s is the identified maximum",
+        FRAISSE,
+        "            if tag == 2:  # B's block maximum i, identified with C's maxima[i]\n"
+        "                near_c[i] = maxima[i]\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_absorption_sentinel_is_refused_as_a_nonexistent_atom
+        "absorption: a key with no atom yet keeps a byte that names no atom",
+        FRAISSE,
+        ("_UNSET = bytes([MAX_SIDE_ATOMS])\n", "_UNSET = bytes(1)\n"),
+        ["tests/test_fraisse.py"],
+    ),
+    (
         "amalgam: D stays in the class",
         FRAISSE,
         ("        elif not member:\n", "        elif False:\n"),

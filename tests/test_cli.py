@@ -537,7 +537,10 @@ def test_worker_count_comes_only_from_the_command_line(capsys, monkeypatch, mini
     assert code == 0 and report["member"] is True
     assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    code, _ = run_cli(capsys, ["fraisse", "--kind", "bj", "--max-atoms", "3", "--workers", "2"])
+    # bj t = 2 at 5 atoms: the HP sweep's 967 partitions are enough to fork for
+    code, _ = run_cli(
+        capsys, ["fraisse", "--kind", "bj", "--max-atoms", "5", "--chain-length", "2", "--workers", "2"]
+    )
     assert code == 0
     assert len(forks) == 2  # one child for HP, one for AP; the caller is the other worker
 

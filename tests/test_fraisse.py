@@ -164,6 +164,22 @@ def test_joint_embed_size_invariant():
             assert res.d.n_atoms == b.n_atoms + c.n_atoms - 1
 
 
+def test_hp_suite_forks_only_when_the_sweep_pays(monkeypatch, forks):
+    # one worker per HP_PARTITIONS_PER_WORKER = 400 partitions: bj t = 1 has
+    # 340 up to 5 atoms, which stay in the caller, and 1,558 up to 6
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for n in range(1, 6):
+        assert check_hp(ClassKind.BJ, n, 1, workers=2) == check_hp(ClassKind.BJ, n, 1)
+    assert forks == []
+    report = check_hp(ClassKind.BJ, 6, 1, workers=2)
+    assert len(forks) == 1 and report == check_hp(ClassKind.BJ, 6, 1)
+    algebras = list(enumerate_algebras(6, 1, ClassKind.BJ))
+    partitions = sum(fraisse._partition_count(algebra.n_atoms) for algebra in algebras)
+    assert report["instances"] == partitions == 1558
+    assert check_hp(ClassKind.BJ, 5, 1)["instances"] == 340
+    assert no_child_is_left()
+
+
 def test_check_hp_no_violations():
     report = check_hp(ClassKind.BJ, 4, 2)
     assert report["violations"] == []
@@ -500,6 +516,30 @@ def test_interned_amalgams_match_reference(suites, expected):
     assert interned < instances == expected
 
 
+# suites whose runs share keys across many sides, with the pairs they check:
+# a side's tables answer for the keys of every other side of its run
+TABLE_SUITES = [((ClassKind.BJ, 4, 3), 11035), ((ClassKind.BJU, 5, 2), 15856)]
+
+
+@pytest.mark.parametrize("suite, expected", TABLE_SUITES)
+def test_table_kernel_matches_reference_where_key_classes_repeat(suite, expected):
+    kind = suite[0]
+    pairs = keys = distinct = 0
+    for a, copies in ap_copies(*suite):
+        amalgams: dict = {}
+        sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
+        run_keys = [key for side in sides for key in side[4] + side[5]]
+        keys, distinct = keys + len(run_keys), distinct + len(set(run_keys))
+        for (b, f), side_b in zip(copies, sides):
+            outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams)
+            for (c, g), got in zip(copies, outcomes):
+                pairs += 1
+                d, r, s, _ = reference_amalgamate(a, b, c, f, g)
+                assert got == (d, bytes(r.block_of), bytes(s.block_of))
+    assert pairs == expected == check_ap(*suite)["instances"]
+    assert 2 * distinct < keys  # most keys recur in other sides of their run
+
+
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
     # D's levels are B's levels and C's loose ones, sorted; make_algebra
     # runs once per distinct such tuple within each base's shard
@@ -567,32 +607,35 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
 
 def _shifted(side: tuple, k: int) -> tuple:
     """The _side data with every block of its block map, and of its translate
-    table, moved up one, mod k; the keys keep the A-blocks of the unshifted map."""
+    table, moved up one, mod k; the int keys, and so the run's tables, keep the
+    A-blocks of the unshifted map."""
     host, block_of, maxima, _, *keys = side
     shifted = tuple((i + 1) % k for i in block_of)
     return (host, shifted, maxima, _translate_table(shifted), *keys)
 
 
 def _misread(side: tuple, k: int) -> tuple:
-    """The _side data with the A-block that each key carries moved up one,
-    mod k; the block map is the unshifted one."""
+    """The _side data with the A-block that each key carries, its low byte,
+    moved up one, mod k; the block map is the unshifted one."""
     *data, keys_b, loose_c = side
-    moved = [[(*key[:4], (key[4] + 1) % k) for key in keys] for keys in (keys_b, loose_c)]
+    moved = [[key >> 8 << 8 | ((key & 255) + 1) % k for key in keys] for keys in (keys_b, loose_c)]
     return (*data, *moved)
 
 
 def _doubled(side: tuple) -> tuple:
-    """The _side data with its first loose atom listed twice on the C side."""
+    """The _side data with its first loose atom's int key listed twice on the
+    C side: the run ranks it once, and the pair merges its rank twice."""
     *data, loose_c = side
     return (*data, sorted(loose_c + loose_c[:1]))
 
 
 FREE = {n: make_algebra([OUT] * n, 0) for n in (1, 2, 3)}
 POSTCONDITION_FAULTS = {
-    # r is checked first; B's misread A-blocks send a C atom to no B atom
+    # r is checked first; B's misread A-blocks send a C atom to no B atom.
+    # B has a loose atom: A's identity copy answers by its keys' A-blocks alone
     "r": (
         ClassKind.BJ, FREE[2],
-        _misread(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
+        _misread(fraisse._side((0, 1, 1), FREE[2], FREE[3]), 2),
         fraisse._side((0, 1, 1), FREE[2], FREE[3]),
         NotAnEmbedding, "nonexistent small atom",
     ),
