@@ -3,7 +3,7 @@
 Given ordered embeddings f of A into B and g of A into C, an amalgam is
 built on the disjoint union of the atom sets of B and C with the block
 maxima of f and g identified pairwise.  Its atom order is one sort of B's
-atoms and C's loose atoms by the key (the A-block j of the nearest block
+atoms and C's loose atoms by the key (the A-block of the nearest block
 maximum at or after the atom, its level, 0 if loose in B / 1 if loose in C
 / 2 if a block maximum, the atom).  Segment j's atoms on both sides have
 levels at most A-atom j's level and segment j + 1's at least that, so levels
@@ -12,26 +12,20 @@ identified maximum last, the first completion of the walk that places B's
 head before C's.  A completion always exists, so ordering never fails.
 Absorption then makes the square commute: a loose atom of one side joins
 the block of the nearest image atom of the other side above it that maps
-into the same A-block.  The identified block maximum of its own A-block is
-always such an atom, so absorption never fails, and it keeps levels and
-block maxima intact, so r and s are ordered embeddings with r after f equal
-to s after g.  Postconditions are re-checked rather than trusted.
-
-_side packs each key into one int, with the atom's own A-block i in its low
-byte; ints sort as the keys do.  The atom a loose atom joins depends only on
-its key's segment, level and tag, its A-block, and the other side, so each
-side answers once per run for every key of the other sides: a run ranks all
-keys of its sides, and one right-to-left pass per side fills two tables by
-rank, r's as a B-side and s's as a C-side (_absorb); A's identity copy
-needs no pass.  A pair's merge is one sort of ranks; D's levels, r and s
-are three C-level gathers at those ranks.
-One kernel, _amalgamate_run, amalgamates one B-side against a list of
-C-sides of the same base in one pass.  Within one base's run it builds each
-amalgam D once per level tuple and checks D's class membership once per
-tuple, a function of the levels.  r and s are bytes, so a side B or C has at
-most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms, and 255, which names
-none of them, is absorption's "no atom yet".  The kernel checks each
-distinct block map r or s once per interned D and host level tuple: a map
+into the same A-block.  One right-to-left pass finds these, keeping per
+side the nearest image atom of each A-block seen so far.  The identified
+block maximum of its own A-block is always such an atom, so absorption
+never fails, and it keeps levels and block maxima intact, so r and s are
+ordered embeddings with r after f equal to s after g.  Postconditions are
+re-checked rather than trusted.  One kernel, _amalgamate_run, amalgamates one
+B-side against a list of C-sides of the same base in one pass: it unpacks
+the B-side once, and the merge keys carry each atom's A-block, so absorption
+reads no block map.  Within one base's run it builds each amalgam D once per
+level tuple and checks D's class membership once per tuple, a function of the
+levels.  The kernel builds r and s in bytearrays and freezes them as bytes, so
+a side B or C has at most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms,
+and 255, which names none of them, is absorption's "no atom yet".  It checks
+each distinct block map r or s once per interned D and host level tuple: a map
 that passes into D fixes its host's levels, so D keeps one dict from each
 checked map, a bytes key that hashes once, to those levels.  The atom count
 and the commuting square run on every pair, the square as one translate of r
@@ -41,16 +35,28 @@ refuses it, before listing any copy, once it has more hosts than the square
 root of MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more
 than MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
 caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
-them.  It cuts the pairs into one run of B-sides per base and shard,
-whatever the worker count; a shard builds a run's sides and tables when
-the run starts and calls the kernel once per B-side.  amalgamate refuses a
-side past MAX_SIDE_ATOMS, calls the kernel on one pair and raises the
-failure it returns.  Copies travel as bare block maps, and only amalgamate
-turns r and s into tuples, wraps them into Embedding records and lists the
-identified atom pairs.  Suite shards are handed the ClassKind and
-LabeledAlgebra values and the copies themselves; forked children inherit
-them, and send back only results.  The hereditary suite forks only when it
-has enough partitions to pay for a child (HP_PARTITIONS_PER_WORKER).
+them.  It cuts the pairs into one run of
+B-sides per base and shard, whatever the worker count, and a shard calls the
+kernel once per B-side, with the run's tables (below) when the run has more
+than AP_PAIRWISE_SIDES B-sides; amalgamate refuses a side past
+MAX_SIDE_ATOMS, calls the kernel on one pair and raises the failure it
+returns.  Copies travel as
+bare block maps, and only amalgamate turns r and s into tuples, wraps them
+into Embedding records and lists the identified atom pairs.
+Suite shards are handed the ClassKind and LabeledAlgebra values and the
+copies themselves; forked children inherit them, and send back only results.
+The hereditary suite forks only when it has enough partitions to pay for a
+child (HP_PARTITIONS_PER_WORKER).
+
+The atom a loose atom joins depends only on its key's segment, level and
+tag, its own A-block, and the other side, so in a long run each side can
+answer once for every key of the other sides: _run ranks all keys of a
+run's sides, and one right-to-left pass per side (_absorb) fills two tables
+by rank, r's as a B-side and s's as a C-side.  A pair's merge is then one
+sort of ranks, and D's levels, r and s are three C-level gathers at those
+ranks.  The tables cost a pass per side over all keys of the run, more than
+the pairs of a short run save, so shorter runs, and amalgamate's one pair,
+make each pair's own pass.
 """
 from __future__ import annotations
 
@@ -67,7 +73,6 @@ from .core import (
     atom_partitions,
     class_membership,
     enumerate_algebras,
-    level_alphabet,
     make_algebra,
     signature_json,
 )
@@ -81,12 +86,23 @@ from .parallel import ordered_map, usable_workers
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
 MAX_AP_PAIRS = 1_000_000
 
-# the hereditary sweep takes one worker per this many atom partitions, so it
-# forks only when each child has work to pay for its fork.  A partition costs
-# about 6 us and a forked child about 1.3 ms on a 2-vCPU Linux host: bj t = 1
-# at 5 atoms (340 partitions) took 2.0-3.1 ms at one worker and 2.6-3.0 ms at
-# two; at 6 atoms (1,558) 9.5-9.9 ms and 6.1-6.2 ms (best of 9, twice)
-HP_PARTITIONS_PER_WORKER = 400
+# the hereditary sweep takes one worker per this many atom partitions, at most
+# the workers asked for.  On a 2-vCPU Linux host a partition costs about
+# c = 6 us and a forked child about F = 1.3 ms, and this is F / c: a second
+# worker comes at 2F / c partitions, where the half of the sweep it takes off
+# the caller first pays for its fork.  Best of 9 at one worker against two:
+# 278 partitions (bu t = 1, bj t = 0 at 6 atoms) 1.6-1.8 against 2.8-3.0 ms,
+# 340 (bj t = 1, bju t = 2 at 5 atoms) 2.1 against 2.3 ms, 967 (bj t = 2 at
+# 5 atoms) 5.7 against 4.3 ms, 1,155 (bj t = 0 at 7 atoms) 7.2 against 6.5 ms
+# and 1,558 (bj t = 1 at 6 atoms) 9.5 against 6.2 ms
+HP_PARTITIONS_PER_WORKER = 220
+
+# a suite shard's run of at most this many B-sides absorbs pair by pair, and
+# a longer one by its sides' tables (_run), which cost a pass per side over
+# every key of the run.  In-process, best of 7, a run of one copy took 33-45 %
+# longer by tables, one of three 12 % and one of four 1 %; runs of five or
+# six from 10 % less to 2 % more, and runs of eight to ten 11-22 % less
+AP_PAIRWISE_SIDES = 4
 
 
 @dataclass(frozen=True)
@@ -122,8 +138,8 @@ def amalgamate(
     D's atom order sorts the _side keys of B's atoms and C's loose atoms.
     Both canonical sequences are level-sorted with the block maxima in
     A-block order, so the sort is proper, and it is the first completion of
-    the walk that tries B's head before C's.  The pair is a run of its own:
-    each side's _absorb tables over the pair's keys absorb the loose atoms.
+    the walk that tries B's head before C's.  One right-to-left pass, keeping
+    the nearest image atom of each A-block per side, absorbs the loose atoms.
     """
     for algebra, name in ((a, "A"), (b, "B"), (c, "C")):
         _require_member(algebra, kind, name)
@@ -152,66 +168,49 @@ def _require_small_side(host: LabeledAlgebra, name: str) -> None:
 def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) -> tuple:
     """Per-copy data: the host, the block map, its block maxima, its
     embed._translate_table, and its merge keys, for all atoms as the B side
-    and for loose atoms as the C side.  A key packs (j, level, tag, x, i) into
-    one int, ((j * (t + 1) + min(level, t)) * 3 + tag) << 16 | x << 8 | i: j
-    is the A-block of the nearest block maximum at or after atom x, the tag is
-    0 if loose in B, 1 if loose in C and 2 if a block maximum, and i is x's own
-    A-block.  x and i are below 256, and OUT is the only level past t - 1, so
-    ints sort as the tuples do.  In a side of a checked copy, the maximum of
-    block i has the key class (i, A-atom i's level, 2) on every side."""
+    and for loose atoms as the C side.  A key is (the A-block of the nearest
+    block maximum at or after the atom, its level, 0 if loose in B / 1 if
+    loose in C / 2 if a block maximum, the atom, the atom's own A-block)."""
     maxima = _block_maxima(block_of, a.n_atoms)
-    t = a.chain_length
-    keys_b: list[int] = []
-    loose_c: list[int] = []
+    square = _translate_table(block_of)
+    keys_b: list[tuple] = []
+    loose_c: list[tuple] = []
     j = 0  # maxima increase, so the nearest one at or after x is maxima[j]
     for x, level in enumerate(host.levels):
-        key = ((j * (t + 1) + (level if level < t else t)) * 3 << 16) + (x << 8)
         if x == maxima[j]:
-            keys_b.append(key + (2 << 16) + j)
+            keys_b.append((j, level, 2, x, j))
             j += 1
         else:
-            keys_b.append(key + block_of[x])
-            loose_c.append(key + (1 << 16) + block_of[x])
-    return host, block_of, maxima, _translate_table(block_of), keys_b, loose_c
+            keys_b.append((j, level, 0, x, block_of[x]))
+            loose_c.append((j, level, 1, x, block_of[x]))
+    return host, block_of, maxima, square, keys_b, loose_c
 
 
-def _run(sides_c: list, t: int, *extra: tuple) -> tuple:
-    """The tables of one run, sides_c and extra, all _side data of one base
-    at chain length t.  Every B key and C-loose key of the run gets its rank
-    in sorted order, so a pair's merge sorts ranks, and per rank the run keeps
-    the key's level in D.  Per side, indexed by id: its ranked keys and its
-    two _absorb tables; and sides_c's rows, in order.  The run holds sides_c
-    and extra, so the ids stay theirs.
-
-    A side without loose atoms is A's identity copy, atom i alone in block i.
-    Its maximum i is the nearest own atom past every other key of block i,
-    whose classes are (j <= i, level <= A-atom i's level, tag < 2) or, for
-    another B-side's maximum i, the same class: so both its tables send each
-    key to its A-block, and _absorb would find the same."""
-    index: dict[int, tuple] = {id(side): side for side in (*extra, *sides_c)}
-    keys: set[int] = set()
-    for side in index.values():
+def _run(sides: list) -> list:
+    """The tables of one run, sides being all _side data of one base: per
+    side, in order, (its B keys' ranks, its r table, its loose keys' ranks,
+    its s table, the run's levels).  Every B key and C-loose key of the run
+    gets its rank in sorted order, so a pair's merge sorts ranks, and per rank
+    the run keeps the key's level, its level in D."""
+    keys: set[tuple] = set()
+    for side in sides:
         keys.update(side[4], side[5])
     order = sorted(keys)
     rank = dict(zip(order, range(len(order)))).__getitem__
-    alphabet = level_alphabet(t)  # alphabet[min(level, t)] is the level
-    levels = [alphabet[(key >> 16) // 3 % (t + 1)] for key in order]
-    blocks = bytes([key & 255 for key in order])
-    for ident, side in index.items():
-        own_b, own_c = list(map(rank, side[4])), list(map(rank, side[5]))
-        if own_c:
-            r_of, s_of = _absorb(order, {*own_b, *own_c}, side[2])
-        else:  # A's identity copy: a key of A-block i joins its atom i
-            r_of = s_of = blocks
-        index[ident] = own_b, r_of, (side[0], side[3], own_c, s_of)
-    return sides_c, index, [index[id(side)][2] for side in sides_c], levels, extra
+    levels = [key[1] for key in order]
+    rows = []
+    for _, _, maxima, _, keys_b, loose_c in sides:
+        own_b, own_c = list(map(rank, keys_b)), list(map(rank, loose_c))
+        r_of, s_of = _absorb(order, {*own_b, *own_c}, maxima)
+        rows.append((own_b, r_of, own_c, s_of, levels))
+    return rows
 
 
 # absorption's "no atom yet": MAX_SIDE_ATOMS names no atom of a side
 _UNSET = bytes([MAX_SIDE_ATOMS])
 
 
-def _absorb(order: list[int], own: set[int], maxima: list[int]) -> tuple:
+def _absorb(order: list[tuple], own: set[int], maxima: list[int]) -> tuple:
     """One side's absorption tables by rank in order, the run's sorted keys,
     where own holds the side's ranks: r, as a B-side, for its keys and every
     C-loose key of the run, and s, as a C-side, for its loose keys and every
@@ -219,34 +218,39 @@ def _absorb(order: list[int], own: set[int], maxima: list[int]) -> tuple:
 
     Each table sends an own key to its own atom, and a key of the other side
     to the nearest later own atom of that key's A-block i; for s, B's block
-    maximum i is the side's maxima[i], the identified atom.  Within a pair the
-    same pass runs over the pair's keys only, but a key of the other side of
-    class (j, level, tag) finds the same atom: the own atoms past it are the
-    same, and the maxima of block i of all B-sides share the class (i, A-atom
-    i's level, 2), so any one of them stands for the pair's.  Other ranks,
-    and keys with no such atom, hold _UNSET."""
+    maximum i is the side's maxima[i], the identified atom.  A pair's own
+    pass runs over the pair's keys only, but a key of the other side with the
+    same (segment, level, tag) finds the same atom: the own atoms past it are
+    the same, and the maxima of block i of all B-sides share (i, A-atom i's
+    level, 2), so any one of them stands for the pair's.  Other ranks, and
+    keys with no such atom, hold _UNSET."""
     r = bytearray(_UNSET * len(order))
     s = bytearray(r)
     near_b = bytearray(_UNSET * len(maxima))  # per A-block, the nearest own atom as B
     near_c = bytearray(near_b)  # and as C
     for p in range(len(order) - 1, -1, -1):
-        key = order[p]
-        i, tag = key & 255, (key >> 16) % 3
+        _, _, tag, x, i = order[p]
         if tag == 1:  # a C-loose key: r answers it, s only if it is own
             r[p] = near_b[i]
             if p in own:
-                s[p] = near_c[i] = key >> 8 & 255
+                s[p] = near_c[i] = x
         else:  # a B key: s answers it, r only if it is own
             if tag == 2:  # B's block maximum i, identified with C's maxima[i]
                 near_c[i] = maxima[i]
             s[p] = near_c[i]
             if p in own:
-                r[p] = near_b[i] = key >> 8 & 255
+                r[p] = near_b[i] = x
     return r, s
 
 
 def _amalgamate_run(
-    kind: ClassKind, a: LabeledAlgebra, side_b: tuple, sides_c: list, amalgams: dict
+    kind: ClassKind,
+    a: LabeledAlgebra,
+    side_b: tuple,
+    sides_c: list,
+    amalgams: dict,
+    row_b: tuple | None = None,
+    rows_c: list | None = None,
 ) -> list:
     """Amalgamate one checked copy of A with each copy in sides_c, all given
     as _side data of hosts with at most MAX_SIDE_ATOMS atoms, in one pass; per
@@ -254,15 +258,17 @@ def _amalgamate_run(
     text of the first postcondition the pair fails: the atom count, the
     commuting square, then D's class membership.
 
-    amalgams is the memo of one run of a suite shard, whose pairs all share
-    one base A; amalgamate passes a fresh dict.  Under None it holds the
-    run's _run tables, built on the first call and again whenever sides_c is
-    another list or side_b is a side they lack.  A pair's merge is one sort
-    of B's ranks and C's loose ones; D's levels, r and s are three gathers at
-    those ranks: of the run's levels, of B's table as a B-side and of C's as a
-    C-side.
+    Absorption takes one of two ways.  Without tables, each pair sorts its
+    keys and makes its own right-to-left pass, keeping the nearest image atom
+    of each A-block per side.  With row_b and rows_c, the _run rows of side_b
+    and of sides_c, a pair sorts its ranks, and D's levels, r and s are three
+    C-level gathers at them: of the run's levels, of B's r table and of C's s
+    table.  Both give the same D, r and s.
+
     amalgams interns D by its level tuple, with D's class membership and a
-    dict from each block map already checked into D to its host's levels.
+    dict from each block map already checked into D to its host's levels,
+    within one run of a suite shard, whose pairs all share one base A;
+    amalgamate passes a fresh dict.
     Membership is a function of the levels, and the check of r or s a function
     of the map and its host's levels, so each is checked once per D; a map
     that passes fixes its host's levels (block i's is the level in D of its
@@ -271,20 +277,46 @@ def _amalgamate_run(
     raised on every pair that has it.  The atom count and the square are
     checked on every pair; the square translates r by f's table and s by g's.
     """
-    run = amalgams.get(None)
-    if run is None or run[0] is not sides_c or id(side_b) not in run[1]:
-        run = amalgams[None] = _run(sides_c, a.chain_length, side_b)
-    _, index, rows, level_of, _ = run
-    own_b, r_of, _ = index[id(side_b)]
-    b, _, _, f_square, _, _ = side_b
+    b, _, _, f_square, keys_b, _ = side_b
     b_levels = b.levels
-    size = len(b_levels) - len(a.levels)  # D has size atoms besides C's
+    k = len(a.levels)
+    size = len(b_levels) - k  # D has size atoms besides C's
+    unset = _UNSET * k
+    if row_b is not None:
+        own_b, r_of, _, _, level_of = row_b
+        rows = iter(rows_c)
     outcomes: list = []
-    for c, g_square, own_c, s_of in rows:
-        keys = sorted(own_b + own_c)
-        # itemgetter of one key returns the item, not a 1-tuple
-        gather = itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
-        levels = gather(level_of)
+    for c, _, g_max, g_square, _, loose_c in sides_c:
+        if row_b is None:
+            keys = sorted(keys_b + loose_c)
+            levels = tuple([key[1] for key in keys])
+            # Absorption: image atoms anchor their own positions; a loose atom
+            # joins the nearest later image atom of the other side in the same
+            # A-block, which a right-to-left pass holds in near_b and near_c.
+            n = len(keys)
+            r_block = bytearray(n)
+            s_block = bytearray(n)
+            near_b = bytearray(unset)
+            near_c = bytearray(unset)
+            for pos in range(n - 1, -1, -1):
+                _, _, tag, x, i = keys[pos]
+                if tag == 0:  # loose in B
+                    r_block[pos] = near_b[i] = x
+                    s_block[pos] = near_c[i]
+                elif tag == 1:  # loose in C
+                    r_block[pos] = near_b[i]
+                    s_block[pos] = near_c[i] = x
+                else:  # B's block maximum i, identified with C's
+                    r_block[pos] = near_b[i] = x
+                    s_block[pos] = near_c[i] = g_max[i]
+            r, s = bytes(r_block), bytes(s_block)
+        else:
+            _, _, own_c, s_of, _ = next(rows)
+            ranks = sorted(own_b + own_c)
+            # itemgetter of one index returns the item, not a 1-tuple
+            gather = itemgetter(*ranks) if len(ranks) > 1 else lambda seq: (seq[ranks[0]],)
+            levels = gather(level_of)
+            r, s = bytes(gather(r_of)), bytes(gather(s_of))
         interned = amalgams.get(levels)
         if interned is None:
             d = make_algebra(levels, a.chain_length)
@@ -292,7 +324,6 @@ def _amalgamate_run(
         d, member, checked = interned
 
         # postconditions, never trusted
-        r, s = bytes(gather(r_of)), bytes(gather(s_of))
         if checked.get(r) != b_levels:
             _check_block_map(r, b, d, True)
             checked[r] = b_levels
@@ -392,15 +423,14 @@ def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
     kind, runs = args
     violations: list[dict] = []
     for a, copies, start, stop in runs:
-        # one per run: a shard holds one base's sides and amalgams at a time;
-        # None -> the run's tables, level tuple -> (D, D in the class, maps
-        # checked into D)
-        amalgams: dict = {}
+        # one per run: a shard holds one base's amalgams at a time
+        amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
         sides = [_side(block_of, a, host) for host, block_of in copies]
-        for side_b in sides[start:stop]:
-            outcomes = _amalgamate_run(kind, a, side_b, sides, amalgams)
-            if str not in map(type, outcomes):  # no failure text: skip the scan
-                continue
+        rows = _run(sides) if stop - start > AP_PAIRWISE_SIDES else None
+        for b_index in range(start, stop):
+            side_b = sides[b_index]
+            row_b = None if rows is None else rows[b_index]
+            outcomes = _amalgamate_run(kind, a, side_b, sides, amalgams, row_b, rows)
             for side_c, outcome in zip(sides, outcomes):
                 if type(outcome) is str:
                     violations.append(

@@ -92,6 +92,36 @@ MUTANTS = [
         ["tests/test_fraisse.py"],
     ),
     (
+        # killed by test_interned_amalgams_match_reference
+        "pairwise absorption: a C-loose atom's r is the nearest later B atom of its own A-block",
+        FRAISSE,
+        (
+            "                    r_block[pos] = near_b[i]\n",
+            "                    r_block[pos] = near_b[i - 1]\n",
+        ),
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_interned_amalgams_match_reference
+        "pairwise absorption: a B-loose atom's s is the nearest later C atom",
+        FRAISSE,
+        (
+            "                    s_block[pos] = near_c[i]\n",
+            "                    s_block[pos] = g_max[i]\n",
+        ),
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_interned_amalgams_match_reference
+        "pairwise absorption: a B maximum's s is the identified maximum",
+        FRAISSE,
+        (
+            "                    s_block[pos] = near_c[i] = g_max[i]\n",
+            "                    s_block[pos] = near_c[i]\n",
+        ),
+        ["tests/test_fraisse.py"],
+    ),
+    (
         # killed by test_absorption_sentinel_is_refused_as_a_nonexistent_atom
         "absorption: a key with no atom yet keeps a byte that names no atom",
         FRAISSE,

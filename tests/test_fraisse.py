@@ -165,18 +165,23 @@ def test_joint_embed_size_invariant():
 
 
 def test_hp_suite_forks_only_when_the_sweep_pays(monkeypatch, forks):
-    # one worker per HP_PARTITIONS_PER_WORKER = 400 partitions: bj t = 1 has
-    # 340 up to 5 atoms, which stay in the caller, and 1,558 up to 6
+    # one worker per HP_PARTITIONS_PER_WORKER = 220 partitions: bj t = 1 has
+    # 340 up to 5 atoms and bu t = 1 278 up to 6, which stay in the caller;
+    # bj t = 1 has 1,558 up to 6 atoms and bj t = 2 967 up to 5
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for n in range(1, 6):
         assert check_hp(ClassKind.BJ, n, 1, workers=2) == check_hp(ClassKind.BJ, n, 1)
+    assert check_hp(ClassKind.BU, 6, 1, workers=2) == check_hp(ClassKind.BU, 6, 1)
     assert forks == []
-    report = check_hp(ClassKind.BJ, 6, 1, workers=2)
-    assert len(forks) == 1 and report == check_hp(ClassKind.BJ, 6, 1)
-    algebras = list(enumerate_algebras(6, 1, ClassKind.BJ))
-    partitions = sum(fraisse._partition_count(algebra.n_atoms) for algebra in algebras)
-    assert report["instances"] == partitions == 1558
+    for suite, partitions in (((ClassKind.BJ, 6, 1), 1558), ((ClassKind.BJ, 5, 2), 967)):
+        report = check_hp(*suite, workers=2)
+        assert len(forks) == 1 and report == check_hp(*suite)
+        algebras = list(enumerate_algebras(suite[1], suite[2], suite[0]))
+        assert sum(fraisse._partition_count(algebra.n_atoms) for algebra in algebras) == partitions
+        assert report["instances"] == partitions
+        forks.clear()
     assert check_hp(ClassKind.BJ, 5, 1)["instances"] == 340
+    assert check_hp(ClassKind.BU, 6, 1)["instances"] == 278
     assert no_child_is_left()
 
 
@@ -523,6 +528,7 @@ TABLE_SUITES = [((ClassKind.BJ, 4, 3), 11035), ((ClassKind.BJU, 5, 2), 15856)]
 
 @pytest.mark.parametrize("suite, expected", TABLE_SUITES)
 def test_table_kernel_matches_reference_where_key_classes_repeat(suite, expected):
+    # every run through the tables, however few its sides
     kind = suite[0]
     pairs = keys = distinct = 0
     for a, copies in ap_copies(*suite):
@@ -530,14 +536,31 @@ def test_table_kernel_matches_reference_where_key_classes_repeat(suite, expected
         sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
         run_keys = [key for side in sides for key in side[4] + side[5]]
         keys, distinct = keys + len(run_keys), distinct + len(set(run_keys))
-        for (b, f), side_b in zip(copies, sides):
-            outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams)
+        rows = fraisse._run(sides)
+        for (b, f), side_b, row_b in zip(copies, sides, rows):
+            outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams, row_b, rows)
             for (c, g), got in zip(copies, outcomes):
                 pairs += 1
                 d, r, s, _ = reference_amalgamate(a, b, c, f, g)
                 assert got == (d, bytes(r.block_of), bytes(s.block_of))
     assert pairs == expected == check_ap(*suite)["instances"]
     assert 2 * distinct < keys  # most keys recur in other sides of their run
+
+
+def test_ap_suite_absorbs_long_runs_by_tables_and_short_ones_pairwise(monkeypatch):
+    # bj t = 1 n <= 4: bases with 1 to 23 copies; runs past AP_PAIRWISE_SIDES
+    # B-sides build tables, and the report is the same either way
+    runs = []
+    real = fraisse._run
+    monkeypatch.setattr(fraisse, "_run", lambda sides: runs.append(len(sides)) or real(sides))
+    report = check_ap(ClassKind.BJ, 4, 1)
+    copies = sorted(len(pairs) for _, pairs in ap_copies(ClassKind.BJ, 4, 1))
+    assert copies == [1, 1, 1, 1, 8, 9, 10, 10, 16, 23]
+    assert sorted(runs) == [m for m in copies if m > fraisse.AP_PAIRWISE_SIDES]
+    for sides in (0, 1 << 30):  # every run by tables, every run pairwise
+        monkeypatch.setattr(fraisse, "AP_PAIRWISE_SIDES", sides)
+        assert check_ap(ClassKind.BJ, 4, 1) == report
+        assert check_ap(ClassKind.BJ, 4, 1, workers=2) == report
 
 
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
@@ -607,35 +630,32 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
 
 def _shifted(side: tuple, k: int) -> tuple:
     """The _side data with every block of its block map, and of its translate
-    table, moved up one, mod k; the int keys, and so the run's tables, keep the
-    A-blocks of the unshifted map."""
+    table, moved up one, mod k; the keys keep the A-blocks of the unshifted map."""
     host, block_of, maxima, _, *keys = side
     shifted = tuple((i + 1) % k for i in block_of)
     return (host, shifted, maxima, _translate_table(shifted), *keys)
 
 
 def _misread(side: tuple, k: int) -> tuple:
-    """The _side data with the A-block that each key carries, its low byte,
-    moved up one, mod k; the block map is the unshifted one."""
+    """The _side data with the A-block that each key carries moved up one,
+    mod k; the block map is the unshifted one."""
     *data, keys_b, loose_c = side
-    moved = [[key >> 8 << 8 | ((key & 255) + 1) % k for key in keys] for keys in (keys_b, loose_c)]
+    moved = [[(*key[:4], (key[4] + 1) % k) for key in keys] for keys in (keys_b, loose_c)]
     return (*data, *moved)
 
 
 def _doubled(side: tuple) -> tuple:
-    """The _side data with its first loose atom's int key listed twice on the
-    C side: the run ranks it once, and the pair merges its rank twice."""
+    """The _side data with its first loose atom listed twice on the C side."""
     *data, loose_c = side
     return (*data, sorted(loose_c + loose_c[:1]))
 
 
 FREE = {n: make_algebra([OUT] * n, 0) for n in (1, 2, 3)}
 POSTCONDITION_FAULTS = {
-    # r is checked first; B's misread A-blocks send a C atom to no B atom.
-    # B has a loose atom: A's identity copy answers by its keys' A-blocks alone
+    # r is checked first; B's misread A-blocks send a C atom to no B atom
     "r": (
         ClassKind.BJ, FREE[2],
-        _misread(fraisse._side((0, 1, 1), FREE[2], FREE[3]), 2),
+        _misread(fraisse._side((0, 1), FREE[2], FREE[2]), 2),
         fraisse._side((0, 1, 1), FREE[2], FREE[3]),
         NotAnEmbedding, "nonexistent small atom",
     ),
@@ -670,20 +690,31 @@ POSTCONDITION_FAULTS = {
 }
 
 
+def _both_ways(side_b: tuple, sides_c: list) -> list:
+    """The kernel's optional arguments for each way to absorb: none, for each
+    pair's own pass, and the _run rows of side_b and of sides_c, taken as a
+    run of their own, for the tables."""
+    rows = fraisse._run([*sides_c, side_b])
+    return [(), (rows[-1], rows[:-1])]
+
+
 @pytest.mark.parametrize("fault", list(POSTCONDITION_FAULTS))
 def test_amalgamation_postconditions_refuse_wrong_constructions(fault, monkeypatch):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
-    # as a suite shard records it: the pair twice in one pass, then the pass
-    # again on the same dict.  A failing map never enters D's dict of checked
-    # maps, so every pair that has it raises again.
-    amalgams: dict = {}
-    for _ in range(2):
-        if refusal is NotAnEmbedding:
-            with pytest.raises(NotAnEmbedding, match=detail):
-                fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams)
-        else:
-            outcomes = fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams)
-            assert outcomes == [detail, detail]
+    # as a suite shard records it, pair by pair and by tables: the pair twice
+    # in one pass, then the pass again on the same dict.  A failing map never
+    # enters D's dict of checked maps, so every pair that has it raises again.
+    for tables in _both_ways(side_b, [side_c, side_c]):
+        amalgams: dict = {}
+        for _ in range(2):
+            if refusal is NotAnEmbedding:
+                with pytest.raises(NotAnEmbedding, match=detail):
+                    fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams, *tables)
+            else:
+                outcomes = fraisse._amalgamate_run(
+                    kind, a, side_b, [side_c, side_c], amalgams, *tables
+                )
+                assert outcomes == [detail, detail]
     # as amalgamate raises it, with its input checks passed and the faulty
     # side data in place of the real
     sides = iter([side_b, side_c])
@@ -709,17 +740,18 @@ def test_absorption_sentinel_is_refused_as_a_nonexistent_atom(monkeypatch):
                 _check_block_map(block_of, side, side, True)
             assert str(raised.value) == "block map names a nonexistent small atom"
     # the "r" fault leaves a position of r where absorption found no B atom,
-    # so r keeps the byte there
+    # so r keeps the byte there, pair by pair and by tables
     kind, a, side_b, side_c, *_ = POSTCONDITION_FAULTS["r"]
-    checked = []
     real = fraisse._check_block_map
-    monkeypatch.setattr(
-        fraisse, "_check_block_map", lambda *args: checked.append(args[0]) or real(*args)
-    )
-    with pytest.raises(NotAnEmbedding) as raised:
-        fraisse._amalgamate_run(kind, a, side_b, [side_c], {})
-    assert str(raised.value) == "block map names a nonexistent small atom"
-    assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
+    for tables in _both_ways(side_b, [side_c]):
+        checked = []
+        monkeypatch.setattr(
+            fraisse, "_check_block_map", lambda *args: checked.append(args[0]) or real(*args)
+        )
+        with pytest.raises(NotAnEmbedding) as raised:
+            fraisse._amalgamate_run(kind, a, side_b, [side_c], {}, *tables)
+        assert str(raised.value) == "block map names a nonexistent small atom"
+        assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
 
 
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
