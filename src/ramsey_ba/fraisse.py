@@ -12,51 +12,47 @@ identified maximum last, the first completion of the walk that places B's
 head before C's.  A completion always exists, so ordering never fails.
 Absorption then makes the square commute: a loose atom of one side joins
 the block of the nearest image atom of the other side above it that maps
-into the same A-block.  One right-to-left pass finds these, keeping per
-side the nearest image atom of each A-block seen so far.  The identified
-block maximum of its own A-block is always such an atom, so absorption
-never fails, and it keeps levels and block maxima intact, so r and s are
-ordered embeddings with r after f equal to s after g.  Postconditions are
-re-checked rather than trusted.  One kernel, _amalgamate_run, amalgamates one
-B-side against a list of C-sides of the same base in one pass: it unpacks
-the B-side once, and the merge keys carry each atom's A-block, so absorption
-reads no block map.  Within one base's run it builds each amalgam D once per
-level tuple and checks D's class membership once per tuple, a function of the
-levels.  The kernel builds r and s in bytearrays and freezes them as bytes, so
-a side B or C has at most MAX_SIDE_ATOMS = embed.MAX_BYTE_ATOMS = 255 atoms,
-and 255, which names none of them, is absorption's "no atom yet".  It checks
-each distinct block map r or s once per interned D and host level tuple: a map
-that passes into D fixes its host's levels, so D keeps one dict from each
-checked map, a bytes key that hashes once, to those levels.  The atom count
-and the commuting square run on every pair, the square as one translate of r
-by f's embed._translate_table against one of s by g's, and a failed one comes
-back as its text.  The amalgamation suite enumerates the class lazily and
-refuses it, before listing any copy, once it has more hosts than the square
-root of MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more
-than MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
-caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
-them.  It cuts the pairs into one run of
-B-sides per base and shard, whatever the worker count, and a shard calls the
-kernel once per B-side, with the run's tables (below) when the run has more
-than AP_PAIRWISE_SIDES B-sides; amalgamate refuses a side past
-MAX_SIDE_ATOMS, calls the kernel on one pair and raises the failure it
-returns.  Copies travel as
-bare block maps, and only amalgamate turns r and s into tuples, wraps them
-into Embedding records and lists the identified atom pairs.
-Suite shards are handed the ClassKind and LabeledAlgebra values and the
-copies themselves; forked children inherit them, and send back only results.
-The hereditary suite forks only when it has enough partitions to pay for a
-child (HP_PARTITIONS_PER_WORKER).
+into the same A-block.  The identified block maximum of its own A-block is
+always such an atom, so absorption never fails, and it keeps levels and
+block maxima intact, so r and s are ordered embeddings with r after f equal
+to s after g.  Postconditions are re-checked rather than trusted.
 
 The atom a loose atom joins depends only on its key's segment, level and
-tag, its own A-block, and the other side, so in a long run each side can
-answer once for every key of the other sides: _run ranks all keys of a
+tag, its own A-block, and the other side, so each side answers once for
+every key of its run, the copies of one base: _run ranks all keys of the
 run's sides, and one right-to-left pass per side (_absorb) fills two tables
-by rank, r's as a B-side and s's as a C-side.  A pair's merge is then one
-sort of ranks, and D's levels, r and s are three C-level gathers at those
-ranks.  The tables cost a pass per side over all keys of the run, more than
-the pairs of a short run save, so shorter runs, and amalgamate's one pair,
-make each pair's own pass.
+by rank, r's as a B-side and s's as a C-side.  One kernel, _amalgamate_run,
+amalgamates one B-side against a list of C-sides of its run: a pair's merge
+is one sort of ranks, and D's levels, r and s are three C-level gathers at
+those ranks.  Within one base's run it builds each amalgam D once per level
+tuple and checks D's class membership once per tuple, a function of the
+levels.  r and s are bytes, so a side B or C has at most MAX_SIDE_ATOMS =
+embed.MAX_BYTE_ATOMS = 255 atoms, and 255, which names none of them, is
+absorption's "no atom yet".  The kernel checks each distinct block map r or
+s once per interned D and host level tuple: a map that passes into D fixes
+its host's levels, so D keeps one dict from each checked map, a bytes key
+that hashes once, to those levels.  The atom count and the commuting square
+run on every pair, the square as one translate of r by f's
+embed._translate_table against one of s by g's, and a failed one comes back
+as its text.
+
+The amalgamation suite enumerates the class lazily and refuses it, before
+listing any copy, once it has more hosts than the square root of
+MAX_AP_PAIRS (the base [OUT] has one copy in each) or a host with more than
+MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
+caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
+them.  It cuts the pairs into one run of B-sides per base and shard,
+whatever the worker count; a shard builds each run's tables once and calls
+the kernel once per B-side.  amalgamate refuses a side past MAX_SIDE_ATOMS,
+takes its two sides as a run, calls the kernel on the one pair and raises
+the failure it returns.  Copies travel as bare block maps, and only
+amalgamate turns r and s into tuples, wraps them into Embedding records and
+lists the identified atom pairs.  Suite shards are handed the ClassKind and
+LabeledAlgebra values and the copies themselves; forked children inherit
+them, and send back only results.  The hereditary suite refuses more than
+MAX_HP_PARTITIONS partitions while it lists the class, before any shard,
+and forks only when it has enough partitions to pay for a child
+(HP_PARTITIONS_PER_WORKER).
 """
 from __future__ import annotations
 
@@ -86,6 +82,12 @@ from .parallel import ordered_map, usable_workers
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
 MAX_AP_PAIRS = 1_000_000
 
+# the most atom partitions, the sum of Bell(n) over its members, one
+# hereditary sweep checks; bj t = 1 at 6 atoms has 1,558.  A partition costs
+# 6-13 us on a 2-vCPU Linux host, more at more atoms, so this bounds a sweep
+# to about 10 s
+MAX_HP_PARTITIONS = 1_000_000
+
 # the hereditary sweep takes one worker per this many atom partitions, at most
 # the workers asked for.  On a 2-vCPU Linux host a partition costs about
 # c = 6 us and a forked child about F = 1.3 ms, and this is F / c: a second
@@ -96,13 +98,6 @@ MAX_AP_PAIRS = 1_000_000
 # 5 atoms) 5.7 against 4.3 ms, 1,155 (bj t = 0 at 7 atoms) 7.2 against 6.5 ms
 # and 1,558 (bj t = 1 at 6 atoms) 9.5 against 6.2 ms
 HP_PARTITIONS_PER_WORKER = 220
-
-# a suite shard's run of at most this many B-sides absorbs pair by pair, and
-# a longer one by its sides' tables (_run), which cost a pass per side over
-# every key of the run.  In-process, best of 7, a run of one copy took 33-45 %
-# longer by tables, one of three 12 % and one of four 1 %; runs of five or
-# six from 10 % less to 2 % more, and runs of eight to ten 11-22 % less
-AP_PAIRWISE_SIDES = 4
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,8 @@ def amalgamate(
     D's atom order sorts the _side keys of B's atoms and C's loose atoms.
     Both canonical sequences are level-sorted with the block maxima in
     A-block order, so the sort is proper, and it is the first completion of
-    the walk that tries B's head before C's.  One right-to-left pass, keeping
-    the nearest image atom of each A-block per side, absorbs the loose atoms.
+    the walk that tries B's head before C's.  The two sides are one run, and
+    their _run tables absorb the loose atoms.
     """
     for algebra, name in ((a, "A"), (b, "B"), (c, "C")):
         _require_member(algebra, kind, name)
@@ -148,7 +143,8 @@ def amalgamate(
     _require_ordered_embedding(f, a, b, "f")
     _require_ordered_embedding(g, a, c, "g")
     side_b, side_c = _side(f.block_of, a, b), _side(g.block_of, a, c)
-    [outcome] = _amalgamate_run(kind, a, side_b, [side_c], {})
+    level_of, (copy_b, copy_c) = _run([side_b, side_c])
+    [outcome] = _amalgamate_run(kind, a, level_of, copy_b, [copy_c], {})
     if type(outcome) is str:
         raise AmalgamationFailed(outcome)
     d, r, s = outcome
@@ -186,24 +182,24 @@ def _side(block_of: tuple[int, ...], a: LabeledAlgebra, host: LabeledAlgebra) ->
     return host, block_of, maxima, square, keys_b, loose_c
 
 
-def _run(sides: list) -> list:
-    """The tables of one run, sides being all _side data of one base: per
-    side, in order, (its B keys' ranks, its r table, its loose keys' ranks,
-    its s table, the run's levels).  Every B key and C-loose key of the run
-    gets its rank in sorted order, so a pair's merge sorts ranks, and per rank
-    the run keeps the key's level, its level in D."""
+def _run(sides: list) -> tuple[list, list]:
+    """One run, sides being _side data of copies of one base: the level of
+    each rank, and per side, in order, its copy (the host, the block map, its
+    translate table, its B keys' ranks, its r table, its loose keys' ranks,
+    its s table).  Every B key and C-loose key of the run gets its rank in
+    sorted order, so a pair's merge sorts ranks, and a key's level is its
+    atom's level in D."""
     keys: set[tuple] = set()
     for side in sides:
         keys.update(side[4], side[5])
     order = sorted(keys)
     rank = dict(zip(order, range(len(order)))).__getitem__
-    levels = [key[1] for key in order]
-    rows = []
-    for _, _, maxima, _, keys_b, loose_c in sides:
+    copies = []
+    for host, block_of, maxima, square, keys_b, loose_c in sides:
         own_b, own_c = list(map(rank, keys_b)), list(map(rank, loose_c))
         r_of, s_of = _absorb(order, {*own_b, *own_c}, maxima)
-        rows.append((own_b, r_of, own_c, s_of, levels))
-    return rows
+        copies.append((host, block_of, square, own_b, r_of, own_c, s_of))
+    return [key[1] for key in order], copies
 
 
 # absorption's "no atom yet": MAX_SIDE_ATOMS names no atom of a side
@@ -218,12 +214,11 @@ def _absorb(order: list[tuple], own: set[int], maxima: list[int]) -> tuple:
 
     Each table sends an own key to its own atom, and a key of the other side
     to the nearest later own atom of that key's A-block i; for s, B's block
-    maximum i is the side's maxima[i], the identified atom.  A pair's own
-    pass runs over the pair's keys only, but a key of the other side with the
-    same (segment, level, tag) finds the same atom: the own atoms past it are
-    the same, and the maxima of block i of all B-sides share (i, A-atom i's
-    level, 2), so any one of them stands for the pair's.  Other ranks, and
-    keys with no such atom, hold _UNSET."""
+    maximum i is the side's maxima[i], the identified atom.  That is a pair's
+    absorption, though the pass also walks the keys of the run's other sides:
+    the own atoms past a key are the same, and the maxima of block i of all
+    B-sides share (i, A-atom i's level, 2), so any one of them stands for the
+    pair's.  Other ranks, and keys with no such atom, hold _UNSET."""
     r = bytearray(_UNSET * len(order))
     s = bytearray(r)
     near_b = bytearray(_UNSET * len(maxima))  # per A-block, the nearest own atom as B
@@ -246,24 +241,19 @@ def _absorb(order: list[tuple], own: set[int], maxima: list[int]) -> tuple:
 def _amalgamate_run(
     kind: ClassKind,
     a: LabeledAlgebra,
-    side_b: tuple,
-    sides_c: list,
+    level_of: list,
+    copy_b: tuple,
+    copies_c: list,
     amalgams: dict,
-    row_b: tuple | None = None,
-    rows_c: list | None = None,
 ) -> list:
-    """Amalgamate one checked copy of A with each copy in sides_c, all given
-    as _side data of hosts with at most MAX_SIDE_ATOMS atoms, in one pass; per
-    C-side, (d, r's block map, s's block map) with the maps as bytes, or the
-    text of the first postcondition the pair fails: the atom count, the
-    commuting square, then D's class membership.
-
-    Absorption takes one of two ways.  Without tables, each pair sorts its
-    keys and makes its own right-to-left pass, keeping the nearest image atom
-    of each A-block per side.  With row_b and rows_c, the _run rows of side_b
-    and of sides_c, a pair sorts its ranks, and D's levels, r and s are three
-    C-level gathers at them: of the run's levels, of B's r table and of C's s
-    table.  Both give the same D, r and s.
+    """Amalgamate one checked copy of A with each copy in copies_c, all
+    copies of one _run with its levels level_of, of hosts with at most
+    MAX_SIDE_ATOMS atoms, in one pass; per C-side, (d, r's block map, s's
+    block map) with the maps as bytes, or the text of the first postcondition
+    the pair fails: the atom count, the commuting square, then D's class
+    membership.  A pair sorts the ranks of its keys, and D's levels, r and s
+    are three C-level gathers at them: of level_of, of B's r table and of C's
+    s table.
 
     amalgams interns D by its level tuple, with D's class membership and a
     dict from each block map already checked into D to its host's levels,
@@ -277,46 +267,16 @@ def _amalgamate_run(
     raised on every pair that has it.  The atom count and the square are
     checked on every pair; the square translates r by f's table and s by g's.
     """
-    b, _, _, f_square, keys_b, _ = side_b
+    b, _, f_square, own_b, r_of, _, _ = copy_b
     b_levels = b.levels
-    k = len(a.levels)
-    size = len(b_levels) - k  # D has size atoms besides C's
-    unset = _UNSET * k
-    if row_b is not None:
-        own_b, r_of, _, _, level_of = row_b
-        rows = iter(rows_c)
+    size = len(b_levels) - len(a.levels)  # D has size atoms besides C's
     outcomes: list = []
-    for c, _, g_max, g_square, _, loose_c in sides_c:
-        if row_b is None:
-            keys = sorted(keys_b + loose_c)
-            levels = tuple([key[1] for key in keys])
-            # Absorption: image atoms anchor their own positions; a loose atom
-            # joins the nearest later image atom of the other side in the same
-            # A-block, which a right-to-left pass holds in near_b and near_c.
-            n = len(keys)
-            r_block = bytearray(n)
-            s_block = bytearray(n)
-            near_b = bytearray(unset)
-            near_c = bytearray(unset)
-            for pos in range(n - 1, -1, -1):
-                _, _, tag, x, i = keys[pos]
-                if tag == 0:  # loose in B
-                    r_block[pos] = near_b[i] = x
-                    s_block[pos] = near_c[i]
-                elif tag == 1:  # loose in C
-                    r_block[pos] = near_b[i]
-                    s_block[pos] = near_c[i] = x
-                else:  # B's block maximum i, identified with C's
-                    r_block[pos] = near_b[i] = x
-                    s_block[pos] = near_c[i] = g_max[i]
-            r, s = bytes(r_block), bytes(s_block)
-        else:
-            _, _, own_c, s_of, _ = next(rows)
-            ranks = sorted(own_b + own_c)
-            # itemgetter of one index returns the item, not a 1-tuple
-            gather = itemgetter(*ranks) if len(ranks) > 1 else lambda seq: (seq[ranks[0]],)
-            levels = gather(level_of)
-            r, s = bytes(gather(r_of)), bytes(gather(s_of))
+    for c, _, g_square, _, _, own_c, s_of in copies_c:
+        ranks = sorted(own_b + own_c)
+        # itemgetter of one index returns the item, not a 1-tuple
+        gather = itemgetter(*ranks) if len(ranks) > 1 else lambda seq: (seq[ranks[0]],)
+        levels = gather(level_of)
+        r, s = bytes(gather(r_of)), bytes(gather(s_of))
         interned = amalgams.get(levels)
         if interned is None:
             d = make_algebra(levels, a.chain_length)
@@ -400,14 +360,24 @@ def check_hp(
     block map come from embed._partition_subalgebra, which the test
     test_partition_subalgebra_is_the_closure_of_its_blocks compares with the
     Boolean closure of the blocks on every partition for n <= 6 and t <= 2.
-    The sweep takes one worker per HP_PARTITIONS_PER_WORKER partitions, at
-    most workers, so a small sweep runs in the caller; the report is the same
-    for any worker count.
+    The class is listed lazily, keeping the running sum of Bell(n) over its
+    members, and a sweep of more than MAX_HP_PARTITIONS partitions raises
+    BoundExceeded before any shard is cut or forked.  The sweep takes one
+    worker per HP_PARTITIONS_PER_WORKER partitions, at most workers, so a
+    small sweep runs in the caller; the report is the same for any worker
+    count.
     """
-    shards = [(kind, algebra) for algebra in enumerate_algebras(max_atoms, chain_length, kind)]
-    if workers > 1:
-        partitions = sum(_partition_count(algebra.n_atoms) for _, algebra in shards)
-        workers = min(workers, partitions // HP_PARTITIONS_PER_WORKER)
+    shards = []
+    partitions = 0
+    for algebra in enumerate_algebras(max_atoms, chain_length, kind):
+        partitions += _partition_count(algebra.n_atoms)
+        if partitions > MAX_HP_PARTITIONS:
+            raise BoundExceeded(
+                f"the hereditary suite checks at most {MAX_HP_PARTITIONS} partitions;"
+                " there are more"
+            )
+        shards.append((kind, algebra))
+    workers = min(workers, partitions // HP_PARTITIONS_PER_WORKER)
     results = ordered_map(_hp_shard, shards, workers)
     return {
         "kind": kind.value,
@@ -425,21 +395,18 @@ def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
     for a, copies, start, stop in runs:
         # one per run: a shard holds one base's amalgams at a time
         amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
-        sides = [_side(block_of, a, host) for host, block_of in copies]
-        rows = _run(sides) if stop - start > AP_PAIRWISE_SIDES else None
-        for b_index in range(start, stop):
-            side_b = sides[b_index]
-            row_b = None if rows is None else rows[b_index]
-            outcomes = _amalgamate_run(kind, a, side_b, sides, amalgams, row_b, rows)
-            for side_c, outcome in zip(sides, outcomes):
+        level_of, run = _run([_side(block_of, a, host) for host, block_of in copies])
+        for copy_b in run[start:stop]:
+            outcomes = _amalgamate_run(kind, a, level_of, copy_b, run, amalgams)
+            for copy_c, outcome in zip(run, outcomes):
                 if type(outcome) is str:
                     violations.append(
                         {
                             "a": signature_json(a),
-                            "b": signature_json(side_b[0]),
-                            "c": signature_json(side_c[0]),
-                            "f": list(side_b[1]),
-                            "g": list(side_c[1]),
+                            "b": signature_json(copy_b[0]),
+                            "c": signature_json(copy_c[0]),
+                            "f": list(copy_b[1]),
+                            "g": list(copy_c[1]),
                             "error": outcome,
                         }
                     )

@@ -70,55 +70,25 @@ MUTANTS = [
         ["tests/test_fraisse.py"],
     ),
     (
-        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        # killed by test_interned_amalgams_match_reference
         "absorption: a C-loose key's r is the nearest later B atom of its own A-block",
         FRAISSE,
         ("            r[p] = near_b[i]\n", "            r[p] = near_b[i - 1]\n"),
         ["tests/test_fraisse.py"],
     ),
     (
-        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        # killed by test_interned_amalgams_match_reference
         "absorption: a B-loose key's s is the nearest later C atom",
         FRAISSE,
         ("            s[p] = near_c[i]\n", "            s[p] = maxima[i]\n"),
         ["tests/test_fraisse.py"],
     ),
     (
-        # killed by test_table_kernel_matches_reference_where_key_classes_repeat
+        # killed by test_interned_amalgams_match_reference
         "absorption: a B maximum's s is the identified maximum",
         FRAISSE,
         "            if tag == 2:  # B's block maximum i, identified with C's maxima[i]\n"
         "                near_c[i] = maxima[i]\n",
-        ["tests/test_fraisse.py"],
-    ),
-    (
-        # killed by test_interned_amalgams_match_reference
-        "pairwise absorption: a C-loose atom's r is the nearest later B atom of its own A-block",
-        FRAISSE,
-        (
-            "                    r_block[pos] = near_b[i]\n",
-            "                    r_block[pos] = near_b[i - 1]\n",
-        ),
-        ["tests/test_fraisse.py"],
-    ),
-    (
-        # killed by test_interned_amalgams_match_reference
-        "pairwise absorption: a B-loose atom's s is the nearest later C atom",
-        FRAISSE,
-        (
-            "                    s_block[pos] = near_c[i]\n",
-            "                    s_block[pos] = g_max[i]\n",
-        ),
-        ["tests/test_fraisse.py"],
-    ),
-    (
-        # killed by test_interned_amalgams_match_reference
-        "pairwise absorption: a B maximum's s is the identified maximum",
-        FRAISSE,
-        (
-            "                    s_block[pos] = near_c[i] = g_max[i]\n",
-            "                    s_block[pos] = near_c[i]\n",
-        ),
         ["tests/test_fraisse.py"],
     ),
     (
@@ -153,6 +123,17 @@ MUTANTS = [
         "    if len(hosts) == limit > 0:\n"
         "        raise _too_many_pairs()\n",
         ["tests/test_fraisse.py", "tests/test_cli.py"],
+    ),
+    (
+        # killed by test_hp_suite_refuses_past_its_partition_budget
+        "HP suite: the partition count is bounded before any shard",
+        FRAISSE,
+        "        if partitions > MAX_HP_PARTITIONS:\n"
+        "            raise BoundExceeded(\n"
+        '                f"the hereditary suite checks at most {MAX_HP_PARTITIONS} partitions;"\n'
+        '                " there are more"\n'
+        "            )\n",
+        ["tests/test_fraisse.py"],
     ),
     (
         "amalgam: a side has at most MAX_SIDE_ATOMS atoms",

@@ -340,33 +340,33 @@ def reference_amalgamate(a: LabeledAlgebra, b: LabeledAlgebra, c: LabeledAlgebra
     # Absorption: image atoms anchor their own positions; a loose atom joins
     # the nearest later image atom of the other side in the same A-block.
     d = make_algebra([token_level(token) for token in solution], a.chain_length)
-    r_block = [-1] * d.n_atoms
-    s_block = [-1] * d.n_atoms
+    r_map = [-1] * d.n_atoms
+    s_map = [-1] * d.n_atoms
     for pos, (tag, x) in enumerate(solution):
         if tag in ("B", "M"):
-            r_block[pos] = x if tag == "B" else f_max[x]
+            r_map[pos] = x if tag == "B" else f_max[x]
         if tag in ("C", "M"):
-            s_block[pos] = x if tag == "C" else g_max[x]
+            s_map[pos] = x if tag == "C" else g_max[x]
     for pos, (tag, x) in enumerate(solution):
         if tag == "C":
             stage = g.block_of[x]
             target = next(
                 q
                 for q in range(pos + 1, d.n_atoms)
-                if r_block[q] >= 0 and f.block_of[r_block[q]] == stage
+                if r_map[q] >= 0 and f.block_of[r_map[q]] == stage
             )
-            r_block[pos] = r_block[target]
+            r_map[pos] = r_map[target]
         elif tag == "B":
             stage = f.block_of[x]
             target = next(
                 q
                 for q in range(pos + 1, d.n_atoms)
-                if s_block[q] >= 0 and g.block_of[s_block[q]] == stage
+                if s_map[q] >= 0 and g.block_of[s_map[q]] == stage
             )
-            s_block[pos] = s_block[target]
+            s_map[pos] = s_map[target]
 
-    r = Embedding(small=b, big=d, block_of=tuple(r_block), ordered=True)
-    s = Embedding(small=c, big=d, block_of=tuple(s_block), ordered=True)
+    r = Embedding(small=b, big=d, block_of=tuple(r_map), ordered=True)
+    s = Embedding(small=c, big=d, block_of=tuple(s_map), ordered=True)
     return d, r, s, tuple((f_max[i], g_max[i]) for i in range(k))
 
 

@@ -319,6 +319,23 @@ def test_fraisse_refuses_too_many_hosts_before_listing_them_all(capsys):
     }
 
 
+def test_fraisse_refuses_a_hereditary_sweep_past_its_partition_budget(capsys):
+    # the default --suite both sweeps hp first; bj t = 40 at 5 atoms passes
+    # fraisse.MAX_HP_PARTITIONS while its members are listed (the whole
+    # sweep, 7,248,555 partitions, took 45.8 s before the budget)
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["fraisse", "--kind", "bj", "--max-atoms", "5", "--chain-length", "40"]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"] == {
+        "type": "bound-exceeded",
+        "detail": f"the hereditary suite checks at most {fraisse.MAX_HP_PARTITIONS} partitions;"
+        " there are more",
+    }
+
+
 def test_amalgamate_refuses_a_side_past_the_byte_bound(capsys, tmp_path):
     one_out = write(tmp_path, "a.json", {"chain_length": 0, "levels": ["out"]})
     for n, expected in ((255, 0), (256, 2)):

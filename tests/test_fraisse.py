@@ -185,6 +185,25 @@ def test_hp_suite_forks_only_when_the_sweep_pays(monkeypatch, forks):
     assert no_child_is_left()
 
 
+def test_hp_suite_refuses_past_its_partition_budget(monkeypatch, forks):
+    # bj t = 1 has 340 partitions up to 5 atoms: a budget of 340 admits the
+    # sweep, and 339 refuses it before any partition is checked or any fork
+    swept = []
+    real = fraisse._hp_shard
+    monkeypatch.setattr(fraisse, "_hp_shard", lambda args: swept.append(args) or real(args))
+    monkeypatch.setattr(fraisse, "MAX_HP_PARTITIONS", 340)
+    report = check_hp(ClassKind.BJ, 5, 1, workers=2)
+    assert report["instances"] == 340 and len(swept) == report["algebras"]
+    swept.clear()
+    monkeypatch.setattr(fraisse, "MAX_HP_PARTITIONS", 339)
+    with pytest.raises(BoundExceeded) as raised:
+        check_hp(ClassKind.BJ, 5, 1, workers=2)
+    assert str(raised.value) == (
+        "the hereditary suite checks at most 339 partitions; there are more"
+    )
+    assert swept == [] and forks == []
+
+
 def test_check_hp_no_violations():
     report = check_hp(ClassKind.BJ, 4, 2)
     assert report["violations"] == []
@@ -500,17 +519,26 @@ def test_amalgamate_matches_reference(suites, expected):
     assert instances == reported == expected
 
 
-@pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
+# suites whose runs share keys across many sides, with the pairs they check:
+# a side's tables answer for the keys of every other side of its run
+TABLE_SUITES = [([(ClassKind.BJ, 4, 3)], 11035), ([(ClassKind.BJU, 5, 2)], 15856)]
+
+
+@pytest.mark.parametrize("suites, expected", REFERENCE_SUITES + TABLE_SUITES)
 def test_interned_amalgams_match_reference(suites, expected):
-    # the suite's path: one interning dict per base's run, and one
-    # _amalgamate_run pass per B-side over all of its base's C-sides
-    instances = interned = 0
+    # the suite's path: one _run and one interning dict per base's run, and
+    # one _amalgamate_run pass per B-side over all of its base's C-sides
+    instances = interned = keys = distinct = reported = 0
     for kind, max_atoms, t in suites:
+        reported += check_ap(kind, max_atoms, t)["instances"]
         for a, copies in ap_copies(kind, max_atoms, t):
             amalgams: dict = {}
             sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
-            for (b, f), side_b in zip(copies, sides):
-                outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams)
+            run_keys = [key for side in sides for key in side[4] + side[5]]
+            keys, distinct = keys + len(run_keys), distinct + len(set(run_keys))
+            level_of, run = fraisse._run(sides)
+            for (b, f), copy_b in zip(copies, run):
+                outcomes = fraisse._amalgamate_run(kind, a, level_of, copy_b, run, amalgams)
                 assert len(outcomes) == len(copies)
                 for (c, g), got in zip(copies, outcomes):
                     instances += 1
@@ -518,49 +546,21 @@ def test_interned_amalgams_match_reference(suites, expected):
                     assert got == (d, bytes(r.block_of), bytes(s.block_of))
                     assert type(got[1]) is type(got[2]) is bytes
             interned += len(amalgams)
-    assert interned < instances == expected
-
-
-# suites whose runs share keys across many sides, with the pairs they check:
-# a side's tables answer for the keys of every other side of its run
-TABLE_SUITES = [((ClassKind.BJ, 4, 3), 11035), ((ClassKind.BJU, 5, 2), 15856)]
-
-
-@pytest.mark.parametrize("suite, expected", TABLE_SUITES)
-def test_table_kernel_matches_reference_where_key_classes_repeat(suite, expected):
-    # every run through the tables, however few its sides
-    kind = suite[0]
-    pairs = keys = distinct = 0
-    for a, copies in ap_copies(*suite):
-        amalgams: dict = {}
-        sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
-        run_keys = [key for side in sides for key in side[4] + side[5]]
-        keys, distinct = keys + len(run_keys), distinct + len(set(run_keys))
-        rows = fraisse._run(sides)
-        for (b, f), side_b, row_b in zip(copies, sides, rows):
-            outcomes = fraisse._amalgamate_run(kind, a, side_b, sides, amalgams, row_b, rows)
-            for (c, g), got in zip(copies, outcomes):
-                pairs += 1
-                d, r, s, _ = reference_amalgamate(a, b, c, f, g)
-                assert got == (d, bytes(r.block_of), bytes(s.block_of))
-    assert pairs == expected == check_ap(*suite)["instances"]
+    assert interned < instances == expected == reported
     assert 2 * distinct < keys  # most keys recur in other sides of their run
 
 
-def test_ap_suite_absorbs_long_runs_by_tables_and_short_ones_pairwise(monkeypatch):
-    # bj t = 1 n <= 4: bases with 1 to 23 copies; runs past AP_PAIRWISE_SIDES
-    # B-sides build tables, and the report is the same either way
+def test_ap_suite_builds_tables_once_per_run(monkeypatch):
+    # bj t = 1 n <= 4: bases with 1 to 23 copies; at one worker each base is
+    # one run, and each run, even of one copy, builds its tables once
     runs = []
     real = fraisse._run
     monkeypatch.setattr(fraisse, "_run", lambda sides: runs.append(len(sides)) or real(sides))
     report = check_ap(ClassKind.BJ, 4, 1)
-    copies = sorted(len(pairs) for _, pairs in ap_copies(ClassKind.BJ, 4, 1))
-    assert copies == [1, 1, 1, 1, 8, 9, 10, 10, 16, 23]
-    assert sorted(runs) == [m for m in copies if m > fraisse.AP_PAIRWISE_SIDES]
-    for sides in (0, 1 << 30):  # every run by tables, every run pairwise
-        monkeypatch.setattr(fraisse, "AP_PAIRWISE_SIDES", sides)
-        assert check_ap(ClassKind.BJ, 4, 1) == report
-        assert check_ap(ClassKind.BJ, 4, 1, workers=2) == report
+    copies = [len(pairs) for _, pairs in ap_copies(ClassKind.BJ, 4, 1)]
+    assert sorted(copies) == [1, 1, 1, 1, 8, 9, 10, 10, 16, 23]
+    assert runs == copies
+    assert check_ap(ClassKind.BJ, 4, 1, workers=2) == report
 
 
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
@@ -690,31 +690,23 @@ POSTCONDITION_FAULTS = {
 }
 
 
-def _both_ways(side_b: tuple, sides_c: list) -> list:
-    """The kernel's optional arguments for each way to absorb: none, for each
-    pair's own pass, and the _run rows of side_b and of sides_c, taken as a
-    run of their own, for the tables."""
-    rows = fraisse._run([*sides_c, side_b])
-    return [(), (rows[-1], rows[:-1])]
-
-
 @pytest.mark.parametrize("fault", list(POSTCONDITION_FAULTS))
 def test_amalgamation_postconditions_refuse_wrong_constructions(fault, monkeypatch):
     kind, a, side_b, side_c, refusal, detail = POSTCONDITION_FAULTS[fault]
-    # as a suite shard records it, pair by pair and by tables: the pair twice
-    # in one pass, then the pass again on the same dict.  A failing map never
+    # as a suite shard records it: the pair twice in one pass over the run's
+    # tables, then the pass again on the same dict.  A failing map never
     # enters D's dict of checked maps, so every pair that has it raises again.
-    for tables in _both_ways(side_b, [side_c, side_c]):
-        amalgams: dict = {}
-        for _ in range(2):
-            if refusal is NotAnEmbedding:
-                with pytest.raises(NotAnEmbedding, match=detail):
-                    fraisse._amalgamate_run(kind, a, side_b, [side_c, side_c], amalgams, *tables)
-            else:
-                outcomes = fraisse._amalgamate_run(
-                    kind, a, side_b, [side_c, side_c], amalgams, *tables
-                )
-                assert outcomes == [detail, detail]
+    level_of, (copy_b, copy_c) = fraisse._run([side_b, side_c])
+    amalgams: dict = {}
+    for _ in range(2):
+        if refusal is NotAnEmbedding:
+            with pytest.raises(NotAnEmbedding, match=detail):
+                fraisse._amalgamate_run(kind, a, level_of, copy_b, [copy_c, copy_c], amalgams)
+        else:
+            outcomes = fraisse._amalgamate_run(
+                kind, a, level_of, copy_b, [copy_c, copy_c], amalgams
+            )
+            assert outcomes == [detail, detail]
     # as amalgamate raises it, with its input checks passed and the faulty
     # side data in place of the real
     sides = iter([side_b, side_c])
@@ -740,18 +732,18 @@ def test_absorption_sentinel_is_refused_as_a_nonexistent_atom(monkeypatch):
                 _check_block_map(block_of, side, side, True)
             assert str(raised.value) == "block map names a nonexistent small atom"
     # the "r" fault leaves a position of r where absorption found no B atom,
-    # so r keeps the byte there, pair by pair and by tables
+    # so r keeps the byte there
     kind, a, side_b, side_c, *_ = POSTCONDITION_FAULTS["r"]
     real = fraisse._check_block_map
-    for tables in _both_ways(side_b, [side_c]):
-        checked = []
-        monkeypatch.setattr(
-            fraisse, "_check_block_map", lambda *args: checked.append(args[0]) or real(*args)
-        )
-        with pytest.raises(NotAnEmbedding) as raised:
-            fraisse._amalgamate_run(kind, a, side_b, [side_c], {}, *tables)
-        assert str(raised.value) == "block map names a nonexistent small atom"
-        assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
+    checked = []
+    monkeypatch.setattr(
+        fraisse, "_check_block_map", lambda *args: checked.append(args[0]) or real(*args)
+    )
+    level_of, (copy_b, copy_c) = fraisse._run([side_b, side_c])
+    with pytest.raises(NotAnEmbedding) as raised:
+        fraisse._amalgamate_run(kind, a, level_of, copy_b, [copy_c], {})
+    assert str(raised.value) == "block map names a nonexistent small atom"
+    assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
 
 
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
