@@ -24,9 +24,11 @@ run's sides, and one right-to-left pass per side (_absorb) fills two tables
 by rank, r's as a B-side and s's as a C-side.  One kernel, _amalgamate_run,
 amalgamates one B-side against a list of C-sides of its run: a pair's merge
 is one sort of ranks, and D's levels, r and s are three C-level gathers at
-those ranks.  Within one base's run it builds each amalgam D once per level
-tuple and checks D's class membership once per tuple, a function of the
-levels.  r and s are bytes, so a side B or C has at most MAX_SIDE_ATOMS =
+those ranks.  A suite shard keeps one amalgam table for all its runs: it
+builds each amalgam D once per level tuple and checks D's class membership
+once per tuple, a function of the levels, the kind and the chain length,
+never of the base; past MAX_AP_AMALGAMS amalgams it clears the table.  r and
+s are bytes, so a side B or C has at most MAX_SIDE_ATOMS =
 embed.MAX_BYTE_ATOMS = 255 atoms, and 255, which names none of them, is
 absorption's "no atom yet".  The kernel checks each distinct block map r or
 s once per interned D and host level tuple: a map that passes into D fixes
@@ -81,6 +83,14 @@ from .parallel import ordered_map, usable_workers
 # the most (B, C) copy pairs one amalgamation suite checks: the sum over its
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
 MAX_AP_PAIRS = 1_000_000
+
+# the most interned amalgams a suite shard keeps: past this it clears its
+# table before the next B-side, so a shard holds at most this many plus one
+# B-side's C-sides.  check_ap(bj, 2, 997), whose base [OUT] makes about half a
+# million level tuples, then peaks at 63 MB against 331 MB with no bound, and
+# takes 10.1-15.4 s against 8.9-11.0 s (seven alternating rounds on a shared
+# 2-vCPU Linux host).  No benchmark suite holds more than 45 (bj t = 1 at 5 atoms)
+MAX_AP_AMALGAMS = 1 << 16
 
 # the most atom partitions, the sum of Bell(n) over its members, one
 # hereditary sweep checks; bj t = 1 at 6 atoms has 1,558.  A partition costs
@@ -257,8 +267,8 @@ def _amalgamate_run(
 
     amalgams interns D by its level tuple, with D's class membership and a
     dict from each block map already checked into D to its host's levels,
-    within one run of a suite shard, whose pairs all share one base A;
-    amalgamate passes a fresh dict.
+    across all runs of a suite shard, whose bases share the kind and the
+    chain length; amalgamate passes a fresh dict.
     Membership is a function of the levels, and the check of r or s a function
     of the map and its host's levels, so each is checked once per D; a map
     that passes fixes its host's levels (block i's is the level in D of its
@@ -392,11 +402,14 @@ def check_hp(
 def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
     kind, runs = args
     violations: list[dict] = []
+    # one amalgam table per shard: D, its membership and its checked maps
+    # depend on D's levels, the kind and the chain length, none on the base
+    amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
     for a, copies, start, stop in runs:
-        # one per run: a shard holds one base's amalgams at a time
-        amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
         level_of, run = _run([_side(block_of, a, host) for host, block_of in copies])
         for copy_b in run[start:stop]:
+            if len(amalgams) > MAX_AP_AMALGAMS:
+                amalgams.clear()  # only time is lost: the pairs rebuild what they need
             outcomes = _amalgamate_run(kind, a, level_of, copy_b, run, amalgams)
             for copy_c, outcome in zip(run, outcomes):
                 if type(outcome) is str:

@@ -54,6 +54,21 @@ MUTANTS = [
         ["tests/test_fraisse.py"],
     ),
     (
+        # killed by test_interned_map_is_checked_again_for_a_host_with_other_levels
+        "amalgam: a map checked into D for one host's levels is checked again for others",
+        FRAISSE,
+        ("        if checked.get(r) != b_levels:\n", "        if r not in checked:\n"),
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_ap_suite_clears_its_amalgam_table_past_the_bound
+        "AP suite: a shard clears its amalgam table past MAX_AP_AMALGAMS",
+        FRAISSE,
+        "            if len(amalgams) > MAX_AP_AMALGAMS:\n"
+        "                amalgams.clear()  # only time is lost: the pairs rebuild what they need\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
         "amalgam: atom count",
         FRAISSE,
         # the condition goes and its branch stays, so the elif chain still compiles

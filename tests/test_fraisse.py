@@ -526,13 +526,14 @@ TABLE_SUITES = [([(ClassKind.BJ, 4, 3)], 11035), ([(ClassKind.BJU, 5, 2)], 15856
 
 @pytest.mark.parametrize("suites, expected", REFERENCE_SUITES + TABLE_SUITES)
 def test_interned_amalgams_match_reference(suites, expected):
-    # the suite's path: one _run and one interning dict per base's run, and
-    # one _amalgamate_run pass per B-side over all of its base's C-sides
+    # the suite's path: one interning dict per suite, shared by its bases as
+    # a one-shard suite shares it, one _run per base's run, and one
+    # _amalgamate_run pass per B-side over all of its base's C-sides
     instances = interned = keys = distinct = reported = 0
     for kind, max_atoms, t in suites:
         reported += check_ap(kind, max_atoms, t)["instances"]
+        amalgams: dict = {}
         for a, copies in ap_copies(kind, max_atoms, t):
-            amalgams: dict = {}
             sides = [fraisse._side(f.block_of, a, host) for host, f in copies]
             run_keys = [key for side in sides for key in side[4] + side[5]]
             keys, distinct = keys + len(run_keys), distinct + len(set(run_keys))
@@ -545,7 +546,7 @@ def test_interned_amalgams_match_reference(suites, expected):
                     d, r, s, _ = reference_amalgamate(a, b, c, f, g)
                     assert got == (d, bytes(r.block_of), bytes(s.block_of))
                     assert type(got[1]) is type(got[2]) is bytes
-            interned += len(amalgams)
+        interned += len(amalgams)
     assert interned < instances == expected == reported
     assert 2 * distinct < keys  # most keys recur in other sides of their run
 
@@ -563,29 +564,63 @@ def test_ap_suite_builds_tables_once_per_run(monkeypatch):
     assert check_ap(ClassKind.BJ, 4, 1, workers=2) == report
 
 
+# bj suites at one worker, one shard: (max_atoms, t, amalgams built, copies,
+# block-map checks, pairs).  A table per base instead of per shard would build
+# 175 and check 7,076 at t = 1, and build 259 and check 3,088 at t = 2, where
+# many bases share amalgams
+SHARD_COUNTS = [(5, 1, 45, 340, 4833, 15856), (4, 2, 84, 187, 2084, 4051)]
+
+
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
     # D's levels are B's levels and C's loose ones, sorted; make_algebra
-    # runs once per distinct such tuple within each base's shard
+    # runs once per distinct such tuple across all bases of the shard
     built = []
     real = fraisse.make_algebra
     monkeypatch.setattr(
         fraisse, "make_algebra", lambda levels, t: built.append(tuple(levels)) or real(levels, t)
     )
-    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
-    expected = []
-    for a in enumerate_algebras(5, 1, ClassKind.BJ):
-        copies = [
-            f for host in enumerate_algebras(5, 1, ClassKind.BJ)
-            for f in enumerate_embeddings(a, host, "ordered")
-        ]
+    for max_atoms, t, amalgams, _, _, pairs in SHARD_COUNTS:
+        built.clear()
+        report = check_ap(ClassKind.BJ, max_atoms, t, workers=1)
         tuples = set()
-        for f, g in product(copies, repeat=2):
-            maxima = {max(block) for block in g.blocks()}
-            loose = [level for x, level in enumerate(g.big.levels) if x not in maxima]
-            tuples.add(tuple(sorted(f.big.levels + tuple(loose))))
-        expected += sorted(tuples)
-    assert sorted(built) == sorted(expected)
-    assert len(built) == len(expected) < report["instances"] == 15856
+        for a in enumerate_algebras(max_atoms, t, ClassKind.BJ):
+            copies = [
+                f for host in enumerate_algebras(max_atoms, t, ClassKind.BJ)
+                for f in enumerate_embeddings(a, host, "ordered")
+            ]
+            for f, g in product(copies, repeat=2):
+                maxima = {max(block) for block in g.blocks()}
+                loose = [level for x, level in enumerate(g.big.levels) if x not in maxima]
+                tuples.add(tuple(sorted(f.big.levels + tuple(loose))))
+        assert sorted(built) == sorted(tuples)
+        assert len(built) == len(tuples) == amalgams < report["instances"] == pairs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ap_suite_clears_its_amalgam_table_past_the_bound(monkeypatch, forks, workers):
+    # bj t = 2 n <= 4 builds 84 amalgams in one table; at a bound of 16 the
+    # shard clears it before a B-side once it holds more, and rebuilds what
+    # the later pairs need, with the same report.  Forked children inherit
+    # the patches, but only the caller's calls are seen.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    report = check_ap(ClassKind.BJ, 4, 2, workers=1)
+    calls = []  # per kernel call: the table's size on entry and on return, and the C-sides
+    real = fraisse._amalgamate_run
+
+    def spied(kind, a, level_of, copy_b, copies_c, amalgams):
+        entry = len(amalgams)
+        outcomes = real(kind, a, level_of, copy_b, copies_c, amalgams)
+        calls.append((entry, len(amalgams), len(copies_c)))
+        return outcomes
+
+    monkeypatch.setattr(fraisse, "_amalgamate_run", spied)
+    monkeypatch.setattr(fraisse, "MAX_AP_AMALGAMS", 16)
+    assert check_ap(ClassKind.BJ, 4, 2, workers=workers) == report
+    assert report["instances"] == 4051 and len(forks) == workers - 1
+    assert all(entry <= 16 and held <= 16 + sides for entry, held, sides in calls)
+    clears = sum(now[0] < before[1] for before, now in zip(calls, calls[1:]))
+    assert clears > 0 and max(held for _, held, _ in calls) > 16
+    assert no_child_is_left()
 
 
 def test_check_ap_long_chain_within_budget():
@@ -746,28 +781,44 @@ def test_absorption_sentinel_is_refused_as_a_nonexistent_atom(monkeypatch):
     assert fraisse.MAX_SIDE_ATOMS in checked[-1] and type(checked[-1]) is bytes
 
 
+def test_interned_map_is_checked_again_for_a_host_with_other_levels():
+    # one table spans a shard's bases, so a map's bytes already checked into
+    # an interned D for one host can come back with a host of other levels.
+    # D keeps each checked map's host levels, so the map is checked again,
+    # and refused for that host as on a fresh table.
+    kind, a = ClassKind.BJ, make_algebra([OUT], 1)
+    b, other = make_algebra([0, OUT], 1), make_algebra([OUT, OUT], 1)
+    level_of, (copy_b, copy_c) = fraisse._run([fraisse._side((0, 0), a, b)] * 2)
+    amalgams: dict = {}
+    [(d, r, _)] = fraisse._amalgamate_run(kind, a, level_of, copy_b, [copy_c], amalgams)
+    assert amalgams[d.levels][2][r] == b.levels
+    planted = (other, *copy_b[1:])  # B's keys and tables, so the same D and r
+    for table in (amalgams, {}):
+        with pytest.raises(NotAnEmbedding, match="block 0 has maximal level 0"):
+            fraisse._amalgamate_run(kind, a, level_of, planted, [copy_c], table)
+
+
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
     # each copy of A is checked once, and r and s once per distinct
-    # (D's levels, host levels, block map) within a base's shard
+    # (D's levels, host levels, block map) across all bases of the shard
     calls = []
     real = fraisse._check_block_map
     monkeypatch.setattr(
         fraisse, "_check_block_map", lambda *args: calls.append(args) or real(*args)
     )
-    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
-    algebras = list(enumerate_algebras(5, 1, ClassKind.BJ))
-    copies = sum(
-        len(enumerate_embeddings(a, host, "ordered")) for a in algebras for host in algebras
-    )
-    triples: dict = {}
-    for kind, a, b, c, f, g in ap_instances(ClassKind.BJ, 5, 1):
-        d, r, s, _ = reference_amalgamate(a, b, c, f, g)
-        triples.setdefault(a, set()).update(
-            {(d.levels, b.levels, r.block_of), (d.levels, c.levels, s.block_of)}
+    for max_atoms, t, _, copies, checks, pairs in SHARD_COUNTS:
+        calls.clear()
+        report = check_ap(ClassKind.BJ, max_atoms, t, workers=1)
+        algebras = list(enumerate_algebras(max_atoms, t, ClassKind.BJ))
+        listed = sum(
+            len(enumerate_embeddings(a, host, "ordered")) for a in algebras for host in algebras
         )
-    distinct = sum(map(len, triples.values()))
-    assert (copies, report["instances"]) == (340, 15856)
-    assert len(calls) == copies + distinct == 7076 < copies + 2 * report["instances"]
+        triples = set()
+        for kind, a, b, c, f, g in ap_instances(ClassKind.BJ, max_atoms, t):
+            d, r, s, _ = reference_amalgamate(a, b, c, f, g)
+            triples.update({(d.levels, b.levels, r.block_of), (d.levels, c.levels, s.block_of)})
+        assert (listed, report["instances"]) == (copies, pairs)
+        assert len(calls) == copies + len(triples) == checks < copies + 2 * pairs
 
 
 def test_ap_suite_checks_each_copy(monkeypatch):
