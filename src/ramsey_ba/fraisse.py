@@ -45,16 +45,23 @@ MAX_SIDE_ATOMS atoms.  It lists and checks each copy of A once, in the
 caller, and refuses a suite of more than MAX_AP_PAIRS pairs while it lists
 them.  It cuts the pairs into one run of B-sides per base and shard,
 whatever the worker count; a shard builds each run's tables once and calls
-the kernel once per B-side.  amalgamate refuses a side past MAX_SIDE_ATOMS,
-takes its two sides as a run, calls the kernel on the one pair and raises
-the failure it returns.  Copies travel as bare block maps, and only
-amalgamate turns r and s into tuples, wraps them into Embedding records and
-lists the identified atom pairs.  Suite shards are handed the ClassKind and
-LabeledAlgebra values and the copies themselves; forked children inherit
-them, and send back only results.  The hereditary suite refuses more than
-MAX_HP_PARTITIONS partitions while it lists the class, before any shard,
-and forks only when it has enough partitions to pay for a child
-(HP_PARTITIONS_PER_WORKER).
+the kernel once per B-side i, on C-sides i and later.  Amalgamation over A is
+symmetric: if (D, r, s) amalgamates f and g, (D, s, r) amalgamates g and f,
+and every postcondition the kernel checks holds for one exactly when it holds
+for the other.  So a pair that passes answers for its mirror, and a pair that
+fails sends its mirror through the kernel too, and a fault that hits both
+orders lists both.  The suite reports the property for every ordered pair,
+not the kernel's answer on every ordered pair: a kernel fault on one order
+alone shows only when that order is the one run.  amalgamate refuses a side
+past MAX_SIDE_ATOMS, takes its two sides as a run, calls the kernel on the
+one pair and raises the failure it returns.  Copies travel as bare block
+maps, and only amalgamate turns r and s into tuples, wraps them into
+Embedding records and lists the identified atom pairs.  Suite shards are
+handed the ClassKind and LabeledAlgebra values and the copies themselves;
+forked children inherit them, and send back only results.  The hereditary
+suite refuses more than MAX_HP_PARTITIONS partitions while it lists the
+class, before any shard, and forks only when it has enough partitions to
+pay for a child (HP_PARTITIONS_PER_WORKER).
 """
 from __future__ import annotations
 
@@ -86,10 +93,12 @@ MAX_AP_PAIRS = 1_000_000
 
 # the most interned amalgams a suite shard keeps: past this it clears its
 # table before the next B-side, so a shard holds at most this many plus one
-# B-side's C-sides.  check_ap(bj, 2, 997), whose base [OUT] makes about half a
-# million level tuples, then peaks at 63 MB against 331 MB with no bound, and
-# takes 10.1-15.4 s against 8.9-11.0 s (seven alternating rounds on a shared
-# 2-vCPU Linux host).  No benchmark suite holds more than 45 (bj t = 1 at 5 atoms)
+# B-side's C-sides and the mirrors of its failing pairs.  check_ap(bj, 2, 997),
+# whose base [OUT] makes about half a million level tuples, then peaks at
+# 63 MB against 331 MB with no bound, and takes 7.1-9.1 s (three rounds on a
+# shared 2-vCPU Linux host); a passing pair answers for its mirror, so no
+# clear falls between them.  No benchmark suite holds more than 45 (bj
+# t = 1 at 5 atoms)
 MAX_AP_AMALGAMS = 1 << 16
 
 # the most atom partitions, the sum of Bell(n) over its members, one
@@ -399,31 +408,44 @@ def check_hp(
     }
 
 
-def _ap_shard(args: tuple[ClassKind, list]) -> list[dict]:
+def _ap_shard(args: tuple[ClassKind, list]) -> list[tuple]:
     kind, runs = args
-    violations: list[dict] = []
+    violations: list[tuple] = []  # ((A's position, B-side, C-side), violation)
     # one amalgam table per shard: D, its membership and its checked maps
     # depend on D's levels, the kind and the chain length, none on the base
     amalgams: dict = {}  # level tuple -> (D, D in the class, maps checked into D)
-    for a, copies, start, stop in runs:
+    for a, copies, start, stop, base in runs:
         level_of, run = _run([_side(block_of, a, host) for host, block_of in copies])
-        for copy_b in run[start:stop]:
+        for i in range(start, stop):
             if len(amalgams) > MAX_AP_AMALGAMS:
                 amalgams.clear()  # only time is lost: the pairs rebuild what they need
-            outcomes = _amalgamate_run(kind, a, level_of, copy_b, run, amalgams)
-            for copy_c, outcome in zip(run, outcomes):
+            # amalgamation is symmetric, so a pair (i, j) that passes answers
+            # for its mirror (j, i): B-side i runs against C-sides j >= i only,
+            # so bj t = 1 n <= 5 runs 8,098 of its 15,856 ordered pairs and
+            # checks 3,689 block maps
+            outcomes = _amalgamate_run(kind, a, level_of, run[i], run[i:], amalgams)
+            for j, outcome in enumerate(outcomes, i):
                 if type(outcome) is str:
-                    violations.append(
-                        {
-                            "a": signature_json(a),
-                            "b": signature_json(copy_b[0]),
-                            "c": signature_json(copy_c[0]),
-                            "f": list(copy_b[1]),
-                            "g": list(copy_c[1]),
-                            "error": outcome,
-                        }
-                    )
+                    violations.append(_violation(base, a, copies, i, j, outcome))
+                    if j != i:  # a failing pair cannot answer for its mirror
+                        [mirror] = _amalgamate_run(kind, a, level_of, run[j], [run[i]], amalgams)
+                        if type(mirror) is str:
+                            violations.append(_violation(base, a, copies, j, i, mirror))
     return violations
+
+
+def _violation(base: int, a: LabeledAlgebra, copies: list, i: int, j: int, error: str) -> tuple:
+    """The failing pair of copies i and j of the base at position base,
+    tagged by (base, i, j), the position of the pair in the report."""
+    (b, f), (c, g) = copies[i], copies[j]
+    return (base, i, j), {
+        "a": signature_json(a),
+        "b": signature_json(b),
+        "c": signature_json(c),
+        "f": list(f),
+        "g": list(g),
+        "error": error,
+    }
 
 
 def _too_many_pairs() -> BoundExceeded:
@@ -454,11 +476,16 @@ def check_ap(
     pairs, keeping the running sum of m_A squared, and raises BoundExceeded
     as soon as it passes MAX_AP_PAIRS, before any shard is cut or forked.
     It cuts the (A, B-side) list, in order, into one contiguous run of
-    near-equal pair counts per usable worker; a cut with no run is dropped,
-    so one worker runs one shard.  A shard amalgamates
-    each B-side of a run with all of its base's copies in one
-    _amalgamate_run pass.  Violations list pairs by base, then by (B, f),
-    then by (C, g), the same for any worker count.
+    near-equal kernel pair counts per usable worker, B-side i of m copies
+    weighing m - i; a cut with no run is dropped, so one worker runs one
+    shard.  A shard amalgamates B-side i of a run with its base's copies i
+    and later in one _amalgamate_run pass; a pair that passes answers for
+    its mirror, and a failing pair's mirror runs too.  instances stays the
+    sum of m_A squared, the ordered pairs the report answers for.  Shards tag
+    each violation with its base's position and its two copy indices, and
+    the caller sorts the tags, so violations list pairs by base, then by
+    (B, f), then by (C, g), the same for any worker count, though a mirror
+    is found in the shard of its pair's B-side.
     """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
@@ -485,17 +512,21 @@ def check_ap(
         copies.append(pairs)
     workers = max(usable_workers(workers), 1)
     cuts: list[list] = [[] for _ in range(workers)]
-    done = 0  # a run is [A, A's copies, first B-side index, end index]
-    for a, pairs in zip(bases, copies):
+    # B-side i of m copies runs the kernel on C-sides i to m - 1
+    kernel_pairs = sum(len(pairs) * (len(pairs) + 1) // 2 for pairs in copies)
+    done = 0  # a run is [A, A's copies, first B-side index, end index, A's position]
+    for base, (a, pairs) in enumerate(zip(bases, copies)):
         for i in range(len(pairs)):
-            runs = cuts[done * workers // instances]
+            runs = cuts[done * workers // kernel_pairs]
             if runs and runs[-1][0] is a:
                 runs[-1][3] = i + 1
             else:
-                runs.append([a, pairs, i, i + 1])
-            done += len(pairs)
+                runs.append([a, pairs, i, i + 1, base])
+            done += len(pairs) - i
     shards = [(kind, runs) for runs in cuts if runs]
     results = ordered_map(_ap_shard, shards, workers)
+    # a mirrored violation may come from the shard of an earlier B-side
+    tagged = sorted((v for r in results for v in r), key=itemgetter(0))
     return {
         "kind": kind.value,
         "chain_length": chain_length,
@@ -503,5 +534,5 @@ def check_ap(
         "max_a_atoms": cap,
         "base_algebras": len(bases),
         "instances": instances,
-        "violations": [v for r in results for v in r],
+        "violations": [v for _, v in tagged],
     }

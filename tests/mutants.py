@@ -69,6 +69,25 @@ MUTANTS = [
         ["tests/test_fraisse.py"],
     ),
     (
+        # killed by test_check_ap_lists_violations_by_copy_pairs
+        "AP suite: a failing pair's mirror goes through the kernel",
+        FRAISSE,
+        "                    if j != i:  # a failing pair cannot answer for its mirror\n"
+        "                        [mirror] = _amalgamate_run(kind, a, level_of, run[j], [run[i]], amalgams)\n"
+        "                        if type(mirror) is str:\n"
+        "                            violations.append(_violation(base, a, copies, j, i, mirror))\n",
+        ["tests/test_fraisse.py"],
+    ),
+    (
+        # killed by test_ap_cut_weighs_each_b_side_by_its_kernel_pairs.  The
+        # mutant weighs every B-side of a base alike, by half its copy count,
+        # so the total stays within the kernel pairs and the cut list
+        "AP suite: the cut weighs B-side i by its m - i kernel pairs",
+        FRAISSE,
+        ("            done += len(pairs) - i\n", "            done += (len(pairs) + 1) // 2\n"),
+        ["tests/test_fraisse.py"],
+    ),
+    (
         "amalgam: atom count",
         FRAISSE,
         # the condition goes and its branch stays, so the elif chain still compiles

@@ -491,6 +491,22 @@ def ap_instances(kind, max_atoms, t):
                 yield kind, a, b, c, f, g
 
 
+def kernel_instances(kind, max_atoms, t, violations=()):
+    """Every (A, B, C, f, g) on which check_ap(kind, max_atoms, t) runs the
+    kernel, given its report's violations: copy pairs (i, j) with i <= j,
+    and the mirror (j, i) of each such pair with j != i that is a violation."""
+    failed = {
+        (str(v["a"]), str(v["b"]), str(v["c"]), tuple(v["f"]), tuple(v["g"])) for v in violations
+    }
+    for a, copies in ap_copies(kind, max_atoms, t):
+        for i, (b, f) in enumerate(copies):
+            for j, (c, g) in enumerate(copies[i:], i):
+                yield kind, a, b, c, f, g
+                pair = (*(str(signature_json(x)) for x in (a, b, c)), f.block_of, g.block_of)
+                if j != i and pair in failed:
+                    yield kind, a, c, b, g, f
+
+
 # the check_ap suites of the differential tests, with their instance counts
 REFERENCE_SUITES = [
     (
@@ -567,8 +583,9 @@ def test_ap_suite_builds_tables_once_per_run(monkeypatch):
 # bj suites at one worker, one shard: (max_atoms, t, amalgams built, copies,
 # block-map checks, pairs).  A table per base instead of per shard would build
 # 175 and check 7,076 at t = 1, and build 259 and check 3,088 at t = 2, where
-# many bases share amalgams
-SHARD_COUNTS = [(5, 1, 45, 340, 4833, 15856), (4, 2, 84, 187, 2084, 4051)]
+# many bases share amalgams; checking both orders of every pair would make
+# 4,833 and 2,084 checks
+SHARD_COUNTS = [(5, 1, 45, 340, 3689, 15856), (4, 2, 84, 187, 1654, 4051)]
 
 
 def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
@@ -661,6 +678,184 @@ def test_check_ap_lists_violations_by_copy_pairs(monkeypatch):
     got = [(v["a"], v["b"], v["c"], v["f"], v["g"]) for v in report["violations"]]
     assert got == expected
     assert (len(got), report["instances"]) == (53, 100)
+
+
+def all_ordered_pairs_report(kind, max_atoms, t):
+    """check_ap(kind, max_atoms, t)'s report by the definition: one
+    _amalgamate_run pass per B-side over all of its base's copies, so the
+    kernel answers for every ordered pair, mirrors included."""
+    bases = instances = 0
+    violations = []
+    amalgams: dict = {}
+    for a, copies in ap_copies(kind, max_atoms, t):
+        bases += 1
+        instances += len(copies) ** 2
+        level_of, run = fraisse._run([fraisse._side(f.block_of, a, host) for host, f in copies])
+        for (b, f), copy_b in zip(copies, run):
+            outcomes = fraisse._amalgamate_run(kind, a, level_of, copy_b, run, amalgams)
+            for (c, g), outcome in zip(copies, outcomes):
+                if type(outcome) is str:
+                    violations.append(
+                        {
+                            "a": signature_json(a),
+                            "b": signature_json(b),
+                            "c": signature_json(c),
+                            "f": list(f.block_of),
+                            "g": list(g.block_of),
+                            "error": outcome,
+                        }
+                    )
+    return {
+        "kind": kind.value,
+        "chain_length": t,
+        "max_atoms": max_atoms,
+        "max_a_atoms": max_atoms,
+        "base_algebras": bases,
+        "instances": instances,
+        "violations": violations,
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
+def test_check_ap_matches_the_all_ordered_pairs_definition(
+    monkeypatch, forks, suites, expected, workers
+):
+    # the suite runs the kernel on one order of each passing pair; the
+    # definition runs it on both, and the reports are equal
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    instances = 0
+    for suite in suites:
+        report = check_ap(*suite, workers=workers)
+        assert report == all_ordered_pairs_report(*suite)
+        instances += report["instances"]
+    assert instances == expected
+    assert no_child_is_left()
+
+
+# the planted membership faults of the two violation-order tests, with their
+# suites: each depends on D's levels alone, so it fails (B, C) and (C, B) alike
+SYMMETRIC_FAULTS = {
+    "three level-0 atoms": (lambda d: d.levels.count(0) != 3, (ClassKind.BJ, 5, 1)),
+    "four atoms": (lambda d: d.n_atoms != 4, (ClassKind.BJ, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("fault", list(SYMMETRIC_FAULTS))
+def test_check_ap_matches_the_definition_under_symmetric_faults(monkeypatch, forks, fault):
+    # a failing pair (i, j), i < j, sends its mirror (j, i) through the
+    # kernel in the shard of B-side i; the mirror's violation belongs to
+    # B-side j, which a cut can put in a later shard, and the report still
+    # lists it in its place.  Forked children inherit the patch.
+    keep, suite = SYMMETRIC_FAULTS[fault]
+    definition = fraisse.class_membership
+    monkeypatch.setattr(
+        fraisse, "class_membership", lambda d, kind: keep(d) and definition(d, kind)
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cuts = []  # per check_ap call: the runs of each shard
+    real = fraisse.ordered_map
+    monkeypatch.setattr(
+        fraisse,
+        "ordered_map",
+        lambda fn, shards, workers: cuts.append([r for _, r in shards]) or real(fn, shards, workers),
+    )
+    expected = all_ordered_pairs_report(*suite)
+    position = {}  # (A, host, block map) -> (A's position, copy index)
+    for base, (a, copies) in enumerate(ap_copies(*suite)):
+        for i, (host, f) in enumerate(copies):
+            position[str(signature_json(a)), str(signature_json(host)), f.block_of] = base, i
+    pairs = []  # per violation: A's position, the B-side and the C-side
+    for v in expected["violations"]:
+        base, i = position[str(v["a"]), str(v["b"]), tuple(v["f"])]
+        pairs.append((base, i, position[str(v["a"]), str(v["c"]), tuple(v["g"])][1]))
+    assert pairs == sorted(pairs) and any(j < i for _, i, j in pairs)
+    crossed = 0
+    for workers in (1, 2, 3):
+        assert check_ap(*suite, workers=workers) == expected
+        assert len(cuts[-1]) == workers
+        shard = {
+            (run[4], i): k
+            for k, runs in enumerate(cuts[-1])
+            for run in runs
+            for i in range(run[2], run[3])
+        }
+        # a violation (i, j) with j < i is a mirror, found in B-side j's shard
+        crossed += sum(shard[base, i] != shard[base, j] for base, i, j in pairs if j < i)
+    assert crossed > 0
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ap_suite_reports_the_property_not_the_kernel_on_every_order(
+    monkeypatch, forks, workers
+):
+    # a kernel fault that hits one order of a pair only.  The suite runs the
+    # kernel on copies (i, j) with i <= j, and hosts come by atom count, so
+    # there B's host never has more atoms than C's.  A fault when B's host
+    # has fewer is listed on every pair it hits, whose mirrors pass, as the
+    # all-ordered-pairs definition lists it; a fault when it has more, which
+    # the definition lists on as many pairs, is never seen: each pair it hits
+    # has a passing mirror, which answers for it.  Forked children inherit
+    # the patch.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    suite = (ClassKind.BJ, 4, 1)
+    real = fraisse._amalgamate_run
+    for fails in (int.__lt__, int.__gt__):
+
+        def planted(kind, a, level_of, copy_b, copies_c, amalgams, fails=fails):
+            outcomes = real(kind, a, level_of, copy_b, copies_c, amalgams)
+            b = copy_b[0].n_atoms
+            return [
+                "planted" if fails(b, copy_c[0].n_atoms) else outcome
+                for copy_c, outcome in zip(copies_c, outcomes)
+            ]
+
+        monkeypatch.setattr(fraisse, "_amalgamate_run", planted)
+        definition = all_ordered_pairs_report(*suite)
+        report = check_ap(*suite, workers=workers)
+        assert len(definition["violations"]) == 225 and report["instances"] == 1134
+        if fails is int.__lt__:
+            assert report == definition
+        else:
+            assert report == {**definition, "violations": []}
+    assert len(forks) == 2 * (workers - 1)
+    assert no_child_is_left()
+
+
+def test_ap_cut_weighs_each_b_side_by_its_kernel_pairs(monkeypatch):
+    # B-side i of a base with m copies runs the kernel on m - i C-sides: bj
+    # t = 1 n <= 5 has 15,856 ordered pairs over 340 copies, and runs
+    # (15,856 + 340) / 2 = 8,098 through the kernel.  The cut weighs B-side i
+    # by m - i, so each shard's kernel pairs are within one B-side's weight,
+    # at most the largest m, of an equal share
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    sides = []  # per kernel call at one worker: its C-sides
+    real_kernel = fraisse._amalgamate_run
+    monkeypatch.setattr(
+        fraisse,
+        "_amalgamate_run",
+        lambda *args: sides.append(len(args[4])) or real_kernel(*args),
+    )
+    report = check_ap(ClassKind.BJ, 5, 1, workers=1)
+    assert (report["instances"], len(sides), sum(sides)) == (15856, 340, 8098)
+    largest = max(len(copies) for _, copies in ap_copies(ClassKind.BJ, 5, 1))
+    assert largest == 72
+    cuts = []
+    real = fraisse.ordered_map
+    monkeypatch.setattr(
+        fraisse,
+        "ordered_map",
+        lambda fn, shards, workers: cuts.append([r for _, r in shards]) or real(fn, shards, workers),
+    )
+    for workers in (2, 3):
+        assert check_ap(ClassKind.BJ, 5, 1, workers=workers) == report
+        shares = [
+            sum(len(run[1]) - i for run in runs for i in range(run[2], run[3]))
+            for runs in cuts[-1]
+        ]
+        assert len(shares) == workers and sum(shares) == 8098
+        assert all(abs(share - 8098 / workers) < largest for share in shares)
 
 
 def _shifted(side: tuple, k: int) -> tuple:
@@ -800,7 +995,8 @@ def test_interned_map_is_checked_again_for_a_host_with_other_levels():
 
 def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
     # each copy of A is checked once, and r and s once per distinct
-    # (D's levels, host levels, block map) across all bases of the shard
+    # (D's levels, host levels, block map) of the pairs that run through the
+    # kernel, across all bases of the shard
     calls = []
     real = fraisse._check_block_map
     monkeypatch.setattr(
@@ -814,7 +1010,9 @@ def test_ap_suite_checks_each_block_map_once_per_amalgam(monkeypatch):
             len(enumerate_embeddings(a, host, "ordered")) for a in algebras for host in algebras
         )
         triples = set()
-        for kind, a, b, c, f, g in ap_instances(ClassKind.BJ, max_atoms, t):
+        for kind, a, b, c, f, g in kernel_instances(
+            ClassKind.BJ, max_atoms, t, report["violations"]
+        ):
             d, r, s, _ = reference_amalgamate(a, b, c, f, g)
             triples.update({(d.levels, b.levels, r.block_of), (d.levels, c.levels, s.block_of)})
         assert (listed, report["instances"]) == (copies, pairs)
