@@ -60,8 +60,8 @@ Embedding records and lists the identified atom pairs.  Suite shards are
 handed the ClassKind and LabeledAlgebra values and the copies themselves;
 forked children inherit them, and send back only results.  The hereditary
 suite refuses more than MAX_HP_PARTITIONS partitions while it lists the
-class, before any shard, and forks only when it has enough partitions to
-pay for a child (HP_PARTITIONS_PER_WORKER).
+class, before any shard.  Both suites fork by parallel.workers_for, so a
+suite too small to pay for a child runs in the caller.
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ from .embed import MAX_BYTE_ATOMS as MAX_SIDE_ATOMS, Embedding, _block_maxima
 from .embed import _check_block_map, _partition_subalgebra, _sorted_block_maps
 from .embed import _translate_table, enumerate_embeddings, validate_embedding
 from .errors import AmalgamationFailed, BoundExceeded, NotAnEmbedding
-from .parallel import ordered_map, usable_workers
+from .parallel import ordered_map, workers_for
 
 # the most (B, C) copy pairs one amalgamation suite checks: the sum over its
 # bases A of the square of A's copy count; bj t = 1 at 6 atoms has 273,424
@@ -93,30 +93,19 @@ MAX_AP_PAIRS = 1_000_000
 
 # the most interned amalgams a suite shard keeps: past this it clears its
 # table before the next B-side, so a shard holds at most this many plus one
-# B-side's C-sides and the mirrors of its failing pairs.  check_ap(bj, 2, 997),
-# whose base [OUT] makes about half a million level tuples, then peaks at
-# 63 MB against 331 MB with no bound, and takes 7.1-9.1 s (three rounds on a
-# shared 2-vCPU Linux host); a passing pair answers for its mirror, so no
-# clear falls between them.  No benchmark suite holds more than 45 (bj
-# t = 1 at 5 atoms)
+# B-side's C-sides and the mirrors of its failing pairs; a passing pair answers
+# for its mirror, so no clear falls between them.  check_ap(bj, 2, 997) makes
+# about half a million level tuples, a benchmark suite at most 45
 MAX_AP_AMALGAMS = 1 << 16
 
 # the most atom partitions, the sum of Bell(n) over its members, one
-# hereditary sweep checks; bj t = 1 at 6 atoms has 1,558.  A partition costs
-# 6-13 us on a 2-vCPU Linux host, more at more atoms, so this bounds a sweep
-# to about 10 s
+# hereditary sweep checks; bj t = 1 at 6 atoms has 1,558
 MAX_HP_PARTITIONS = 1_000_000
 
-# the hereditary sweep takes one worker per this many atom partitions, at most
-# the workers asked for.  On a 2-vCPU Linux host a partition costs about
-# c = 6 us and a forked child about F = 1.3 ms, and this is F / c: a second
-# worker comes at 2F / c partitions, where the half of the sweep it takes off
-# the caller first pays for its fork.  Best of 9 at one worker against two:
-# 278 partitions (bu t = 1, bj t = 0 at 6 atoms) 1.6-1.8 against 2.8-3.0 ms,
-# 340 (bj t = 1, bju t = 2 at 5 atoms) 2.1 against 2.3 ms, 967 (bj t = 2 at
-# 5 atoms) 5.7 against 4.3 ms, 1,155 (bj t = 0 at 7 atoms) 7.2 against 6.5 ms
-# and 1,558 (bj t = 1 at 6 atoms) 9.5 against 6.2 ms
-HP_PARTITIONS_PER_WORKER = 220
+# what an atom partition, and a kernel pair, saves the caller when a child
+# does it (parallel.workers_for); a kernel pair saves much less than it costs
+HP_PARTITION_NS = 7_000
+AP_PAIR_NS = 400
 
 
 @dataclass(frozen=True)
@@ -381,10 +370,9 @@ def check_hp(
     Boolean closure of the blocks on every partition for n <= 6 and t <= 2.
     The class is listed lazily, keeping the running sum of Bell(n) over its
     members, and a sweep of more than MAX_HP_PARTITIONS partitions raises
-    BoundExceeded before any shard is cut or forked.  The sweep takes one
-    worker per HP_PARTITIONS_PER_WORKER partitions, at most workers, so a
-    small sweep runs in the caller; the report is the same for any worker
-    count.
+    BoundExceeded before any shard is cut or forked.  parallel.workers_for
+    gives it one worker per FORK_NS of partitions at HP_PARTITION_NS each, a
+    second from 1,143; the report is the same for any worker count.
     """
     shards = []
     partitions = 0
@@ -396,7 +384,7 @@ def check_hp(
                 " there are more"
             )
         shards.append((kind, algebra))
-    workers = min(workers, partitions // HP_PARTITIONS_PER_WORKER)
+    workers = workers_for(partitions, HP_PARTITION_NS, workers)
     results = ordered_map(_hp_shard, shards, workers)
     return {
         "kind": kind.value,
@@ -476,16 +464,17 @@ def check_ap(
     pairs, keeping the running sum of m_A squared, and raises BoundExceeded
     as soon as it passes MAX_AP_PAIRS, before any shard is cut or forked.
     It cuts the (A, B-side) list, in order, into one contiguous run of
-    near-equal kernel pair counts per usable worker, B-side i of m copies
-    weighing m - i; a cut with no run is dropped, so one worker runs one
-    shard.  A shard amalgamates B-side i of a run with its base's copies i
-    and later in one _amalgamate_run pass; a pair that passes answers for
-    its mirror, and a failing pair's mirror runs too.  instances stays the
-    sum of m_A squared, the ordered pairs the report answers for.  Shards tag
-    each violation with its base's position and its two copy indices, and
-    the caller sorts the tags, so violations list pairs by base, then by
-    (B, f), then by (C, g), the same for any worker count, though a mirror
-    is found in the shard of its pair's B-side.
+    near-equal kernel pair counts per worker, one per FORK_NS of kernel
+    pairs at AP_PAIR_NS each (parallel.workers_for), a second from 20,000,
+    B-side i of m copies weighing m - i; a cut with no run is dropped, so
+    one worker runs one shard.  A shard amalgamates B-side i of a run with
+    its base's copies i and later in one _amalgamate_run pass; a pair that
+    passes answers for its mirror, and a failing pair's mirror runs too.
+    instances stays the sum of m_A squared, the ordered pairs the report
+    answers for.  Shards tag each violation with its base's position and its
+    two copy indices, and the caller sorts the tags, so violations list
+    pairs by base, then by (B, f), then by (C, g), the same for any worker
+    count, though a mirror is found in the shard of its pair's B-side.
     """
     # a base with more atoms than max_atoms has no copy in any host
     cap = max_atoms if max_a_atoms is None else min(max_a_atoms, max_atoms)
@@ -510,10 +499,10 @@ def check_ap(
                     raise _too_many_pairs()
                 pairs.append((host, block_of))
         copies.append(pairs)
-    workers = max(usable_workers(workers), 1)
-    cuts: list[list] = [[] for _ in range(workers)]
     # B-side i of m copies runs the kernel on C-sides i to m - 1
     kernel_pairs = sum(len(pairs) * (len(pairs) + 1) // 2 for pairs in copies)
+    workers = workers_for(kernel_pairs, AP_PAIR_NS, workers)
+    cuts: list[list] = [[] for _ in range(workers)]
     done = 0  # a run is [A, A's copies, first B-side index, end index, A's position]
     for base, (a, pairs) in enumerate(zip(bases, copies)):
         for i in range(len(pairs)):

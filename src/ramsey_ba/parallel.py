@@ -1,8 +1,8 @@
 """Deterministic work sharding.
 
 Suites split their instance space into shards and merge results in shard
-order, so reports are byte-identical for any worker count.  The caller
-names the worker count, capped at the CPUs this process may run on.  A
+order, so reports are byte-identical for any worker count.  A suite takes
+the workers its work pays for (workers_for), capped at the usable CPUs.  A
 fan-out forks one child per extra worker; child w maps the stride
 items[w::n] and sends its results back as one pickled list over a pipe,
 while the caller maps items[0::n] itself.  A child's exception is pickled
@@ -16,6 +16,10 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
+# what a forked child costs its caller, in nanoseconds: the fork, the pipe,
+# the wait, the child's start and, first in a process, the pickle import
+FORK_NS = 4_000_000
+
 
 def usable_workers(workers: int) -> int:
     """workers, capped at the CPUs this process may run on."""
@@ -24,6 +28,12 @@ def usable_workers(workers: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     return min(workers, cpus)
+
+
+def workers_for(units: int, unit_ns: int, workers: int) -> int:
+    """One worker per FORK_NS of work, units of unit_ns each, so a second
+    comes once half of it costs a fork; at least one, at most usable_workers."""
+    return max(1, min(usable_workers(workers), units * unit_ns // FORK_NS))
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:

@@ -437,6 +437,20 @@ MUTANTS = [
         ["tests/test_serialize.py"],
     ),
     (
+        # killed by test_a_sweep_with_no_work_takes_one_worker
+        "fork rule: a sweep forks only as far as its work pays for children",
+        PARALLEL,
+        ("units * unit_ns // FORK_NS", "workers"),
+        ["tests/test_parallel.py"],
+    ),
+    (
+        # killed by test_a_sweep_takes_a_worker_per_fork_of_work
+        "fork rule: a sweep of exactly w forks' worth of work takes w workers",
+        PARALLEL,
+        ("units * unit_ns // FORK_NS", "(units * unit_ns - 1) // FORK_NS"),
+        ["tests/test_parallel.py"],
+    ),
+    (
         "fan-out: a child's exception is raised in the caller",
         PARALLEL,
         "            if not ok:\n"

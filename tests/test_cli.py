@@ -26,7 +26,7 @@ from ramsey_ba.chains import MAX_CHAIN_POINTS
 from ramsey_ba.cli import RunConfig, build_parser, config_from_args, main, run
 from ramsey_ba.serialize import format_io, parse_algebra
 
-from .test_parallel import forks  # noqa: F401  (a fixture)
+from .test_parallel import cheap_forks, forks  # noqa: F401  (fixtures)
 
 
 def write(tmp_path, name, payload) -> str:
@@ -548,13 +548,15 @@ def test_flags_that_change_nothing_are_refused(capsys, minimal_argv, name):
         assert captured.out == ""
 
 
-def test_worker_count_comes_only_from_the_command_line(capsys, monkeypatch, minimal_argv, forks):
+def test_worker_count_comes_only_from_the_command_line(
+    capsys, monkeypatch, minimal_argv, cheap_forks, forks
+):
     monkeypatch.setenv("RAMSEY_BA_WORKERS", "0")
     code, report = run_cli(capsys, minimal_argv["validate"])
     assert code == 0 and report["member"] is True
     assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # bj t = 2 at 5 atoms: the HP sweep's 967 partitions are enough to fork for
+    # bj t = 2 at 5 atoms, with forks made cheap: both suites fork for --workers 2
     code, _ = run_cli(
         capsys, ["fraisse", "--kind", "bj", "--max-atoms", "5", "--chain-length", "2", "--workers", "2"]
     )

@@ -35,7 +35,7 @@ from ramsey_ba import fraisse
 from ramsey_ba.embed import _check_block_map, _partition_subalgebra, _translate_table
 
 from .oracles import closure_blocks, reference_amalgamate
-from .test_parallel import forks, no_child_is_left  # noqa: F401 (a fixture)
+from .test_parallel import cheap_forks, forks, no_child_is_left  # noqa: F401 (fixtures)
 
 
 def unique_embedding(small, big):
@@ -165,23 +165,49 @@ def test_joint_embed_size_invariant():
 
 
 def test_hp_suite_forks_only_when_the_sweep_pays(monkeypatch, forks):
-    # one worker per HP_PARTITIONS_PER_WORKER = 220 partitions: bj t = 1 has
-    # 340 up to 5 atoms and bu t = 1 278 up to 6, which stay in the caller;
-    # bj t = 1 has 1,558 up to 6 atoms and bj t = 2 967 up to 5
+    # parallel.workers_for at HP_PARTITION_NS a partition: bj t = 1 has 340
+    # partitions up to 5 atoms, bu t = 1 278 up to 6 and bj t = 2 967 up to 5,
+    # which stay in the caller; bj t = 1 has 1,558 up to 6 atoms, which fork
+    # one child at two workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for n in range(1, 6):
+    for n in range(1, 5):
         assert check_hp(ClassKind.BJ, n, 1, workers=2) == check_hp(ClassKind.BJ, n, 1)
-    assert check_hp(ClassKind.BU, 6, 1, workers=2) == check_hp(ClassKind.BU, 6, 1)
     assert forks == []
-    for suite, partitions in (((ClassKind.BJ, 6, 1), 1558), ((ClassKind.BJ, 5, 2), 967)):
+    for suite, partitions, children in (
+        ((ClassKind.BJ, 5, 1), 340, 0),
+        ((ClassKind.BU, 6, 1), 278, 0),
+        ((ClassKind.BJ, 5, 2), 967, 0),
+        ((ClassKind.BJ, 6, 1), 1558, 1),
+    ):
         report = check_hp(*suite, workers=2)
-        assert len(forks) == 1 and report == check_hp(*suite)
+        assert len(forks) == children and report == check_hp(*suite)
         algebras = list(enumerate_algebras(suite[1], suite[2], suite[0]))
         assert sum(fraisse._partition_count(algebra.n_atoms) for algebra in algebras) == partitions
         assert report["instances"] == partitions
         forks.clear()
-    assert check_hp(ClassKind.BJ, 5, 1)["instances"] == 340
-    assert check_hp(ClassKind.BU, 6, 1)["instances"] == 278
+    assert no_child_is_left()
+
+
+def test_ap_suite_forks_only_when_its_kernel_pairs_pay(monkeypatch, forks):
+    # parallel.workers_for at AP_PAIR_NS a kernel pair: bj t = 1 at 5 atoms,
+    # the largest suite the benchmark sends, runs its 8,098 kernel pairs in
+    # the caller at two workers; bj t = 2 at 5 atoms has 37,954 and forks one
+    # child.  Only the caller's kernel calls are seen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sides = []  # per kernel call: its C-sides
+    real = fraisse._amalgamate_run
+    monkeypatch.setattr(
+        fraisse, "_amalgamate_run", lambda *args: sides.append(len(args[4])) or real(*args)
+    )
+    for suite, pairs, children in (((ClassKind.BJ, 5, 1), 8098, 0), ((ClassKind.BJ, 5, 2), 37954, 1)):
+        report = check_ap(*suite, workers=1)
+        assert sum(sides) == pairs and forks == []
+        sides.clear()
+        assert check_ap(*suite, workers=2) == report
+        assert len(forks) == children
+        assert sum(sides) == pairs if children == 0 else sum(sides) < pairs
+        sides.clear()
+        forks.clear()
     assert no_child_is_left()
 
 
@@ -297,7 +323,7 @@ def test_suites_worker_count_invariant():
         assert check(ClassKind.BJU, 3, 2, workers=2) == check(ClassKind.BJU, 3, 2, workers=1)
 
 
-def test_ap_violation_order_survives_the_cuts(monkeypatch):
+def test_ap_violation_order_survives_the_cuts(monkeypatch, cheap_forks):
     # reject every amalgam with three atoms at level 0: violations come from
     # many bases, and from each run of every base a two- or three-way cut
     # splits.  Forked children inherit the patch.
@@ -333,7 +359,7 @@ def test_ap_violation_order_survives_the_cuts(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, forks, workers):
+def test_ap_suite_enumerates_copies_once_in_the_caller(monkeypatch, cheap_forks, forks, workers):
     # the caller enumerates the class once and lists each base's copies once
     # in each host with at least its atom count; no shard, in the caller or
     # in a child, enumerates algebras or copies
@@ -375,7 +401,7 @@ def test_ap_suites_with_one_pair_or_none_fork_nothing(monkeypatch, forks):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ap_suite_refuses_past_its_pair_budget(monkeypatch, forks, workers):
+def test_ap_suite_refuses_past_its_pair_budget(monkeypatch, cheap_forks, forks, workers):
     # bj t = 1 at 5 atoms has exactly 15,856 pairs: the budget admits them
     # all, and one pair less refuses the suite before any shard or fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -614,7 +640,9 @@ def test_ap_suite_builds_each_amalgam_once_per_level_tuple(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ap_suite_clears_its_amalgam_table_past_the_bound(monkeypatch, forks, workers):
+def test_ap_suite_clears_its_amalgam_table_past_the_bound(
+    monkeypatch, cheap_forks, forks, workers
+):
     # bj t = 2 n <= 4 builds 84 amalgams in one table; at a bound of 16 the
     # shard clears it before a B-side once it holds more, and rebuilds what
     # the later pairs need, with the same report.  Forked children inherit
@@ -719,7 +747,7 @@ def all_ordered_pairs_report(kind, max_atoms, t):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("suites, expected", REFERENCE_SUITES)
 def test_check_ap_matches_the_all_ordered_pairs_definition(
-    monkeypatch, forks, suites, expected, workers
+    monkeypatch, cheap_forks, forks, suites, expected, workers
 ):
     # the suite runs the kernel on one order of each passing pair; the
     # definition runs it on both, and the reports are equal
@@ -742,7 +770,9 @@ SYMMETRIC_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", list(SYMMETRIC_FAULTS))
-def test_check_ap_matches_the_definition_under_symmetric_faults(monkeypatch, forks, fault):
+def test_check_ap_matches_the_definition_under_symmetric_faults(
+    monkeypatch, cheap_forks, forks, fault
+):
     # a failing pair (i, j), i < j, sends its mirror (j, i) through the
     # kernel in the shard of B-side i; the mirror's violation belongs to
     # B-side j, which a cut can put in a later shard, and the report still
@@ -788,7 +818,7 @@ def test_check_ap_matches_the_definition_under_symmetric_faults(monkeypatch, for
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ap_suite_reports_the_property_not_the_kernel_on_every_order(
-    monkeypatch, forks, workers
+    monkeypatch, cheap_forks, forks, workers
 ):
     # a kernel fault that hits one order of a pair only.  The suite runs the
     # kernel on copies (i, j) with i <= j, and hosts come by atom count, so
@@ -823,7 +853,7 @@ def test_ap_suite_reports_the_property_not_the_kernel_on_every_order(
     assert no_child_is_left()
 
 
-def test_ap_cut_weighs_each_b_side_by_its_kernel_pairs(monkeypatch):
+def test_ap_cut_weighs_each_b_side_by_its_kernel_pairs(monkeypatch, cheap_forks):
     # B-side i of a base with m copies runs the kernel on m - i C-sides: bj
     # t = 1 n <= 5 has 15,856 ordered pairs over 340 copies, and runs
     # (15,856 + 340) / 2 = 8,098 through the kernel.  The cut weighs B-side i

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from ramsey_ba import parallel
 from ramsey_ba.parallel import ordered_map
 
 
@@ -24,12 +25,45 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def cheap_forks(monkeypatch):
+    """A fork costs one nanosecond, so every suite with work to share forks:
+    its fork path stays under test on suites too small to pay for a child."""
+    monkeypatch.setattr(parallel, "FORK_NS", 1)
+
+
 def no_child_is_left() -> bool:
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return True
     return False
+
+
+def test_a_sweep_with_no_work_takes_one_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert parallel.workers_for(0, 7_000, 3) == 1
+    assert parallel.workers_for(10**9, 7_000, 0) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_sweep_takes_a_worker_per_fork_of_work(monkeypatch, workers):
+    # w workers from w forks' worth of work: a second once half the sweep
+    # costs a fork, a third once a third of it does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert parallel.FORK_NS % 1000 == 0
+    unit_ns = parallel.FORK_NS // 1000  # a fork's worth is 1,000 units
+    assert parallel.workers_for(workers * 1000 - 1, unit_ns, 4) == workers - 1
+    assert parallel.workers_for(workers * 1000, unit_ns, 4) == workers
+
+
+def test_a_sweep_takes_at_most_the_usable_cpus_and_the_workers_asked(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    plenty = 100 * parallel.FORK_NS  # a hundred forks' worth of work in one unit
+    assert parallel.workers_for(1, plenty, 64) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert parallel.workers_for(1, plenty, 3) == 3
+    assert parallel.workers_for(1, plenty, 1) == 1
 
 
 def test_pool_is_capped_by_the_usable_cpus(monkeypatch, forks):
